@@ -111,8 +111,9 @@ struct DemandMemo {
 /// A borrowed view of an engine's frozen arrays, for serialization
 /// (see [`QueryEngine::to_parts`]). Only the forward CSR and the
 /// node → component assignment are exported: the reverse CSR, the DAG,
-/// the member lists and the inverse index are all rederivable in
-/// `O(V + E)` and are rebuilt on decode rather than trusted off disk.
+/// the member lists, the summary rows and the inverse index are all
+/// rederivable in `O(V + E)` (the rows in `O(E·L/64)`) and are rebuilt
+/// on decode rather than trusted off disk.
 #[derive(Clone, Copy, Debug)]
 pub struct EnginePartsRef<'a> {
     /// Forward CSR (offsets + targets via its accessors).
@@ -131,9 +132,6 @@ pub struct EnginePartsRef<'a> {
     pub occ_exprs: &'a [u32],
     /// Number of abstraction labels.
     pub label_count: usize,
-    /// Completed full-sweep label rows (`comp_count × words` `u64`s), if
-    /// the sweep has run.
-    pub summaries: Option<&'a [u64]>,
     /// The frozen analysis' build-phase statistics.
     pub base_stats: AnalysisStats,
     /// The session generation tag, if any.
@@ -162,8 +160,6 @@ pub struct EngineParts {
     pub occ_exprs: Vec<u32>,
     /// Number of abstraction labels.
     pub label_count: usize,
-    /// Completed full-sweep label rows, if persisted.
-    pub summaries: Option<Vec<u64>>,
     /// The frozen analysis' build-phase statistics.
     pub base_stats: AnalysisStats,
     /// The session generation tag, if any.
@@ -307,7 +303,6 @@ impl QueryEngine {
             occ_offsets: &self.occ_offsets,
             occ_exprs: &self.occ_exprs,
             label_count: self.label_count,
-            summaries: self.summaries.get().map(Vec::as_slice),
             base_stats: self.base_stats,
             generation: self.generation,
         }
@@ -317,8 +312,9 @@ impl QueryEngine {
     /// decode path). The input is *untrusted* — it may come off disk — so
     /// every structural invariant the query paths rely on is re-verified:
     /// a malformed shape is a structured error, never a panic and never a
-    /// wrong answer. The reverse CSR and (if absent) the summary rows and
-    /// inverse index are rederived rather than trusted.
+    /// wrong answer. The reverse CSR is rederived here; the summary rows
+    /// and inverse index start empty and are derived on first use (or by
+    /// [`QueryEngine::prepare`]), exactly as on a freshly frozen engine.
     pub fn from_parts(parts: EngineParts) -> Result<QueryEngine, String> {
         let csr = Csr::from_raw_parts(parts.csr_offsets, parts.csr_targets)?;
         let cond = Condensation::from_comp_of(&csr, parts.comp_of)?;
@@ -378,17 +374,6 @@ impl QueryEngine {
             ));
         }
         let words = parts.label_count.div_ceil(64).max(1);
-        let summaries = OnceLock::new();
-        if let Some(rows) = parts.summaries {
-            if rows.len() != cond.comp_count() * words {
-                return Err(format!(
-                    "engine: {} summary words for {} components × {words} words",
-                    rows.len(),
-                    cond.comp_count()
-                ));
-            }
-            summaries.set(rows).expect("fresh OnceLock");
-        }
         let rev = csr.reverse();
         Ok(QueryEngine {
             csr,
@@ -401,7 +386,7 @@ impl QueryEngine {
             occ_exprs: parts.occ_exprs,
             label_count: parts.label_count,
             words,
-            summaries,
+            summaries: OnceLock::new(),
             inverse: OnceLock::new(),
             demand: Mutex::new(DemandMemo { rows: Vec::new() }),
             counters: Counters::default(),
@@ -1006,7 +991,6 @@ mod tests {
             occ_offsets: p.occ_offsets.to_vec(),
             occ_exprs: p.occ_exprs.to_vec(),
             label_count: p.label_count,
-            summaries: p.summaries.map(<[u64]>::to_vec),
             base_stats: p.base_stats,
             generation: p.generation,
         }
@@ -1016,8 +1000,13 @@ mod tests {
     fn parts_round_trip_answers_identically() {
         for src in [SELF_APP, JOIN, "#1 ((fn x => x), (fn y => y)) 4"] {
             let (p, _, q) = engine_for(src);
-            q.prepare(); // persist the swept rows too
+            q.prepare();
             let r = QueryEngine::from_parts(owned_parts(&q)).expect("round trip");
+            // The parts carry no summary rows: the rebuilt engine derives
+            // its own with one sweep when prepared.
+            assert_eq!(r.query_stats().sweeps, 0);
+            r.prepare();
+            assert_eq!(r.query_stats().sweeps, 1);
             for e in p.exprs() {
                 assert_eq!(q.labels_of(e), r.labels_of(e), "at {e:?} in {src:?}");
             }
@@ -1034,9 +1023,9 @@ mod tests {
             assert_eq!(q.all_label_sets(), r.all_label_sets());
             assert_eq!(q.base_stats, r.base_stats);
             assert_eq!(q.generation(), r.generation());
-            // The decoded engine starts with the persisted sweep: no
-            // demand-mode misses, no second sweep.
-            assert_eq!(r.query_stats().sweeps, 0);
+            // Prepared, it answers from its own sweep: no demand-mode
+            // misses, no second sweep.
+            assert_eq!(r.query_stats().sweeps, 1);
             assert_eq!(r.query_stats().demand_misses, 0);
         }
     }
@@ -1080,12 +1069,6 @@ mod tests {
                     } else {
                         p.occ_exprs[0] = u32::MAX;
                     }
-                }),
-            ),
-            (
-                "summary rows wrong size",
-                Box::new(|p| {
-                    p.summaries.as_mut().expect("prepared").pop();
                 }),
             ),
             (

@@ -59,6 +59,16 @@ impl ProgramBuilder {
         Self::default()
     }
 
+    /// Creates an empty builder whose expression arena has room for
+    /// `exprs` nodes before it reallocates.
+    pub fn with_capacity(exprs: usize) -> Self {
+        ProgramBuilder {
+            exprs: Vec::with_capacity(exprs),
+            spans: Vec::with_capacity(exprs),
+            ..Self::default()
+        }
+    }
+
     fn push(&mut self, kind: ExprKind) -> ExprId {
         let id = ExprId::from_index(self.exprs.len());
         self.exprs.push(kind);

@@ -84,12 +84,15 @@ impl From<ValidateError> for ParseError {
 /// Parses a complete program.
 pub fn parse(source: &str) -> Result<Program, ParseError> {
     let toks = lex(source)?;
+    // Programs carry roughly one expression per two tokens.
+    let b = ProgramBuilder::with_capacity(toks.len() / 2);
     let mut p = Parser {
         toks,
         idx: 0,
         prev_end: NOWHERE,
-        b: ProgramBuilder::new(),
+        b,
         scopes: HashMap::new(),
+        shadowed: Vec::new(),
     };
     let root = p.decl_block(BlockKind::TopLevel)?;
     p.expect(&Tok::Eof)?;
@@ -138,16 +141,17 @@ pub fn parse_fragment(
     let old_root = program.root();
     let placeholder = ProgramBuilder::new().finish_unchecked(None);
     let owned = std::mem::replace(program, placeholder);
-    let mut scopes: HashMap<String, Vec<VarId>> = HashMap::new();
-    for (name, &var) in scope {
-        scopes.insert(name.clone(), vec![var]);
-    }
+    let scopes = scope
+        .iter()
+        .map(|(name, &var)| (name.as_str(), var))
+        .collect();
     let mut p = Parser {
         toks,
         idx: 0,
         prev_end: NOWHERE,
         b: ProgramBuilder::from_program(owned),
         scopes,
+        shadowed: Vec::new(),
     };
 
     let result = p.fragment();
@@ -157,7 +161,7 @@ pub fn parse_fragment(
     result
 }
 
-impl Parser {
+impl Parser<'_> {
     /// `fragment := (datatype-decl | fun-binding | val-binding)* expr?`
     fn fragment(&mut self) -> Result<RawFragment, ParseError> {
         let mut bindings = Vec::new();
@@ -171,7 +175,7 @@ impl Parser {
                         let (name, binder, rhs) = self.fun_binding()?;
                         // Stays bound: later bindings and the value see it.
                         bindings.push(RawBinding {
-                            name,
+                            name: name.to_owned(),
                             binder,
                             rhs,
                             recursive: true,
@@ -185,9 +189,9 @@ impl Parser {
                             recursive: true,
                         });
                         for (name, binder, rhs) in group.outer {
-                            self.scopes.entry(name.clone()).or_default().push(binder);
+                            self.push_scope(name, binder);
                             bindings.push(RawBinding {
-                                name,
+                                name: name.to_owned(),
                                 binder,
                                 rhs,
                                 recursive: false,
@@ -199,7 +203,7 @@ impl Parser {
                     self.bump();
                     let (name, binder, rhs, recursive) = self.val_binding()?;
                     bindings.push(RawBinding {
-                        name,
+                        name: name.to_owned(),
                         binder,
                         rhs,
                         recursive,
@@ -208,7 +212,7 @@ impl Parser {
                 _ => break,
             }
         }
-        let value = if self.peek() == &Tok::Eof {
+        let value = if self.peek() == Tok::Eof {
             None
         } else {
             Some(self.expr()?)
@@ -224,46 +228,50 @@ enum BlockKind {
 }
 
 /// The desugared pieces of an `and`-connected `fun` group.
-struct MutualGroup {
+struct MutualGroup<'a> {
     /// The hidden recursive pack binder.
     pack: VarId,
     /// `λ$d. let wrappers in (member₁, …, memberₙ)`.
     pack_lam: ExprId,
     /// Outer wrappers `(name, binder, rhs)` for the continuation.
-    outer: Vec<(String, VarId, ExprId)>,
+    outer: Vec<(&'a str, VarId, ExprId)>,
 }
 
-struct Parser {
-    toks: Vec<(Tok, Span)>,
+struct Parser<'a> {
+    toks: Vec<(Tok<'a>, Span)>,
     idx: usize,
     /// End of the most recently consumed token — the right edge of every
     /// span the parser closes.
     prev_end: Pos,
     b: ProgramBuilder,
-    /// name -> stack of binders currently in scope (innermost last).
-    scopes: HashMap<String, Vec<VarId>>,
+    /// name -> the innermost binder currently in scope. The names borrow
+    /// the source (or the caller's session scope), so binding and lookup
+    /// never allocate a key.
+    scopes: HashMap<&'a str, VarId>,
+    /// The bindings each [`Parser::push_scope`] shadowed, innermost last;
+    /// [`Parser::unbind`] restores them. Scopes nest, so every unbind
+    /// releases the most recent binding still in force.
+    shadowed: Vec<(&'a str, Option<VarId>)>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.idx].0
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Tok<'a> {
+        self.toks[self.idx].0
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.toks[(self.idx + 1).min(self.toks.len() - 1)].0
+    fn peek2(&self) -> Tok<'a> {
+        self.toks[(self.idx + 1).min(self.toks.len() - 1)].0
     }
 
     fn pos(&self) -> Pos {
         self.toks[self.idx].1.start
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.idx].0.clone();
+    fn bump(&mut self) {
         self.prev_end = self.toks[self.idx].1.end;
         if self.idx + 1 < self.toks.len() {
             self.idx += 1;
         }
-        t
     }
 
     /// Records `start ‥ end-of-last-consumed-token` as the span of `id`.
@@ -302,8 +310,8 @@ impl Parser {
         })
     }
 
-    fn expect(&mut self, tok: &Tok) -> Result<(), ParseError> {
-        if self.peek() == tok {
+    fn expect(&mut self, tok: &Tok<'_>) -> Result<(), ParseError> {
+        if self.peek() == *tok {
             self.bump();
             Ok(())
         } else {
@@ -315,8 +323,8 @@ impl Parser {
         self.expect(&Tok::Kw(kw))
     }
 
-    fn lident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
+    fn lident(&mut self) -> Result<&'a str, ParseError> {
+        match self.peek() {
             Tok::LIdent(s) => {
                 self.bump();
                 Ok(s)
@@ -327,19 +335,29 @@ impl Parser {
 
     // --- scope management -------------------------------------------------
 
-    fn bind(&mut self, name: &str) -> VarId {
+    fn bind(&mut self, name: &'a str) -> VarId {
         let v = self.b.fresh_var(name);
-        self.scopes.entry(name.to_owned()).or_default().push(v);
+        self.push_scope(name, v);
         v
     }
 
+    /// Brings the existing binder `v` into scope as `name`.
+    fn push_scope(&mut self, name: &'a str, v: VarId) {
+        let outer = self.scopes.insert(name, v);
+        self.shadowed.push((name, outer));
+    }
+
     fn unbind(&mut self, name: &str) {
-        let stack = self.scopes.get_mut(name).expect("unbind of unbound name");
-        stack.pop().expect("unbind of empty scope stack");
+        let (bound, outer) = self.shadowed.pop().expect("unbind of empty scope");
+        assert_eq!(bound, name, "unbind out of scope order");
+        match outer {
+            Some(v) => self.scopes.insert(bound, v),
+            None => self.scopes.remove(bound),
+        };
     }
 
     fn lookup(&self, name: &str) -> Option<VarId> {
-        self.scopes.get(name).and_then(|s| s.last().copied())
+        self.scopes.get(name).copied()
     }
 
     // --- declarations ------------------------------------------------------
@@ -347,7 +365,7 @@ impl Parser {
     /// Parses a sequence of declarations followed by the block body, and
     /// builds the nested `let`/`letrec` expression.
     fn decl_block(&mut self, kind: BlockKind) -> Result<ExprId, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Kw(Kw::Datatype) => {
                 self.datatype_decl()?;
                 self.decl_block(kind)
@@ -359,13 +377,13 @@ impl Parser {
                 if names.len() == 1 {
                     let (fname, f, lam) = self.fun_binding()?;
                     let rest = self.decl_block(kind)?;
-                    self.unbind(&fname);
+                    self.unbind(fname);
                     let node = self.b.letrec(f, lam, rest);
                     Ok(self.mark(node, start))
                 } else {
                     let group = self.mutual_group(&names)?;
                     for ((name, binder, _), _) in group.outer.iter().zip(&names) {
-                        self.scopes.entry(name.clone()).or_default().push(*binder);
+                        self.push_scope(name, *binder);
                     }
                     let rest = self.decl_block(kind)?;
                     for name in names.iter().rev() {
@@ -385,7 +403,7 @@ impl Parser {
                 self.bump();
                 let (name, v, rhs, recursive) = self.val_binding()?;
                 let rest = self.decl_block(kind)?;
-                self.unbind(&name);
+                self.unbind(name);
                 let node = if recursive {
                     self.b.letrec(v, rhs, rest)
                 } else {
@@ -395,7 +413,7 @@ impl Parser {
             }
             _ => match kind {
                 BlockKind::TopLevel => {
-                    if self.peek() == &Tok::Eof {
+                    if self.peek() == Tok::Eof {
                         Ok(self.b.unit())
                     } else {
                         self.expr()
@@ -415,11 +433,11 @@ impl Parser {
     /// `and`-connected group (length 1 when there is no `and`). `let`/`end`
     /// nesting is tracked so that `and` inside nested blocks is ignored;
     /// `and` cannot otherwise occur inside expressions (it is a keyword).
-    fn scan_fun_group(&self) -> Result<Vec<String>, ParseError> {
+    fn scan_fun_group(&self) -> Result<Vec<&'a str>, ParseError> {
         let mut names = Vec::new();
         let mut i = self.idx;
-        match &self.toks[i].0 {
-            Tok::LIdent(s) => names.push(s.clone()),
+        match self.toks[i].0 {
+            Tok::LIdent(s) => names.push(s),
             other => {
                 return Err(ParseError {
                     pos: self.toks[i].1.start,
@@ -440,8 +458,8 @@ impl Parser {
                 }
                 Tok::Kw(Kw::And) if depth == 0 => {
                     i += 1;
-                    match &self.toks[i].0 {
-                        Tok::LIdent(s) => names.push(s.clone()),
+                    match self.toks[i].0 {
+                        Tok::LIdent(s) => names.push(s),
                         other => {
                             return Err(ParseError {
                                 pos: self.toks[i].1.start,
@@ -492,7 +510,7 @@ impl Parser {
     /// calls flow through one extra abstraction (visible to CFA consumers
     /// as a wrapper label). The group is monomorphic within itself and
     /// generalized outside — SML's typing of `and`.
-    fn mutual_group(&mut self, names: &[String]) -> Result<MutualGroup, ParseError> {
+    fn mutual_group(&mut self, names: &[&'a str]) -> Result<MutualGroup<'a>, ParseError> {
         let start = self.pos();
         let lo = self.b.expr_count();
         let pack = self.b.fresh_var("$pack");
@@ -500,13 +518,13 @@ impl Parser {
         // Inner wrappers, in scope for the group bodies.
         let inner: Vec<(VarId, ExprId)> = (0..names.len())
             .map(|i| {
-                let w = self.b.fresh_var(&names[i]);
+                let w = self.b.fresh_var(names[i]);
                 let lam = self.wrapper_lam(pack, i as u32);
                 (w, lam)
             })
             .collect();
-        for (name, (w, _)) in names.iter().zip(&inner) {
-            self.scopes.entry(name.clone()).or_default().push(*w);
+        for (&name, (w, _)) in names.iter().zip(&inner) {
+            self.push_scope(name, *w);
         }
         // Parse each member.
         let mut lams = Vec::new();
@@ -517,7 +535,7 @@ impl Parser {
             let member_start = self.pos();
             let member_lo = self.b.expr_count();
             let got = self.lident()?;
-            if &got != expected {
+            if got != *expected {
                 return self.err(format!(
                     "mutual-recursion scan expected `{expected}`, found `{got}`"
                 ));
@@ -529,7 +547,7 @@ impl Parser {
             if params.is_empty() {
                 return self.err("`fun` needs at least one parameter");
             }
-            let pvars: Vec<VarId> = params.iter().map(|p| self.bind(p)).collect();
+            let pvars: Vec<VarId> = params.iter().map(|&p| self.bind(p)).collect();
             self.expect(&Tok::Equals)?;
             let mut body = self.expr()?;
             for p in params.iter().rev() {
@@ -542,7 +560,7 @@ impl Parser {
             // The curried member lambdas carry the member's source range.
             self.fill_spans(member_lo, member_start);
         }
-        if self.peek() == &Tok::Semi {
+        if self.peek() == Tok::Semi {
             self.bump();
         }
         for name in names.iter().rev() {
@@ -558,10 +576,10 @@ impl Parser {
         let outer = names
             .iter()
             .enumerate()
-            .map(|(i, name)| {
+            .map(|(i, &name)| {
                 let o = self.b.fresh_var(name);
                 let rhs = self.wrapper_lam(pack, i as u32);
-                (name.clone(), o, rhs)
+                (name, o, rhs)
             })
             .collect();
         // Pack machinery (wrappers, tuple, pack lambda) has no tokens of
@@ -576,11 +594,11 @@ impl Parser {
 
     /// Parses `f p₁ … pₙ = body [;]` after the `fun` keyword. The binder
     /// stays in scope for the caller to release (or keep, for fragments).
-    fn fun_binding(&mut self) -> Result<(String, VarId, ExprId), ParseError> {
+    fn fun_binding(&mut self) -> Result<(&'a str, VarId, ExprId), ParseError> {
         let start = self.pos();
         let lo = self.b.expr_count();
         let fname = self.lident()?;
-        let f = self.bind(&fname);
+        let f = self.bind(fname);
         let mut params = Vec::new();
         while let Tok::LIdent(_) = self.peek() {
             let pname = self.lident()?;
@@ -589,7 +607,7 @@ impl Parser {
         if params.is_empty() {
             return self.err("`fun` needs at least one parameter");
         }
-        let param_vars: Vec<VarId> = params.iter().map(|p| self.bind(p)).collect();
+        let param_vars: Vec<VarId> = params.iter().map(|&p| self.bind(p)).collect();
         self.expect(&Tok::Equals)?;
         let mut body = self.expr()?;
         for pname in params.iter().rev() {
@@ -602,7 +620,7 @@ impl Parser {
         let lam = self.b.lam(param_vars[0], body);
         // The curried lambdas inherit the binding's source range.
         self.fill_spans(lo, start);
-        if self.peek() == &Tok::Semi {
+        if self.peek() == Tok::Semi {
             self.bump();
         }
         Ok((fname, f, lam))
@@ -610,8 +628,8 @@ impl Parser {
 
     /// Parses `[rec] x = rhs [;]` after the `val` keyword. The binder
     /// stays in scope for the caller to release (or keep, for fragments).
-    fn val_binding(&mut self) -> Result<(String, VarId, ExprId, bool), ParseError> {
-        let recursive = if self.peek() == &Tok::Kw(Kw::Rec) {
+    fn val_binding(&mut self) -> Result<(&'a str, VarId, ExprId, bool), ParseError> {
+        let recursive = if self.peek() == Tok::Kw(Kw::Rec) {
             self.bump();
             true
         } else {
@@ -619,7 +637,7 @@ impl Parser {
         };
         let name = self.lident()?;
         let (v, rhs) = if recursive {
-            let v = self.bind(&name);
+            let v = self.bind(name);
             self.expect(&Tok::Equals)?;
             let rhs = self.expr()?;
             if !matches!(self.b.kind(rhs), ExprKind::Lam { .. }) {
@@ -629,10 +647,10 @@ impl Parser {
         } else {
             self.expect(&Tok::Equals)?;
             let rhs = self.expr()?;
-            let v = self.bind(&name);
+            let v = self.bind(name);
             (v, rhs)
         };
-        if self.peek() == &Tok::Semi {
+        if self.peek() == Tok::Semi {
             self.bump();
         }
         Ok((name, v, rhs, recursive))
@@ -642,30 +660,30 @@ impl Parser {
         self.expect_kw(Kw::Datatype)?;
         let name = self.lident()?;
         let sym_exists = {
-            let s = self.b.intern(&name);
+            let s = self.b.intern(name);
             self.b.data_env().data_by_name(s).is_some()
         };
         if sym_exists {
             return self.err(format!("datatype `{name}` is declared twice"));
         }
-        let data = self.b.declare_data(&name);
+        let data = self.b.declare_data(name);
         self.expect(&Tok::Equals)?;
         loop {
             self.conbind(data)?;
-            if self.peek() == &Tok::Bar {
+            if self.peek() == Tok::Bar {
                 self.bump();
             } else {
                 break;
             }
         }
-        if self.peek() == &Tok::Semi {
+        if self.peek() == Tok::Semi {
             self.bump();
         }
         Ok(())
     }
 
     fn conbind(&mut self, data: DataId) -> Result<(), ParseError> {
-        let name = match self.peek().clone() {
+        let name = match self.peek() {
             Tok::UIdent(s) => {
                 self.bump();
                 s
@@ -673,31 +691,31 @@ impl Parser {
             other => return self.err(format!("expected constructor name, found {other}")),
         };
         let exists = {
-            let s = self.b.intern(&name);
+            let s = self.b.intern(name);
             self.b.data_env().con_by_name(s).is_some()
         };
         if exists {
             return self.err(format!("constructor `{name}` is declared twice"));
         }
         let mut arg_tys = Vec::new();
-        if self.peek() == &Tok::Kw(Kw::Of) {
+        if self.peek() == Tok::Kw(Kw::Of) {
             self.bump();
             loop {
                 arg_tys.push(self.tyarg()?);
-                if self.peek() == &Tok::Star {
+                if self.peek() == Tok::Star {
                     self.bump();
                 } else {
                     break;
                 }
             }
         }
-        self.b.declare_con(data, &name, arg_tys);
+        self.b.declare_con(data, name, arg_tys);
         Ok(())
     }
 
     fn tyarg(&mut self) -> Result<TyExpr, ParseError> {
         let lhs = self.tyatom()?;
-        if self.peek() == &Tok::Arrow {
+        if self.peek() == Tok::Arrow {
             self.bump();
             let rhs = self.tyarg()?;
             Ok(TyExpr::Arrow(Box::new(lhs), Box::new(rhs)))
@@ -707,7 +725,7 @@ impl Parser {
     }
 
     fn tyatom(&mut self) -> Result<TyExpr, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Kw(Kw::Int) => {
                 self.bump();
                 Ok(TyExpr::Int)
@@ -722,7 +740,7 @@ impl Parser {
             }
             Tok::LIdent(name) => {
                 self.bump();
-                let sym = self.b.intern(&name);
+                let sym = self.b.intern(name);
                 match self.b.data_env().data_by_name(sym) {
                     Some(d) => Ok(TyExpr::Data(d)),
                     None => self.err(format!("unknown type `{name}`")),
@@ -732,7 +750,7 @@ impl Parser {
                 self.bump();
                 // Allow tuple types inside parens: (t1 * t2 * ...).
                 let mut parts = vec![self.tyarg()?];
-                while self.peek() == &Tok::Star {
+                while self.peek() == Tok::Star {
                     self.bump();
                     parts.push(self.tyarg()?);
                 }
@@ -751,14 +769,14 @@ impl Parser {
 
     fn expr(&mut self) -> Result<ExprId, ParseError> {
         let start = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Kw(Kw::Fn) => {
                 self.bump();
                 let name = self.lident()?;
-                let v = self.bind(&name);
+                let v = self.bind(name);
                 self.expect(&Tok::FatArrow)?;
                 let body = self.expr()?;
-                self.unbind(&name);
+                self.unbind(name);
                 let node = self.b.lam(v, body);
                 Ok(self.mark(node, start))
             }
@@ -780,22 +798,22 @@ impl Parser {
                 self.bump();
                 let scrutinee = self.expr()?;
                 self.expect_kw(Kw::Of)?;
-                if self.peek() == &Tok::Bar {
+                if self.peek() == Tok::Bar {
                     self.bump();
                 }
                 let mut arms: Vec<(ConId, Vec<VarId>, ExprId)> = Vec::new();
                 let mut default = None;
                 loop {
-                    if self.peek() == &Tok::Underscore {
+                    if self.peek() == Tok::Underscore {
                         self.bump();
                         self.expect(&Tok::FatArrow)?;
                         default = Some(self.expr()?);
-                        if self.peek() == &Tok::Bar {
+                        if self.peek() == Tok::Bar {
                             return self.err("wildcard arm must be last");
                         }
                         break;
                     }
-                    let con_name = match self.peek().clone() {
+                    let con_name = match self.peek() {
                         Tok::UIdent(s) => {
                             self.bump();
                             s
@@ -803,7 +821,7 @@ impl Parser {
                         other => return self.err(format!("expected case pattern, found {other}")),
                     };
                     let con = {
-                        let sym = self.b.intern(&con_name);
+                        let sym = self.b.intern(con_name);
                         match self.b.data_env().con_by_name(sym) {
                             Some(c) => c,
                             None => {
@@ -814,11 +832,11 @@ impl Parser {
                     };
                     let arity = self.b.data_env().arity(con);
                     let mut names = Vec::new();
-                    if self.peek() == &Tok::LParen {
+                    if self.peek() == Tok::LParen {
                         self.bump();
                         loop {
                             names.push(self.lident()?);
-                            if self.peek() == &Tok::Comma {
+                            if self.peek() == Tok::Comma {
                                 self.bump();
                             } else {
                                 break;
@@ -832,14 +850,14 @@ impl Parser {
                             names.len()
                         ));
                     }
-                    let binders: Vec<VarId> = names.iter().map(|n| self.bind(n)).collect();
+                    let binders: Vec<VarId> = names.iter().map(|&n| self.bind(n)).collect();
                     self.expect(&Tok::FatArrow)?;
                     let body = self.expr()?;
                     for n in names.iter().rev() {
                         self.unbind(n);
                     }
                     arms.push((con, binders, body));
-                    if self.peek() == &Tok::Bar {
+                    if self.peek() == Tok::Bar {
                         self.bump();
                     } else {
                         break;
@@ -928,10 +946,10 @@ impl Parser {
 
     fn atom(&mut self) -> Result<ExprId, ParseError> {
         let start = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::LIdent(name) => {
                 self.bump();
-                match self.lookup(&name) {
+                match self.lookup(name) {
                     Some(v) => {
                         let node = self.b.var(v);
                         Ok(self.mark(node, start))
@@ -942,7 +960,7 @@ impl Parser {
             Tok::UIdent(name) => {
                 self.bump();
                 let con = {
-                    let sym = self.b.intern(&name);
+                    let sym = self.b.intern(name);
                     match self.b.data_env().con_by_name(sym) {
                         Some(c) => c,
                         None => return self.err(format!("unknown constructor `{name}`")),
@@ -955,7 +973,7 @@ impl Parser {
                 }
                 self.expect(&Tok::LParen)?;
                 let mut args = vec![self.expr()?];
-                while self.peek() == &Tok::Comma {
+                while self.peek() == Tok::Comma {
                     self.bump();
                     args.push(self.expr()?);
                 }
@@ -1006,7 +1024,7 @@ impl Parser {
             Tok::Kw(Kw::Readint) => {
                 self.bump();
                 // Allow an optional `()` argument for readability.
-                if self.peek() == &Tok::LParen && self.peek2() == &Tok::RParen {
+                if self.peek() == Tok::LParen && self.peek2() == Tok::RParen {
                     self.bump();
                     self.bump();
                 }
@@ -1015,7 +1033,7 @@ impl Parser {
             }
             Tok::Hash => {
                 self.bump();
-                let index = match self.peek().clone() {
+                let index = match self.peek() {
                     Tok::Int(n) if n >= 1 => {
                         self.bump();
                         n as u32
@@ -1032,13 +1050,13 @@ impl Parser {
             }
             Tok::LParen => {
                 self.bump();
-                if self.peek() == &Tok::RParen {
+                if self.peek() == Tok::RParen {
                     self.bump();
                     let node = self.b.unit();
                     return Ok(self.mark(node, start));
                 }
                 let mut items = vec![self.expr()?];
-                while self.peek() == &Tok::Comma {
+                while self.peek() == Tok::Comma {
                     self.bump();
                     items.push(self.expr()?);
                 }

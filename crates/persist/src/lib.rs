@@ -5,10 +5,12 @@
 //! purely in-memory: a daemon restart forgets every build. This crate
 //! gives each cache entry a durable twin — one file per snapshot key —
 //! so a restarted daemon can answer a previously seen digest by decoding
-//! arrays off disk (`O(V + E)`, no parse, no close phase) instead of
-//! re-running the analysis.
+//! arrays off disk instead of re-running the analysis. A load reads and
+//! verifies the file, decodes the arrays, re-parses the stored source
+//! and re-derives what the file leaves out, all in `O(V + E + n)`; it
+//! never runs the build or close phase.
 //!
-//! # Format
+//! # Format (version 3)
 //!
 //! A snapshot file is, in order (all integers little-endian):
 //!
@@ -18,20 +20,38 @@
 //! | version  | 4     | format version ([`FORMAT_VERSION`])              |
 //! | header   | 44    | content digest, policy + engine discriminants, generation (+1, 0 = none), label count, section count |
 //! | sections | —     | `section count` × (`u32` tag, `u64` byte length, payload) |
-//! | trailer  | 8     | FNV-1a/64 integrity digest of every preceding byte |
+//! | trailer  | 8     | integrity digest of every preceding byte ([`word_digest`]) |
 //!
 //! The sections carry the engine's frozen arrays exactly as exported by
 //! [`QueryEngine::to_parts`] — forward CSR offsets/targets, the SCC
 //! assignment, the node-table metadata (node → label, expression → node,
-//! binder → node, the flattened occurrence index), the label-summary
-//! bitsets if the full sweep has run, and the build-phase statistics —
-//! plus the original source text, so the loader can re-derive anything
-//! not persisted (the reverse CSR, the condensation DAG, the program
-//! itself for lint). Version 2 adds two optional sections: the
-//! precision detector's per-component **suspicion index** (so a warm
-//! restart grades query precision without rebuilding the analysis) and
-//! a **flavor** marker for *linked* session snapshots, whose "source"
-//! is a module manifest rather than a single program text.
+//! binder → node, the flattened occurrence index) and the build-phase
+//! statistics — plus the original source text. Two sections are
+//! optional: the precision detector's per-component **suspicion
+//! index**, and a **flavor** marker for *linked* session snapshots,
+//! whose "source" is a module manifest rather than a single program
+//! text.
+//!
+//! Everything derivable is left out and re-derived on load: the reverse
+//! CSR and the condensation DAG (by [`QueryEngine::from_parts`], in
+//! `O(V + E)`), the label-summary rows (by the caller's
+//! [`QueryEngine::prepare`], one `O(E·L/64)` sweep — version 2 stored
+//! them, and they made up three quarters of a typical file), and the
+//! program itself (by re-parsing the source, which the content digest
+//! vouches for; a stored arena would be a second program format). A
+//! loaded engine is therefore the same object a build produces.
+//!
+//! # Integrity trailer
+//!
+//! The trailer is [`word_digest`]: FNV-1a's xor-then-multiply step
+//! applied per little-endian `u64` word rather than per byte, with a
+//! zero-padded final word and the byte length absorbed last, finished
+//! with a splitmix64 avalanche. For a fixed word both halves of the step
+//! are bijections on the 64-bit state, so any damage confined to one
+//! word — every single-bit flip — changes the digest, and absorbing the
+//! length catches zero bytes slipped into the final word's padding. It
+//! costs one multiply per 8 bytes where the byte-wise digest paid one
+//! per byte.
 //!
 //! # Versioning and corruption policy
 //!
@@ -65,15 +85,16 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use stcfa_core::{AnalysisStats, EngineParts, QueryEngine};
-use stcfa_devkit::hash::Fnv1a;
+use stcfa_devkit::hash::{word_digest, Fnv1a};
 
 /// File magic: the first 8 bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"STCFSNAP";
 
 /// Current format version. Bump on any layout change; old files then
 /// decode to [`PersistError::VersionSkew`] and are rebuilt, not migrated.
-/// Version 2: suspicion-index and linked-flavor sections.
-pub const FORMAT_VERSION: u32 = 2;
+/// Version 2: suspicion-index and linked-flavor sections. Version 3: the
+/// word-wise integrity trailer, and no summary-row section.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// File extension used by [`file_name`] (without the dot).
 pub const EXTENSION: &str = "stcfa";
@@ -86,7 +107,9 @@ const TRAILER_LEN: usize = 8;
 
 // Section tags. The encoder emits them in ascending order; the decoder
 // accepts any order but rejects duplicates and unknown tags (an unknown
-// tag under a known version is corruption, not an extension).
+// tag under a known version is corruption, not an extension). Tag 10
+// held the label-summary rows up to version 2 and is retired: the
+// loader re-derives the rows, so a file carrying them is malformed.
 const SEC_SOURCE: u32 = 1;
 const SEC_CSR_OFFSETS: u32 = 2;
 const SEC_CSR_TARGETS: u32 = 3;
@@ -96,7 +119,7 @@ const SEC_EXPR_NODES: u32 = 6;
 const SEC_BINDER_NODES: u32 = 7;
 const SEC_OCC_OFFSETS: u32 = 8;
 const SEC_OCC_EXPRS: u32 = 9;
-const SEC_SUMMARIES: u32 = 10;
+const SEC_RETIRED_SUMMARIES: u32 = 10;
 const SEC_STATS: u32 = 11;
 const SEC_SUSPICION: u32 = 12;
 const SEC_FLAVOR: u32 = 13;
@@ -299,10 +322,7 @@ fn stats_from_words(w: &[u64]) -> AnalysisStats {
 /// crate's tests.
 pub fn encode(image: &SnapshotImage<'_>) -> Vec<u8> {
     let parts = image.engine.to_parts();
-    let section_count = 10
-        + parts.summaries.is_some() as u32
-        + image.suspicion.is_some() as u32
-        + image.linked as u32;
+    let section_count = 10 + image.suspicion.is_some() as u32 + image.linked as u32;
     let mut out = Vec::with_capacity(
         HEADER_LEN
             + TRAILER_LEN
@@ -314,8 +334,10 @@ pub fn encode(image: &SnapshotImage<'_>) -> Vec<u8> {
                 + parts.expr_nodes.len()
                 + parts.binder_nodes.len()
                 + parts.occ_offsets.len()
-                + parts.occ_exprs.len())
-            + 8 * parts.summaries.map_or(0, <[u64]>::len)
+                + parts.occ_exprs.len()
+                + image.suspicion.map_or(0, <[u32]>::len)
+                + image.linked as usize)
+            + 8 * STATS_FIELDS
             + 12 * section_count as usize,
     );
     out.extend_from_slice(&MAGIC);
@@ -338,9 +360,6 @@ pub fn encode(image: &SnapshotImage<'_>) -> Vec<u8> {
     push_section_u32s(&mut out, SEC_BINDER_NODES, parts.binder_nodes);
     push_section_u32s(&mut out, SEC_OCC_OFFSETS, parts.occ_offsets);
     push_section_u32s(&mut out, SEC_OCC_EXPRS, parts.occ_exprs);
-    if let Some(rows) = parts.summaries {
-        push_section_u64s(&mut out, SEC_SUMMARIES, rows);
-    }
     push_section_u64s(&mut out, SEC_STATS, &stats_words(&parts.base_stats));
     if let Some(scores) = image.suspicion {
         push_section_u32s(&mut out, SEC_SUSPICION, scores);
@@ -349,9 +368,8 @@ pub fn encode(image: &SnapshotImage<'_>) -> Vec<u8> {
         push_section_u32s(&mut out, SEC_FLAVOR, &[FLAVOR_LINKED]);
     }
 
-    let mut h = Fnv1a::new();
-    h.write(&out);
-    push_u64(&mut out, h.finish());
+    let trailer = word_digest(&out);
+    push_u64(&mut out, trailer);
     out
 }
 
@@ -437,9 +455,7 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSnapshot, PersistError> {
     }
     let body_end = bytes.len() - TRAILER_LEN;
     let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-    let mut h = Fnv1a::new();
-    h.write(&bytes[..body_end]);
-    let computed = h.finish();
+    let computed = word_digest(&bytes[..body_end]);
     if stored != computed {
         return Err(PersistError::Integrity { stored, computed });
     }
@@ -461,7 +477,7 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSnapshot, PersistError> {
         let payload = r.take(len, "section payload")?;
         let slot = sections
             .get_mut(tag as usize)
-            .filter(|_| (SEC_SOURCE..=SEC_FLAVOR).contains(&tag))
+            .filter(|_| (SEC_SOURCE..=SEC_FLAVOR).contains(&tag) && tag != SEC_RETIRED_SUMMARIES)
             .ok_or_else(|| PersistError::Malformed(format!("unknown section tag {tag}")))?;
         if slot.replace(payload).is_some() {
             return Err(PersistError::Malformed(format!(
@@ -532,10 +548,6 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedSnapshot, PersistError> {
         occ_offsets: decode_u32s(required(SEC_OCC_OFFSETS, "occ offsets")?, "occ offsets")?,
         occ_exprs: decode_u32s(required(SEC_OCC_EXPRS, "occ exprs")?, "occ exprs")?,
         label_count,
-        summaries: match sections[SEC_SUMMARIES as usize] {
-            Some(p) => Some(decode_u64s(p, "summaries")?),
-            None => None,
-        },
         base_stats: stats_from_words(&stats),
         generation: generation_plus1.checked_sub(1),
     };
@@ -643,11 +655,8 @@ mod tests {
         QueryEngine::freeze(&a)
     }
 
-    fn image_bytes(source: &str, prepare: bool) -> (u64, Vec<u8>) {
+    fn image_bytes(source: &str) -> (u64, Vec<u8>) {
         let engine = engine_for(source);
-        if prepare {
-            engine.prepare();
-        }
         let digest = Fnv1a::digest_parts(source.as_bytes(), &[1, 0]);
         let bytes = encode(&SnapshotImage {
             digest,
@@ -681,18 +690,34 @@ mod tests {
 
     #[test]
     fn round_trips_with_and_without_summaries() {
+        let (digest, plain) = image_bytes(SOURCE);
         for prepare in [false, true] {
-            let (digest, bytes) = image_bytes(SOURCE, prepare);
+            let engine = engine_for(SOURCE);
+            if prepare {
+                engine.prepare();
+            }
+            let bytes = encode(&SnapshotImage {
+                digest,
+                policy: 1,
+                engine_disc: 0,
+                source: SOURCE,
+                engine: &engine,
+                suspicion: None,
+                linked: false,
+            });
+            // Swept or not, an engine encodes to the same bytes: the
+            // summary rows are never written.
+            assert_eq!(bytes, plain, "prepare {prepare}");
             let d = decode(&bytes).expect("clean bytes decode");
             assert_eq!(d.digest, digest);
             assert_eq!(d.policy, 1);
             assert_eq!(d.engine_disc, 0);
             assert_eq!(d.source, SOURCE);
+            // Decode carries no rows; the first whole-graph query (or the
+            // loader's `prepare`) re-derives them with exactly one sweep.
+            assert_eq!(d.engine.query_stats().sweeps, 0);
             assert_same_answers(SOURCE, &engine_for(SOURCE), &d.engine);
-            // A prepared engine persists its sweep: the decoded engine
-            // answers from summaries without re-sweeping only then.
-            let _ = d.engine.all_label_sets();
-            assert_eq!(d.engine.query_stats().sweeps, u64::from(!prepare));
+            assert_eq!(d.engine.query_stats().sweeps, 1);
         }
     }
 
@@ -738,7 +763,7 @@ mod tests {
         assert_eq!(d.suspicion.as_deref(), Some(scores.as_slice()));
         assert!(!d.linked);
         // Files without the section decode to `None`, not empty.
-        let (_, plain) = image_bytes(SOURCE, false);
+        let (_, plain) = image_bytes(SOURCE);
         assert_eq!(decode(&plain).unwrap().suspicion, None);
     }
 
@@ -788,9 +813,17 @@ mod tests {
         ));
     }
 
+    /// A small image whose body (everything before the trailer) is not a
+    /// whole number of words, so the trailer's zero-padded tail is in play.
+    fn ragged_image() -> Vec<u8> {
+        let (_, bytes) = image_bytes("fn x => x");
+        assert_ne!((bytes.len() - TRAILER_LEN) % 8, 0, "body must end mid-word");
+        bytes
+    }
+
     #[test]
     fn truncation_at_every_length_is_structured() {
-        let (_, bytes) = image_bytes(SOURCE, true);
+        let bytes = ragged_image();
         for len in 0..bytes.len() {
             let err = decode(&bytes[..len]).expect_err("prefix must not decode");
             // Prefixes long enough to carry the magic/version see the
@@ -810,11 +843,13 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_is_caught() {
-        // FNV-1a's per-byte step (xor, then multiply by an odd prime) is
-        // a bijection on the state, so ANY single corrupted byte before
-        // the trailer changes the computed digest; flips inside the
-        // trailer change the stored one. Exhaustive over a small file.
-        let (_, bytes) = image_bytes("fn x => x", false);
+        // The trailer's per-word step (xor, then multiply by an odd
+        // prime) is a bijection on the state for a fixed word, so ANY
+        // corruption confined to one word before the trailer changes the
+        // computed digest — the zero-padded last word included; flips
+        // inside the trailer change the stored one. Exhaustive over a
+        // small file.
+        let bytes = ragged_image();
         for i in 0..bytes.len() {
             for bit in 0..8 {
                 let mut evil = bytes.clone();
@@ -834,8 +869,26 @@ mod tests {
     }
 
     #[test]
+    fn zero_bytes_before_the_trailer_are_caught() {
+        // The body ends mid-word, so the first few inserted zeros only
+        // fill the last word's zero padding: the absorbed byte length is
+        // what tells those images apart.
+        let bytes = ragged_image();
+        let body = bytes.len() - TRAILER_LEN;
+        for extra in 1..=16 {
+            let mut evil = bytes[..body].to_vec();
+            evil.resize(body + extra, 0);
+            evil.extend_from_slice(&bytes[body..]);
+            assert!(
+                matches!(decode(&evil).unwrap_err(), PersistError::Integrity { .. }),
+                "{extra} zero bytes before the trailer"
+            );
+        }
+    }
+
+    #[test]
     fn version_skew_and_bad_magic_are_detected_first() {
-        let (_, mut bytes) = image_bytes(SOURCE, false);
+        let (_, mut bytes) = image_bytes(SOURCE);
         bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         assert_eq!(
             decode(&bytes).unwrap_err(),
@@ -855,15 +908,13 @@ mod tests {
     /// for the inner gates: internally consistent, semantically wrong).
     fn resign(bytes: &mut [u8]) {
         let body = bytes.len() - TRAILER_LEN;
-        let mut h = Fnv1a::new();
-        h.write(&bytes[..body]);
-        let digest = h.finish();
+        let digest = word_digest(&bytes[..body]);
         bytes[body..].copy_from_slice(&digest.to_le_bytes());
     }
 
     #[test]
     fn wrong_cache_address_is_a_digest_mismatch() {
-        let (digest, mut bytes) = image_bytes(SOURCE, false);
+        let (digest, mut bytes) = image_bytes(SOURCE);
         // Re-file the snapshot under a different address and re-sign: the
         // integrity trailer passes, the content digest does not.
         bytes[12..20].copy_from_slice(&(digest ^ 1).to_le_bytes());
@@ -881,7 +932,7 @@ mod tests {
     fn resigned_structural_corruption_is_malformed_not_panic() {
         // Damage an array *and* fix the trailer: only the structural
         // validators are left, and they must reject without panicking.
-        let (_, clean) = image_bytes(SOURCE, true);
+        let (_, clean) = image_bytes(SOURCE);
         let mutations: &[fn(&mut Vec<u8>)] = &[
             |b| b.truncate(b.len() - 16), // drop a section tail
             |b| {
@@ -902,11 +953,23 @@ mod tests {
         }
         // Re-signed section-count corruption: claims more sections than
         // the body holds.
-        let mut evil = clean;
         let count_at = HEADER_LEN - 4;
+        let mut evil = clean.clone();
         evil[count_at..HEADER_LEN].copy_from_slice(&99u32.to_le_bytes());
         resign(&mut evil);
         assert!(decode(&evil).is_err());
+        // A version-2 summary-row section is not accepted under version 3,
+        // even well formed and re-signed.
+        let mut evil = clean[..clean.len() - TRAILER_LEN].to_vec();
+        let count = u32::from_le_bytes(evil[count_at..HEADER_LEN].try_into().unwrap());
+        evil[count_at..HEADER_LEN].copy_from_slice(&(count + 1).to_le_bytes());
+        push_section_u64s(&mut evil, SEC_RETIRED_SUMMARIES, &[0; 4]);
+        evil.extend_from_slice(&[0; TRAILER_LEN]);
+        resign(&mut evil);
+        assert_eq!(
+            decode(&evil).unwrap_err(),
+            PersistError::Malformed(format!("unknown section tag {SEC_RETIRED_SUMMARIES}"))
+        );
     }
 
     #[test]
@@ -927,7 +990,7 @@ mod tests {
             std::process::id(),
             TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let (digest, bytes) = image_bytes(SOURCE, true);
+        let (digest, bytes) = image_bytes(SOURCE);
         let path = save_atomic(&dir, digest, &bytes).expect("save");
         assert_eq!(path, dir.join(file_name(digest)));
         assert_eq!(std::fs::read(&path).expect("file exists"), bytes);

@@ -56,7 +56,8 @@ proptest! {
     #[test]
     fn decoded_engine_answers_identically(seed in any::<u64>()) {
         let p = program_for(seed, 140);
-        // Both flavors: summaries persisted (prepared) and demand-only.
+        // Both flavors: a swept engine and a demand-only one. Neither
+        // writes its summary rows; the decoded engine derives its own.
         for prepare in [false, true] {
             let (cold, bytes) = snapshot_bytes(&p, prepare);
             let warm = match decode(&bytes) {

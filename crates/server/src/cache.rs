@@ -73,12 +73,15 @@ impl SnapshotKey {
 }
 
 /// One cached analysis: the parsed program, the finished subtransitive
-/// analysis, and the frozen query engine, shared immutably.
+/// analysis, the frozen (and swept) query engine and its detector
+/// scores, shared immutably.
 ///
 /// Snapshots loaded from the disk tier carry no [`Analysis`] — only the
 /// frozen engine is persisted, since every query answers through it. The
 /// analysis is rebuilt lazily (and memoized) on the first request that
-/// walks it directly (`lint`); see [`Snapshot::try_analysis`].
+/// walks it directly (`lint`); see [`Snapshot::try_analysis`]. Everything
+/// else a disk load re-derives up front, so a loaded snapshot serves
+/// exactly like a built one.
 #[derive(Debug)]
 pub struct Snapshot {
     /// The parsed program.
@@ -107,13 +110,12 @@ pub struct Snapshot {
     /// reconstruct an identical program arena.
     linked: bool,
     /// The degradation detector's per-component scores, computed at
-    /// build time (or adopted from the persisted image) and shared with
-    /// the write-behind and the scheduler. Lazily rebuilt — via the
-    /// analysis — only for pre-v2 disk images that carried no scores.
-    suspicion: OnceLock<Result<SuspicionIndex, String>>,
+    /// build time or adopted from the persisted image (which must carry
+    /// them), and shared with the write-behind and the scheduler.
+    pub suspicion: SuspicionIndex,
     /// The per-snapshot precision scheduler (escalation memo + budget),
     /// created on the first graded query against this snapshot.
-    scheduler: OnceLock<Result<PrecisionScheduler, String>>,
+    scheduler: OnceLock<PrecisionScheduler>,
 }
 
 impl Snapshot {
@@ -140,7 +142,7 @@ impl Snapshot {
             policy_disc,
             engine_disc,
             linked: false,
-            suspicion: OnceLock::from(Ok(suspicion)),
+            suspicion,
             scheduler: OnceLock::new(),
         }
     }
@@ -169,17 +171,23 @@ impl Snapshot {
             policy_disc,
             engine_disc: 0,
             linked: true,
-            suspicion: OnceLock::from(Ok(suspicion)),
+            suspicion,
             scheduler: OnceLock::new(),
         }
     }
 
     /// Reconstructs a snapshot from a decoded disk image: re-parses the
     /// program from the stored source (deterministic, so expression ids
-    /// match the engine's) and leaves the analysis to lazy rebuild. A
-    /// linked image's source is a session manifest instead: the modules
-    /// are replayed through [`SessionProgram`], the linker's own path,
-    /// which yields the identical arena the engine was frozen from.
+    /// match the engine's), adopts the persisted detector scores, runs
+    /// the summary sweep the build path runs, and leaves the analysis to
+    /// lazy rebuild. A linked image's source is a session manifest
+    /// instead: the modules are replayed through [`SessionProgram`], the
+    /// linker's own path, which yields the identical arena the engine was
+    /// frozen from.
+    ///
+    /// An image without detector scores, or with scores that do not fit
+    /// the engine, is malformed: the caller counts it, deletes it and
+    /// rebuilds.
     fn from_disk(decoded: DecodedSnapshot) -> Result<Snapshot, String> {
         let DecodedSnapshot {
             policy: policy_disc,
@@ -216,15 +224,20 @@ impl Snapshot {
                 program.label_count()
             ));
         }
-        // Adopt the persisted detector scores when they fit this engine;
-        // a missing or mis-sized section (pre-v2 file) falls back to a
-        // lazy rebuild through the analysis.
         let suspicion = match suspicion {
-            Some(scores) if scores.len() == engine.comp_count() => {
-                OnceLock::from(Ok(SuspicionIndex::from_raw(scores)))
+            Some(scores) if scores.len() == engine.comp_count() => SuspicionIndex::from_raw(scores),
+            Some(scores) => {
+                return Err(format!(
+                    "persisted detector scores cover {} components, engine has {}",
+                    scores.len(),
+                    engine.comp_count()
+                ))
             }
-            _ => OnceLock::new(),
+            None => return Err("persisted image carries no detector scores".to_owned()),
         };
+        // The rows are not persisted: re-derive them exactly as a build
+        // does, so every op after the load answers from the sweep.
+        engine.prepare();
         Ok(Snapshot {
             program,
             analysis: OnceLock::new(),
@@ -272,50 +285,12 @@ impl Snapshot {
         self.policy
     }
 
-    /// The degradation detector's index for this snapshot. Present from
-    /// build time for fresh snapshots and adopted from the persisted
-    /// image on disk loads; only a pre-v2 image forces the (memoized)
-    /// analysis rebuild this consults the node table through.
-    pub fn try_suspicion(&self) -> Result<&SuspicionIndex, String> {
-        self.suspicion
-            .get_or_init(|| {
-                // A linked engine's node table comes from incremental
-                // linking; a fresh analysis of the replayed program does
-                // not reproduce it, so the detector cannot be rebuilt
-                // here. Every linked image persists its scores, so this
-                // only trips on a hand-truncated file.
-                if self.linked {
-                    return Err("persisted linked snapshot carries no detector scores; \
-                         reopen the session to rebuild it"
-                        .to_string());
-                }
-                let analysis = self.try_analysis()?;
-                Ok(SuspicionIndex::build(analysis, &self.engine))
-            })
-            .as_ref()
-            .map_err(String::clone)
-    }
-
-    /// The persisted form of the detector scores, if already computed
-    /// (never forces a rebuild — the write-behind must stay cheap).
-    fn suspicion_raw(&self) -> Option<&[u32]> {
-        match self.suspicion.get() {
-            Some(Ok(idx)) => Some(idx.as_slice()),
-            _ => None,
-        }
-    }
-
     /// The precision scheduler for this snapshot, created on first use.
     /// The first caller's `budget` wins (the daemon passes its single
     /// configured `--precision-budget`, so there is no ambiguity).
-    pub fn try_scheduler(&self, budget: usize) -> Result<&PrecisionScheduler, String> {
+    pub fn scheduler(&self, budget: usize) -> &PrecisionScheduler {
         self.scheduler
-            .get_or_init(|| {
-                let suspicion = self.try_suspicion()?.clone();
-                Ok(PrecisionScheduler::new(suspicion, self.policy, budget))
-            })
-            .as_ref()
-            .map_err(String::clone)
+            .get_or_init(|| PrecisionScheduler::new(self.suspicion.clone(), self.policy, budget))
     }
 
     /// The byte cost this snapshot is accounted at in the store.
@@ -618,8 +593,9 @@ impl SnapshotStore {
         *cell.result.lock().expect("build cell poisoned") = Some(to_waiters);
         cell.done.notify_all();
 
-        // Write-behind: persist a freshly built snapshot after waiters
-        // have been released — persistence latency never blocks requests.
+        // Write-behind: persist a freshly built snapshot after coalesced
+        // waiters have been released. The request that built it still
+        // waits for the encode and the `sync_all` before it answers.
         if let Ok(snapshot) = &built {
             if !from_disk {
                 self.persist(key, snapshot);
@@ -692,9 +668,10 @@ impl SnapshotStore {
         let _ = stcfa_persist::remove(dir, key.0);
     }
 
-    /// Write-behind persistence of a successful build. Failures are
-    /// logged, not surfaced: the request was already answered from
-    /// memory, and the next restart simply rebuilds.
+    /// Write-behind persistence of a successful build, run on the
+    /// building request's thread after its coalesced waiters are
+    /// released. Failures are logged, not surfaced: the snapshot is
+    /// already resident, and the next restart simply rebuilds.
     fn persist(&self, key: SnapshotKey, snapshot: &Snapshot) {
         let Some(dir) = &self.disk else { return };
         let bytes = stcfa_persist::encode(&SnapshotImage {
@@ -703,7 +680,7 @@ impl SnapshotStore {
             engine_disc: snapshot.engine_disc,
             source: &snapshot.source,
             engine: &snapshot.engine,
-            suspicion: snapshot.suspicion_raw(),
+            suspicion: Some(snapshot.suspicion.as_slice()),
             linked: snapshot.linked,
         });
         match stcfa_persist::save_atomic(dir, key.0, &bytes) {
@@ -1231,7 +1208,11 @@ mod tests {
             .get_or_build(key, SRC_A, || panic!("warm restart must not rebuild"))
             .unwrap();
         assert!(cached, "a disk hit reports cached");
+        // The image carries no summary rows: the load re-derives them with
+        // exactly one sweep, and every query after it reads those rows.
+        assert_eq!(snap.engine.query_stats().sweeps, 1);
         assert_eq!(snap.engine.all_label_sets(), cold_sets);
+        assert_eq!(snap.engine.query_stats().sweeps, 1);
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.disk_hits), (0, 0, 1), "{s:?}");
         // In-memory now: the next request is a plain memory hit.
@@ -1310,6 +1291,42 @@ mod tests {
             .get_or_build(key, SRC_A, || panic!("replaced file must load"))
             .unwrap();
         assert!(cached);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn images_without_detector_scores_are_malformed_and_rebuilt() {
+        let dir = disk_dir("unscored");
+        let key = SnapshotKey::derive(SRC_A, 0, 0);
+        let built = build(SRC_A).unwrap();
+        let mis_sized = vec![0u32; built.engine.comp_count() + 1];
+        for scores in [None, Some(mis_sized.as_slice())] {
+            let bytes = stcfa_persist::encode(&SnapshotImage {
+                digest: key.0,
+                policy: 0,
+                engine_disc: 0,
+                source: SRC_A,
+                engine: &built.engine,
+                suspicion: scores,
+                linked: false,
+            });
+            stcfa_persist::save_atomic(&dir, key.0, &bytes).unwrap();
+            // The persist layer still decodes the image; the store refuses
+            // it as malformed, counts it and rebuilds.
+            assert!(stcfa_persist::load(&dir, key.0).unwrap().is_some());
+            let store = SnapshotStore::with_disk(usize::MAX, Some(dir.clone()));
+            let (snap, cached) = store.get_or_build(key, SRC_A, || build(SRC_A)).unwrap();
+            assert!(!cached, "scores {scores:?}");
+            let s = store.stats();
+            assert_eq!((s.misses, s.disk_hits, s.disk_corrupt), (1, 0, 1), "{s:?}");
+            assert_eq!(snap.suspicion, built.suspicion);
+            // The rebuild's write-behind replaced the file with a scored one.
+            let healed = stcfa_persist::load(&dir, key.0).unwrap().unwrap();
+            assert_eq!(
+                healed.suspicion.as_deref(),
+                Some(built.suspicion.as_slice())
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1405,7 +1422,8 @@ mod tests {
         // The detector scores rode along: no analysis rebuild is needed
         // to grade queries against the reloaded snapshot.
         assert!(!snap.analysis_resident());
-        snap.try_suspicion().expect("persisted scores adopted");
+        assert_eq!(snap.suspicion.as_slice().len(), snap.engine.comp_count());
+        let _ = snap.scheduler(0);
         assert!(!snap.analysis_resident(), "scores must come from the file");
         let s = store.stats();
         assert_eq!((s.misses, s.disk_hits), (0, 1), "{s:?}");

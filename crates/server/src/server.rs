@@ -342,7 +342,7 @@ impl Server {
                 let engine = QueryEngine::freeze(&analysis);
                 // Summarize eagerly: the snapshot is built once and read
                 // many times, so pay the sweep inside the accounted build
-                // (and persist the summary rows with the snapshot).
+                // (a disk load re-runs it; the rows are not persisted).
                 engine.prepare();
                 Ok(Snapshot::built(
                     program,
@@ -455,9 +455,7 @@ impl Server {
         snapshot: &Snapshot,
         default_expr: impl FnOnce() -> Result<ExprId, RequestError>,
     ) -> Result<Json, RequestError> {
-        let scheduler = snapshot
-            .try_scheduler(self.options.precision_budget)
-            .map_err(|e| RequestError::new(ErrorKind::Analysis, e))?;
+        let scheduler = snapshot.scheduler(self.options.precision_budget);
         let program = &snapshot.program;
         let (labels, info) = match kind {
             "label-set" => {
@@ -524,15 +522,12 @@ impl Server {
         let analysis = snapshot
             .try_analysis()
             .map_err(|e| RequestError::new(ErrorKind::Analysis, e.clone()))?;
-        let suspicion = snapshot
-            .try_suspicion()
-            .map_err(|e| RequestError::new(ErrorKind::Analysis, e))?;
         let active = (self.in_flight.load(Ordering::SeqCst) as usize).max(1);
         Ok(lint_with_suspicion(
             &snapshot.program,
             analysis,
             &snapshot.engine,
-            suspicion,
+            &snapshot.suspicion,
             &LintOptions {
                 threads: (self.options.threads / active).max(1),
             },
@@ -640,10 +635,7 @@ impl Server {
         // derived fact is exact; otherwise the rule's answer inherits the
         // engine's (sound) over-approximation.
         if precision_param(request, PROTOCOL_VERSION_SESSION)? {
-            let suspicion = snapshot
-                .try_suspicion()
-                .map_err(|e| RequestError::new(ErrorKind::Analysis, e))?;
-            let class = if suspicion.all_exact() {
+            let class = if snapshot.suspicion.all_exact() {
                 stcfa_precision::PrecisionClass::Exact
             } else {
                 stcfa_precision::PrecisionClass::Approx
@@ -658,7 +650,7 @@ impl Server {
                     ("tier", Json::num(0)),
                     (
                         "suspicious_comps",
-                        Json::num(suspicion.suspicious_comps() as u64),
+                        Json::num(snapshot.suspicion.suspicious_comps() as u64),
                     ),
                 ]),
             ));

@@ -17,7 +17,7 @@ pub fn top_level_boundaries(source: &str) -> Result<Vec<usize>, String> {
     let mut paren = 0usize;
     let mut lets = 0usize;
     let mut out = Vec::new();
-    for (tok, span) in &tokens {
+    for &(tok, span) in &tokens {
         match tok {
             Tok::LParen => paren += 1,
             Tok::RParen => paren = paren.saturating_sub(1),

@@ -169,17 +169,22 @@ printf '%s\n' "$smoke_out" | sed -n '2p' | grep -q '"cached":true' \
   || { echo "server smoke: warm analyze was not a cache hit" >&2; exit 1; }
 
 echo "== persist: warm restart smoke over stdio =="
-# Two daemon generations sharing one --cache-dir. The first builds and
+# Three daemon generations sharing one --cache-dir. The first builds and
 # persists; the second must answer the same conversation from disk —
 # cached:true on its first analyze, zero misses, one disk hit — with the
-# query/lint response lines byte-identical across the restart.
+# query/lint response lines byte-identical across the restart. The third
+# finds the image stamped with an older format version and must rebuild
+# it (version skew is a cache miss, never a migration). The generations
+# that must build run one worker: with two, the inline-source query can
+# take the build slot first, and the analyze then coalesces onto it and
+# reports cached:true.
 persist_dir="$CI_TMP/cache"
 persist_requests="$(printf '%s\n' \
   '{"id":1,"op":"analyze","source":"fun id x = x; id (fn u => u)"}' \
   '{"id":2,"op":"query","kind":"label-set","source":"fun id x = x; id (fn u => u)"}' \
   '{"id":3,"op":"lint","source":"fun id x = x; id (fn u => u)"}' \
   '{"id":4,"op":"shutdown"}')"
-cold_out="$(printf '%s\n' "$persist_requests" | ./target/release/stcfa serve --stdio --threads 2 --cache-dir "$persist_dir")"
+cold_out="$(printf '%s\n' "$persist_requests" | ./target/release/stcfa serve --stdio --threads 1 --cache-dir "$persist_dir")"
 warm_out="$(printf '%s\n' "$persist_requests" | ./target/release/stcfa serve --stdio --threads 2 --cache-dir "$persist_dir")"
 for out in "$cold_out" "$warm_out"; do
   if printf '%s\n' "$out" | grep -q '"ok":false'; then
@@ -197,7 +202,29 @@ if [ "$(printf '%s\n' "$cold_out" | sed -n '2,3p')" != "$(printf '%s\n' "$warm_o
 fi
 ls "$persist_dir"/*.stcfa >/dev/null 2>&1 \
   || { echo "persist smoke: no snapshot file in $persist_dir" >&2; exit 1; }
-echo "-- warm restart served from disk, transcripts identical"
+# The format version is the little-endian u32 at byte offset 8.
+image_version() { od -An -tu4 -j8 -N4 "$1" | tr -d ' '; }
+skew_file="$(ls "$persist_dir"/*.stcfa | head -n1)"
+printf '\002\000\000\000' | dd of="$skew_file" bs=1 seek=8 count=4 conv=notrunc 2>/dev/null
+[ "$(image_version "$skew_file")" = "2" ] \
+  || { echo "persist smoke: could not stamp $skew_file as version 2" >&2; exit 1; }
+skew_err="$CI_TMP/skew.err"
+skew_out="$(printf '%s\n' "$persist_requests" | ./target/release/stcfa serve --stdio --threads 1 --cache-dir "$persist_dir" 2>"$skew_err")"
+if printf '%s\n' "$skew_out" | grep -q '"ok":false'; then
+  echo "persist smoke: a request failed after version skew" >&2; printf '%s\n' "$skew_out" >&2; exit 1
+fi
+printf '%s\n' "$skew_out" | sed -n '1p' | grep -q '"cached":false' \
+  || { echo "persist smoke: a version-2 image was served instead of rebuilt" >&2; exit 1; }
+grep -q 'kind=version-skew action=rebuild' "$skew_err" \
+  || { echo "persist smoke: no version-skew log line" >&2; cat "$skew_err" >&2; exit 1; }
+if [ "$(printf '%s\n' "$cold_out" | sed -n '2,3p')" != "$(printf '%s\n' "$skew_out" | sed -n '2,3p')" ]; then
+  echo "persist smoke: answers changed across the version-skew rebuild" >&2
+  diff <(printf '%s\n' "$cold_out") <(printf '%s\n' "$skew_out") >&2 || true
+  exit 1
+fi
+[ "$(image_version "$skew_file")" = "3" ] \
+  || { echo "persist smoke: rebuilt image has version $(image_version "$skew_file"), want 3" >&2; exit 1; }
+echo "-- warm restart served from disk, transcripts identical; version-2 image rebuilt as version 3"
 
 echo "== session: multi-module smoke over stdio =="
 # Split a corpus program into 3 modules and drive a full protocol-v2

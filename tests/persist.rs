@@ -75,8 +75,9 @@ fn policies() -> [(DatatypePolicy, u64); 4] {
 }
 
 /// Direct format round trip: encode the frozen engine, decode it, and
-/// compare answers — every corpus file, every policy, both with and
-/// without persisted summary rows.
+/// compare answers — every corpus file, every policy, from a swept and
+/// from a demand-only engine (the image holds no summary rows either
+/// way).
 #[test]
 fn decoded_corpus_snapshots_answer_identically() {
     for (name, src) in corpus() {
@@ -172,6 +173,8 @@ fn warm_restarted_store_answers_identically_across_corpus() {
             .get_or_build(*key, src, || panic!("{name}: warm store rebuilt"))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(cached, "{name}: warm load must report cached");
+        // The load swept the engine once, as a build does.
+        assert_eq!(warm.engine.query_stats().sweeps, 1, "{name}");
         assert_identical(name, &warm.program, &cold.engine, &warm.engine);
     }
     let warm_stats = warm_store.stats();
