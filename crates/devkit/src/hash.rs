@@ -10,8 +10,9 @@
 //!
 //! This is a fast non-cryptographic digest for cache addressing, not a
 //! security boundary — collision resistance is the 64-bit birthday bound.
-//! [`word_digest`], the same FNV-1a step applied per 64-bit word, is the
-//! integrity trailer of the on-disk snapshot format.
+//! [`word_digest`], the FNV-1a step applied per 64-bit word with a
+//! high-to-low fold, is the integrity trailer of the on-disk snapshot
+//! format.
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -100,16 +101,20 @@ impl Fnv1a {
 /// integrity digest of the on-disk snapshot format.
 ///
 /// Each 8-byte word is xored into the state, which is then multiplied by
-/// the FNV prime — FNV-1a's per-byte step, applied per word, so a run
-/// costs one multiply per 8 bytes instead of per byte. A partial final
-/// word is zero-padded, and the byte length is absorbed last as one more
-/// word, so appending zero bytes inside the padding still changes the
-/// digest.
+/// the FNV prime and folded with `x ^ (x >> 32)` — FNV-1a's per-byte
+/// step, applied per word, so a run costs one multiply per 8 bytes
+/// instead of per byte. A partial final word is zero-padded, and the byte
+/// length is absorbed last as one more word, so appending zero bytes
+/// inside the padding still changes the digest.
 ///
-/// The step keeps FNV-1a's detection guarantee at word granularity: for
-/// a fixed word, xor and multiplication by an odd constant are both
-/// bijections on the state, so any change confined to one word — every
-/// single-bit flip in particular — changes the digest.
+/// For a fixed word all three parts of the step are bijections on the
+/// state, so any change confined to one word — every single-bit flip in
+/// particular — changes the digest. The fold matters once two words are
+/// damaged: a multiply carries a difference only toward higher bits, so
+/// without it a flip of bit 63 in two words would change the state by
+/// exactly `2^63` each time and cancel. Folding the high half down after
+/// every multiply lets the next multiply spread such a difference over
+/// the whole state.
 ///
 /// ```
 /// use stcfa_devkit::hash::word_digest;
@@ -123,7 +128,8 @@ impl Fnv1a {
 pub fn word_digest(bytes: &[u8]) -> u64 {
     #[inline]
     fn step(state: u64, word: u64) -> u64 {
-        (state ^ word).wrapping_mul(FNV_PRIME)
+        let x = (state ^ word).wrapping_mul(FNV_PRIME);
+        x ^ (x >> 32)
     }
     let mut words = bytes.chunks_exact(8);
     let mut state = FNV_OFFSET;
@@ -158,8 +164,31 @@ mod tests {
         // Pinned: the snapshot format's integrity trailer. A change here
         // makes every persisted image fail its integrity check and must
         // come with a format version bump.
-        assert_eq!(word_digest(b"fun id x = x;"), 0x3825_332e_f20f_8eaf);
-        assert_eq!(word_digest(b""), 0x25fc_6dd3_6ce0_4b20);
+        assert_eq!(word_digest(b"fun id x = x;"), 0x4a0e_ce5b_3f45_5bb1);
+        assert_eq!(word_digest(b""), 0xe876_2870_b5f4_a9a7);
+    }
+
+    #[test]
+    fn word_digest_catches_damage_to_the_top_bytes_of_two_words() {
+        // A multiply carries differences only upward, so damage confined
+        // to the top byte of two words is where a bare xor-multiply step
+        // collides (always, for bit 63 of both). Exhaustive over word
+        // pairs of a 40-word buffer, for the top bit and a spread of
+        // other top-byte deltas, plus a ragged tail.
+        let mut rng = crate::prng::Rng::seed_from_u64(0x7eb);
+        let body: Vec<u8> = (0..40 * 8 + 5).map(|_| rng.next_u64() as u8).collect();
+        let clean = word_digest(&body);
+        let words = body.len() / 8;
+        for j in 0..words {
+            for k in j + 1..words {
+                for (dj, dk) in [(0x80, 0x80), (0xff, 0xff), (0x01, 0x80), (0x5a, 0xa5)] {
+                    let mut evil = body.clone();
+                    evil[8 * j + 7] ^= dj;
+                    evil[8 * k + 7] ^= dk;
+                    assert_ne!(word_digest(&evil), clean, "words {j} and {k}");
+                }
+            }
+        }
     }
 
     #[test]

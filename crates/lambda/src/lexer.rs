@@ -186,13 +186,18 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
+/// Upper bound on [`lex`]'s up-front token reservation (about 3.5 MiB).
+const MAX_RESERVED_TOKENS: usize = 1 << 16;
+
 /// Tokenizes `source`, returning tokens with their source spans. The final
 /// token is always [`Tok::Eof`] (with an empty span at end of input).
 pub fn lex(source: &str) -> Result<Vec<(Tok<'_>, Span)>, LexError> {
     let bytes = source.as_bytes();
     // Surface programs run three to four bytes per token; one up-front
-    // reservation covers the whole stream in the common case.
-    let mut toks = Vec::with_capacity(source.len() / 3 + 1);
+    // reservation covers the whole stream in the common case. The cap
+    // keeps a huge comment-only input from reserving far more than it
+    // will use; past it the vector grows as usual.
+    let mut toks = Vec::with_capacity((source.len() / 3 + 1).min(MAX_RESERVED_TOKENS));
     let mut i = 0usize;
     let mut line = 1u32;
     let mut col = 1u32;

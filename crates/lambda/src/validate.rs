@@ -258,30 +258,15 @@ fn scope_walk(
                 scope_walk(program, *d, in_scope, ever_bound)?;
             }
         }
-        // The binder-free forms, children in `for_each_child` order so
-        // the first violation found is the one a child walk would find.
-        ExprKind::App { func, arg } => {
-            scope_walk(program, *func, in_scope, ever_bound)?;
-            scope_walk(program, *arg, in_scope, ever_bound)?;
+        _ => {
+            let mut r = Ok(());
+            program.for_each_child(id, |c| {
+                if r.is_ok() {
+                    r = scope_walk(program, c, in_scope, ever_bound);
+                }
+            });
+            r?;
         }
-        ExprKind::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            for c in [*cond, *then_branch, *else_branch] {
-                scope_walk(program, c, in_scope, ever_bound)?;
-            }
-        }
-        ExprKind::Proj { tuple, .. } => scope_walk(program, *tuple, in_scope, ever_bound)?,
-        ExprKind::Record(items)
-        | ExprKind::Con { args: items, .. }
-        | ExprKind::Prim { args: items, .. } => {
-            for &c in items.iter() {
-                scope_walk(program, c, in_scope, ever_bound)?;
-            }
-        }
-        ExprKind::Lit(_) => {}
     }
     Ok(())
 }

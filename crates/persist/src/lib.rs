@@ -44,20 +44,24 @@
 //! # Integrity trailer
 //!
 //! The trailer is [`word_digest`]: FNV-1a's xor-then-multiply step
-//! applied per little-endian `u64` word rather than per byte, with a
+//! applied per little-endian `u64` word rather than per byte, each
+//! multiply followed by a high-to-low fold `x ^ (x >> 32)`, with a
 //! zero-padded final word and the byte length absorbed last, finished
-//! with a splitmix64 avalanche. For a fixed word both halves of the step
-//! are bijections on the 64-bit state, so any damage confined to one
+//! with a splitmix64 avalanche. For a fixed word every part of the step
+//! is a bijection on the 64-bit state, so any damage confined to one
 //! word — every single-bit flip — changes the digest, and absorbing the
-//! length catches zero bytes slipped into the final word's padding. It
-//! costs one multiply per 8 bytes where the byte-wise digest paid one
-//! per byte.
+//! length catches zero bytes slipped into the final word's padding. The
+//! fold keeps damage to several words from cancelling: a bare multiply
+//! carries differences only upward, so two flips of bit 63 would
+//! collide. It costs one multiply per 8 bytes where the byte-wise digest
+//! paid one per byte.
 //!
 //! # Versioning and corruption policy
 //!
 //! Two digests guard a file. The *trailer* is an integrity check over the
-//! file's own bytes: any torn write, truncation or bit flip surfaces as
-//! [`PersistError::Integrity`] before a single section is parsed. The
+//! file's own bytes: a bit flip or truncation, and a torn write short of
+//! a 64-bit collision, surfaces as [`PersistError::Integrity`] before a
+//! single section is parsed. The
 //! *header* digest is the snapshot's cache address
 //! (`Fnv1a::digest_parts(source, [policy, engine])`); the decoder
 //! recomputes it from the decoded source and discriminants, so a file
@@ -70,8 +74,9 @@
 //! Everything past those gates is still untrusted: section shapes are
 //! re-validated structurally by [`QueryEngine::from_parts`].
 //!
-//! Decoding **never panics and never returns a wrong answer**: every
-//! failure mode is a structured [`PersistError`], and the caller's
+//! Decoding **never panics and, short of a trailer collision, never
+//! returns a wrong answer**: every failure mode is a structured
+//! [`PersistError`], and the caller's
 //! contract (see `stcfa-server`) is to treat any error as a cache miss —
 //! delete the file and rebuild from source. There is no migration: a
 //! version bump ([`PersistError::VersionSkew`]) also just means rebuild,
@@ -843,12 +848,12 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_is_caught() {
-        // The trailer's per-word step (xor, then multiply by an odd
-        // prime) is a bijection on the state for a fixed word, so ANY
-        // corruption confined to one word before the trailer changes the
-        // computed digest — the zero-padded last word included; flips
-        // inside the trailer change the stored one. Exhaustive over a
-        // small file.
+        // The trailer's per-word step (xor, multiply by an odd prime,
+        // fold the high half down) is a bijection on the state for a
+        // fixed word, so ANY corruption confined to one word before the
+        // trailer changes the computed digest — the zero-padded last word
+        // included; flips inside the trailer change the stored one.
+        // Exhaustive over a small file.
         let bytes = ragged_image();
         for i in 0..bytes.len() {
             for bit in 0..8 {
@@ -864,6 +869,36 @@ mod tests {
                     ),
                     "byte {i} bit {bit}: unexpected {err:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn damage_to_the_top_bytes_of_two_words_is_caught() {
+        // A multiply carries differences only toward higher bits, so a
+        // bare xor-multiply trailer lets two flips of bit 63 — bit 7 of
+        // bytes 8j+7 and 8k+7 — cancel, and a ±128 change to an array
+        // entry would then decode. The trailer's fold must catch every
+        // such pair. Exhaustive over the body's word pairs; word 0's top
+        // byte is the last magic byte.
+        let bytes = ragged_image();
+        let words = (bytes.len() - TRAILER_LEN) / 8;
+        for j in 0..words {
+            for k in j + 1..words {
+                for delta in [0x80, 0xff] {
+                    let mut evil = bytes.clone();
+                    evil[8 * j + 7] ^= delta;
+                    evil[8 * k + 7] ^= delta;
+                    let err = decode(&evil).expect_err("two-word damage must not decode");
+                    if j == 0 {
+                        assert_eq!(err, PersistError::BadMagic);
+                    } else {
+                        assert!(
+                            matches!(err, PersistError::Integrity { .. }),
+                            "words {j} and {k}, delta {delta:#x}: unexpected {err:?}"
+                        );
+                    }
+                }
             }
         }
     }
