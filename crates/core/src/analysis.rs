@@ -107,6 +107,32 @@ pub struct AnalysisStats {
     pub query_cache_misses: u64,
 }
 
+impl std::ops::AddAssign for AnalysisStats {
+    /// Field-wise sum, for totals over several analyses.
+    fn add_assign(&mut self, rhs: AnalysisStats) {
+        let AnalysisStats {
+            build_nodes,
+            build_edges,
+            close_nodes,
+            close_edges,
+            edges_processed,
+            demand_registrations,
+            queries_answered,
+            query_cache_hits,
+            query_cache_misses,
+        } = rhs;
+        self.build_nodes += build_nodes;
+        self.build_edges += build_edges;
+        self.close_nodes += close_nodes;
+        self.close_edges += close_edges;
+        self.edges_processed += edges_processed;
+        self.demand_registrations += demand_registrations;
+        self.queries_answered += queries_answered;
+        self.query_cache_hits += query_cache_hits;
+        self.query_cache_misses += query_cache_misses;
+    }
+}
+
 impl AnalysisStats {
     /// Total nodes.
     pub fn nodes(&self) -> usize {
@@ -145,8 +171,12 @@ pub struct Analysis {
     pub(crate) node_label: Vec<u32>,
     /// Label → the abstraction's node.
     pub(crate) label_nodes: Vec<NodeId>,
-    /// Binder → its variable occurrences, for inverse queries.
-    pub(crate) occurrences: Vec<Vec<ExprId>>,
+    /// Binder → its variable occurrences, for inverse queries, grouped
+    /// CSR-style: binder `v`'s occurrences are
+    /// `occ_exprs[occ_offsets[v]..occ_offsets[v + 1]]`, in expression
+    /// order.
+    pub(crate) occ_offsets: Vec<u32>,
+    pub(crate) occ_exprs: Vec<u32>,
 }
 
 impl Analysis {
@@ -357,7 +387,11 @@ impl Analysis {
         while let Some(n) = stack.pop() {
             match self.nodes.kind(n) {
                 NodeKind::Expr(e) => out.push(e),
-                NodeKind::Binder(v) => out.extend(self.occurrences[v.index()].iter().copied()),
+                NodeKind::Binder(v) => {
+                    let (lo, hi) = (self.occ_offsets[v.index()], self.occ_offsets[v.index() + 1]);
+                    let occ = &self.occ_exprs[lo as usize..hi as usize];
+                    out.extend(occ.iter().map(|&e| ExprId::from_index(e as usize)));
+                }
                 _ => {}
             }
             for &p in self.graph.preds(n) {
@@ -526,6 +560,21 @@ impl Default for EngineParts {
             binder_nodes: Vec::new(),
             top_fun: None,
             stats: AnalysisStats::default(),
+        }
+    }
+}
+
+impl EngineParts {
+    /// A copy for a view that will never be rewound: everything but the
+    /// graph's mutation journal.
+    pub(crate) fn clone_unjournaled(&self) -> EngineParts {
+        EngineParts {
+            nodes: self.nodes.clone(),
+            graph: self.graph.clone_unjournaled(),
+            expr_nodes: self.expr_nodes.clone(),
+            binder_nodes: self.binder_nodes.clone(),
+            top_fun: self.top_fun,
+            stats: self.stats,
         }
     }
 }
@@ -812,19 +861,26 @@ impl<'a> Engine<'a> {
 
     /// A new demand `(n, op)`: apply the closure rule over the edges already
     /// adjacent to `n`.
+    ///
+    /// Conclusions may append to `n`'s adjacency while the loop runs.
+    /// Lists only ever grow at the tail, so walking the first `len`
+    /// entries visits exactly the edges present when the demand arrived,
+    /// without copying them.
     fn retro_fire(&mut self, n: NodeId, op: DemandOp) {
         match op {
             DemandOp::Dom => {
                 // CLOSE-DOM′ is contravariant: edges n₁ → n (into n).
-                let preds: Vec<u32> = self.graph.preds(n).to_vec();
-                for p in preds {
+                let len = self.graph.preds(n).len();
+                for i in 0..len {
+                    let p = self.graph.preds(n)[i];
                     self.conclude(DemandOp::Dom, n, NodeId::from_index(p as usize));
                 }
             }
             _ => {
                 // Covariant rules: edges n → n₂ (out of n).
-                let succs: Vec<u32> = self.graph.succs(n).to_vec();
-                for s in succs {
+                let len = self.graph.succs(n).len();
+                for i in 0..len {
+                    let s = self.graph.succs(n)[i];
                     self.conclude(op, n, NodeId::from_index(s as usize));
                 }
             }
@@ -832,20 +888,17 @@ impl<'a> Engine<'a> {
     }
 
     /// A new edge `u → v`: apply every closure rule whose demand is already
-    /// registered.
+    /// registered. Conclusions only queue demands, so `u`'s registered
+    /// operators cannot change during the loop.
     fn fire_edge(&mut self, u: NodeId, v: NodeId) {
         if self.graph.is_demanded(v, DemandOp::Dom) {
             self.conclude(DemandOp::Dom, v, u);
         }
-        let ops: Vec<DemandOp> = self
-            .graph
-            .demands(u)
-            .iter()
-            .copied()
-            .filter(|op| !matches!(op, DemandOp::Dom))
-            .collect();
-        for op in ops {
-            self.conclude(op, u, v);
+        for i in 0..self.graph.demands(u).len() {
+            let op = self.graph.demands(u)[i];
+            if !matches!(op, DemandOp::Dom) {
+                self.conclude(op, u, v);
+            }
         }
     }
 
@@ -916,10 +969,22 @@ impl<'a> Engine<'a> {
         for (n, l) in &self.extra_labels {
             node_label[n.index()] = l.index() as u32;
         }
-        let mut occurrences: Vec<Vec<ExprId>> = vec![Vec::new(); program.var_count()];
+        // Occurrences by counting sort over binders, in expression order.
+        let mut occ_offsets = vec![0u32; program.var_count() + 1];
         for e in program.exprs() {
             if let ExprKind::Var(v) = program.kind(e) {
-                occurrences[v.index()].push(e);
+                occ_offsets[v.index() + 1] += 1;
+            }
+        }
+        for v in 0..program.var_count() {
+            occ_offsets[v + 1] += occ_offsets[v];
+        }
+        let mut cursor = occ_offsets.clone();
+        let mut occ_exprs = vec![0u32; occ_offsets[program.var_count()] as usize];
+        for e in program.exprs() {
+            if let ExprKind::Var(v) = program.kind(e) {
+                occ_exprs[cursor[v.index()] as usize] = e.index() as u32;
+                cursor[v.index()] += 1;
             }
         }
         let mut graph = self.graph;
@@ -933,7 +998,8 @@ impl<'a> Engine<'a> {
             binder_nodes: self.binder_nodes,
             node_label,
             label_nodes,
-            occurrences,
+            occ_offsets,
+            occ_exprs,
         }
     }
 }

@@ -29,19 +29,119 @@ pub enum DemandOp {
 /// Mutable graph state shared by the build and close phases.
 #[derive(Clone, Debug, Default)]
 pub struct SubGraph {
-    succs: Vec<Vec<u32>>,
-    preds: Vec<Vec<u32>>,
-    edge_set: HashSet<u64>,
+    succs: Vec<Adjacency>,
+    preds: Vec<Adjacency>,
+    /// Every edge out of a source whose out-degree is at least
+    /// [`SCAN_LIMIT`], and no other edge. Narrower sources deduplicate by
+    /// scanning their successor list.
+    wide_edges: HashSet<u64>,
     /// Edges whose closure consequences have not been drawn yet.
     pub(crate) pending_edges: VecDeque<(NodeId, NodeId)>,
     /// Demand registrations not yet retro-fired.
     pub(crate) pending_demands: VecDeque<(NodeId, DemandOp)>,
-    /// Per node: operators demanded on it (small vectors; bounded by the
+    /// Per node: operators demanded on it (short lists; bounded by the
     /// type size in bounded-type programs).
-    demands: Vec<Vec<DemandOp>>,
+    demands: Vec<Demands>,
     edge_count: usize,
     /// Mutation journal, present only after [`SubGraph::enable_journal`].
     journal: Option<Journal>,
+}
+
+/// Out-degree from which a source's edges are deduplicated through
+/// [`SubGraph`]'s hashed edge set instead of a scan of its successor
+/// list. Most nodes have a handful of successors, so the scan is the
+/// common case; the set keeps dedup constant-time on the wide fan-outs
+/// a client's program can create (one binder flowing to every use site,
+/// `TopFun` reaching every abstraction).
+const SCAN_LIMIT: usize = 16;
+
+/// One node's successor or predecessor list, in insertion order: up to
+/// three neighbours in place, a heap vector beyond that. Most nodes never
+/// spill, so building the graph allocates per wide node, not per node.
+type Adjacency = SmallList<u32, 3>;
+
+/// One node's demanded operators, in registration order. A node rarely
+/// carries more than two (`dom` and `ran` on a function value).
+type Demands = SmallList<DemandOp, 2>;
+
+/// A short append-only list kept inline up to `N` entries and spilled to a
+/// heap vector beyond that.
+#[derive(Clone, Debug)]
+enum SmallList<T, const N: usize> {
+    /// `items[..len]` are the entries; the rest is filler.
+    Inline {
+        len: u8,
+        items: [T; N],
+    },
+    Spilled(Vec<T>),
+}
+
+impl Default for Adjacency {
+    fn default() -> Self {
+        SmallList::Inline {
+            len: 0,
+            items: [0; 3],
+        }
+    }
+}
+
+impl Default for Demands {
+    fn default() -> Self {
+        SmallList::Inline {
+            len: 0,
+            items: [DemandOp::Dom; 2],
+        }
+    }
+}
+
+impl<T: Copy, const N: usize> SmallList<T, N> {
+    #[inline]
+    fn as_slice(&self) -> &[T] {
+        match self {
+            SmallList::Inline { len, items } => &items[..*len as usize],
+            SmallList::Spilled(v) => v,
+        }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    #[inline]
+    fn push(&mut self, x: T) {
+        match self {
+            SmallList::Inline { len, items } if (*len as usize) < N => {
+                items[*len as usize] = x;
+                *len += 1;
+            }
+            SmallList::Inline { items, .. } => {
+                let mut v = Vec::with_capacity(2 * N + 2);
+                v.extend_from_slice(items);
+                v.push(x);
+                *self = SmallList::Spilled(v);
+            }
+            SmallList::Spilled(v) => v.push(x),
+        }
+    }
+
+    /// Removes the most recent entry. A spilled list stays spilled.
+    fn pop(&mut self) -> Option<T> {
+        match self {
+            SmallList::Inline { len: 0, .. } => None,
+            SmallList::Inline { len, items } => {
+                *len -= 1;
+                Some(items[*len as usize])
+            }
+            SmallList::Spilled(v) => v.pop(),
+        }
+    }
+}
+
+/// The hashed edge set's key for `u → v`.
+#[inline]
+fn edge_key(u: u32, v: u32) -> u64 {
+    (u64::from(u) << 32) | u64::from(v)
 }
 
 /// Append-only record of graph mutations, enabling [`SubGraph::rewind`].
@@ -73,9 +173,9 @@ impl SubGraph {
     /// Grows per-node storage to cover `n` nodes.
     pub fn ensure_nodes(&mut self, n: usize) {
         if self.succs.len() < n {
-            self.succs.resize(n, Vec::new());
-            self.preds.resize(n, Vec::new());
-            self.demands.resize(n, Vec::new());
+            self.succs.resize(n, Adjacency::default());
+            self.preds.resize(n, Adjacency::default());
+            self.demands.resize(n, Demands::default());
         }
     }
 
@@ -92,20 +192,26 @@ impl SubGraph {
     /// Adds `u → v` if new, enqueueing it for closure processing.
     /// Self-loops are ignored. Returns `true` if the edge was new.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        if u == v {
+        if u == v || self.has_edge(u, v) {
             return false;
         }
-        let key = ((u.index() as u64) << 32) | v.index() as u64;
-        if !self.edge_set.insert(key) {
-            return false;
-        }
+        let (su, sv) = (u.index() as u32, v.index() as u32);
         self.ensure_nodes(u.index().max(v.index()) + 1);
-        self.succs[u.index()].push(v.index() as u32);
-        self.preds[v.index()].push(u.index() as u32);
+        let out = &mut self.succs[u.index()];
+        out.push(sv);
+        let degree = out.len();
+        if degree == SCAN_LIMIT {
+            // From here on this source deduplicates through the set.
+            let out = self.succs[u.index()].as_slice();
+            self.wide_edges.extend(out.iter().map(|&w| edge_key(su, w)));
+        } else if degree > SCAN_LIMIT {
+            self.wide_edges.insert(edge_key(su, sv));
+        }
+        self.preds[v.index()].push(su);
         self.edge_count += 1;
         self.pending_edges.push_back((u, v));
         if let Some(j) = &mut self.journal {
-            j.edges.push((u.index() as u32, v.index() as u32));
+            j.edges.push((su, sv));
         }
         true
     }
@@ -118,10 +224,20 @@ impl SubGraph {
         self.journal = Some(Journal::default());
     }
 
-    /// Drops the mutation journal (e.g. on a snapshot clone that will
-    /// never be rewound), freeing its memory.
-    pub fn drop_journal(&mut self) {
-        self.journal = None;
+    /// A copy of the graph without its mutation journal, for a view that
+    /// will never be rewound (a materialized snapshot). Cloning the
+    /// journal only to drop it would copy every edge once more.
+    pub fn clone_unjournaled(&self) -> SubGraph {
+        SubGraph {
+            succs: self.succs.clone(),
+            preds: self.preds.clone(),
+            wide_edges: self.wide_edges.clone(),
+            pending_edges: self.pending_edges.clone(),
+            pending_demands: self.pending_demands.clone(),
+            demands: self.demands.clone(),
+            edge_count: self.edge_count,
+            journal: None,
+        }
     }
 
     /// The graph's current extent, for [`SubGraph::rewind`]. Requires
@@ -144,13 +260,22 @@ impl SubGraph {
         let j = self.journal.as_mut().expect("rewind requires a journal");
         while j.edges.len() > mark.edges {
             let (u, v) = j.edges.pop().expect("len checked");
-            let popped_succ = self.succs[u as usize].pop();
+            let out = &mut self.succs[u as usize];
+            let degree = out.len();
+            let popped_succ = out.pop();
             let popped_pred = self.preds[v as usize].pop();
             debug_assert_eq!(popped_succ, Some(v));
             debug_assert_eq!(popped_pred, Some(u));
-            let key = ((u as u64) << 32) | v as u64;
-            let removed = self.edge_set.remove(&key);
-            debug_assert!(removed);
+            if degree >= SCAN_LIMIT {
+                let removed = self.wide_edges.remove(&edge_key(u, v));
+                debug_assert!(removed);
+                if degree == SCAN_LIMIT {
+                    // Back under the limit: the rest goes back to scanning.
+                    for &w in self.succs[u as usize].as_slice() {
+                        self.wide_edges.remove(&edge_key(u, w));
+                    }
+                }
+            }
             self.edge_count -= 1;
         }
         while j.demands.len() > mark.demand_entries {
@@ -167,19 +292,29 @@ impl SubGraph {
 
     /// Whether `u → v` is present.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        let key = ((u.index() as u64) << 32) | v.index() as u64;
-        self.edge_set.contains(&key)
+        let Some(out) = self.succs.get(u.index()) else {
+            return false;
+        };
+        let out = out.as_slice();
+        if out.len() < SCAN_LIMIT {
+            out.contains(&(v.index() as u32))
+        } else {
+            self.wide_edges
+                .contains(&edge_key(u.index() as u32, v.index() as u32))
+        }
     }
 
     /// Successors of `u` (value sources: reachability along `succs` finds
-    /// the values of `u`).
+    /// the values of `u`), in insertion order.
+    #[inline]
     pub fn succs(&self, u: NodeId) -> &[u32] {
-        &self.succs[u.index()]
+        self.succs[u.index()].as_slice()
     }
 
-    /// Predecessors of `u` (value consumers).
+    /// Predecessors of `u` (value consumers), in insertion order.
+    #[inline]
     pub fn preds(&self, u: NodeId) -> &[u32] {
-        &self.preds[u.index()]
+        self.preds[u.index()].as_slice()
     }
 
     /// Records that `op` is demanded on `n`. Returns `true` if this is a
@@ -188,7 +323,7 @@ impl SubGraph {
     pub fn register_demand(&mut self, n: NodeId, op: DemandOp) -> bool {
         self.ensure_nodes(n.index() + 1);
         let list = &mut self.demands[n.index()];
-        if list.contains(&op) {
+        if list.as_slice().contains(&op) {
             return false;
         }
         list.push(op);
@@ -200,7 +335,9 @@ impl SubGraph {
 
     /// Whether `op` is demanded on `n`.
     pub fn is_demanded(&self, n: NodeId, op: DemandOp) -> bool {
-        self.demands.get(n.index()).is_some_and(|l| l.contains(&op))
+        self.demands
+            .get(n.index())
+            .is_some_and(|l| l.as_slice().contains(&op))
     }
 
     /// The operators demanded on `n`.
@@ -281,5 +418,81 @@ mod tests {
         g.add_edge(n(1), n(2));
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.succs(n(1)), &[2]);
+    }
+
+    /// Everything a rewind must restore: both adjacency directions, the
+    /// demands, the edge count, and `has_edge` over every node pair.
+    type Shape = (
+        Vec<Vec<u32>>,
+        Vec<Vec<u32>>,
+        Vec<Vec<DemandOp>>,
+        usize,
+        Vec<bool>,
+    );
+
+    fn shape(g: &SubGraph, nodes: usize) -> Shape {
+        let ids = || (0..g.node_count()).map(n);
+        let pairs = (0..nodes).flat_map(|u| (0..nodes).map(move |v| (u, v)));
+        (
+            ids().map(|u| g.succs(u).to_vec()).collect(),
+            ids().map(|u| g.preds(u).to_vec()).collect(),
+            ids().map(|u| g.demands(u).to_vec()).collect(),
+            g.edge_count(),
+            pairs.map(|(u, v)| g.has_edge(n(u), n(v))).collect(),
+        )
+    }
+
+    #[test]
+    fn rewind_across_the_inline_and_scan_limits_replays_identically() {
+        const HUB: usize = 0;
+        const WIDE: usize = SCAN_LIMIT + 8;
+        const NODES: usize = WIDE + 2;
+        // Mark node 0 at every interesting out-degree: empty, inline,
+        // just spilled, either side of the scan limit, and above it.
+        for at_mark in [0, 2, 3, 4, SCAN_LIMIT - 1, SCAN_LIMIT, SCAN_LIMIT + 1] {
+            let mut g = SubGraph::new();
+            g.enable_journal();
+            g.register_demand(n(1), DemandOp::Dom);
+            for v in 1..=at_mark {
+                // The hub fans out; node WIDE + 1 collects the same
+                // count of predecessors.
+                g.add_edge(n(HUB), n(v));
+                g.add_edge(n(v), n(WIDE + 1));
+            }
+            g.pending_edges.clear();
+            let mark = g.mark();
+            let before = shape(&g, NODES);
+            let grow = |g: &mut SubGraph| {
+                for v in at_mark + 1..=WIDE {
+                    assert!(g.add_edge(n(HUB), n(v)), "degree {at_mark}: {v} new");
+                    assert!(g.add_edge(n(v), n(WIDE + 1)));
+                    assert!(!g.add_edge(n(HUB), n(v)), "degree {at_mark}: {v} duplicate");
+                }
+                for v in 1..=WIDE {
+                    assert!(!g.add_edge(n(HUB), n(v)), "degree {at_mark}: {v} duplicate");
+                }
+                g.register_demand(n(1), DemandOp::Ran);
+                g.register_demand(n(1), DemandOp::Proj(0));
+                g.register_demand(n(1), DemandOp::Proj(1));
+            };
+            grow(&mut g);
+            let first = shape(&g, NODES);
+            g.rewind(mark);
+            assert_eq!(shape(&g, NODES), before, "rewind to degree {at_mark}");
+            grow(&mut g);
+            assert_eq!(shape(&g, NODES), first, "replay from degree {at_mark}");
+            // A different suffix from the same mark: once the hub is wide
+            // again, the edges only the first suffix added are gone.
+            g.rewind(mark);
+            for v in 0..WIDE {
+                assert!(g.add_edge(n(HUB), n(NODES + v)));
+            }
+            for v in at_mark + 1..=WIDE {
+                assert!(
+                    !g.has_edge(n(HUB), n(v)),
+                    "degree {at_mark}: stale edge to {v}"
+                );
+            }
+        }
     }
 }

@@ -295,10 +295,9 @@ impl IncrementalAnalysis {
     /// Materializes a full [`Analysis`] view of the current state (clones
     /// the graph; use the direct queries for cheap per-fragment lookups).
     pub fn snapshot(&self, program: &Program) -> Analysis {
-        let mut parts = self.parts.clone();
-        // The materialized view is never rewound; keep it lean.
-        parts.graph.drop_journal();
-        let engine = Engine::resume(program, self.options, parts);
+        // The materialized view is never rewound: copy everything but the
+        // graph's mutation journal.
+        let engine = Engine::resume(program, self.options, self.parts.clone_unjournaled());
         engine.finish()
     }
 

@@ -102,14 +102,33 @@ pub enum NodeKind {
 
 /// Hash-consing table for nodes, plus the base-node map the ≈₂ congruence
 /// needs.
+///
+/// The four common kinds — `Expr`, `Binder`, `Dom` and `Ran`, about 95% of
+/// all interns — are looked up in dense slot arrays indexed by expression,
+/// binder and operand node; only the rare kinds (record projections,
+/// de-constructors, the ≈₁/≈₂ class nodes and `TopFun`) go through a hash
+/// map. Interning order, and therefore every node id, is the same either
+/// way.
 #[derive(Clone, Debug, Default)]
 pub struct NodeTable {
     kinds: Vec<NodeKind>,
     /// Base node of each node: for `α(n)` with `α` a (possibly empty)
     /// sequence of operators, the underlying basic node.
     bases: Vec<NodeId>,
-    interned: HashMap<NodeKind, NodeId>,
+    /// `Expr(e)` by expression index (`NO_SLOT` = not interned).
+    exprs: Vec<u32>,
+    /// `Binder(v)` by binder index.
+    binders: Vec<u32>,
+    /// `Dom(n)` by operand node index.
+    doms: Vec<u32>,
+    /// `Ran(n)` by operand node index.
+    rans: Vec<u32>,
+    /// Every other kind.
+    rare: HashMap<NodeKind, NodeId>,
 }
+
+/// An empty slot in [`NodeTable`]'s dense arrays.
+const NO_SLOT: u32 = u32::MAX;
 
 impl NodeTable {
     /// Creates an empty table.
@@ -139,12 +158,50 @@ impl NodeTable {
         self.bases[id.index()]
     }
 
+    /// The dense slot array and index for `kind`, or `None` for a rare
+    /// kind.
+    #[inline]
+    fn slot(&self, kind: NodeKind) -> Option<(&[u32], usize)> {
+        match kind {
+            NodeKind::Expr(e) => Some((&self.exprs, e.index())),
+            NodeKind::Binder(v) => Some((&self.binders, v.index())),
+            NodeKind::Dom(n) => Some((&self.doms, n.index())),
+            NodeKind::Ran(n) => Some((&self.rans, n.index())),
+            _ => None,
+        }
+    }
+
+    /// Mutable form of [`NodeTable::slot`].
+    #[inline]
+    fn slot_mut(&mut self, kind: NodeKind) -> Option<(&mut Vec<u32>, usize)> {
+        match kind {
+            NodeKind::Expr(e) => Some((&mut self.exprs, e.index())),
+            NodeKind::Binder(v) => Some((&mut self.binders, v.index())),
+            NodeKind::Dom(n) => Some((&mut self.doms, n.index())),
+            NodeKind::Ran(n) => Some((&mut self.rans, n.index())),
+            _ => None,
+        }
+    }
+
     /// Interns a node, computing its base from its shape.
     pub fn intern(&mut self, kind: NodeKind) -> NodeId {
-        if let Some(&id) = self.interned.get(&kind) {
-            return id;
-        }
         let id = NodeId::from_index(self.kinds.len());
+        match self.slot_mut(kind) {
+            Some((slots, i)) => {
+                if i >= slots.len() {
+                    slots.resize(i + 1, NO_SLOT);
+                } else if slots[i] != NO_SLOT {
+                    return NodeId(slots[i]);
+                }
+                slots[i] = id.0;
+            }
+            None => {
+                if let Some(&old) = self.rare.get(&kind) {
+                    return old;
+                }
+                self.rare.insert(kind, id);
+            }
+        }
         let base = match kind {
             NodeKind::Expr(_)
             | NodeKind::Binder(_)
@@ -157,25 +214,36 @@ impl NodeTable {
         };
         self.kinds.push(kind);
         self.bases.push(base);
-        self.interned.insert(kind, id);
         id
     }
 
     /// Looks a node up without creating it.
     pub fn get(&self, kind: NodeKind) -> Option<NodeId> {
-        self.interned.get(&kind).copied()
+        match self.slot(kind) {
+            Some((slots, i)) => slots.get(i).filter(|&&s| s != NO_SLOT).map(|&s| NodeId(s)),
+            None => self.rare.get(&kind).copied(),
+        }
     }
 
     /// Forgets every node at index `len` and above. Interning
     /// deduplicates, so each kind appears in `kinds` at most once and
-    /// removing the truncated tail from the map exactly restores the
-    /// earlier extent; replays then intern identical ids.
+    /// clearing the truncated tail's slots and map entries exactly
+    /// restores the earlier extent; replays then intern identical ids.
     pub fn rewind(&mut self, len: usize) {
-        for kind in &self.kinds[len..] {
-            self.interned.remove(kind);
+        for i in len..self.kinds.len() {
+            let kind = self.kinds[i];
+            match self.slot_mut(kind) {
+                Some((slots, at)) => slots[at] = NO_SLOT,
+                None => {
+                    self.rare.remove(&kind);
+                }
+            }
         }
         self.kinds.truncate(len);
         self.bases.truncate(len);
+        // Operands at `len` and above are gone with their nodes.
+        self.doms.truncate(len);
+        self.rans.truncate(len);
     }
 
     /// Iterates over all node ids.
@@ -248,6 +316,69 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.get(NodeKind::Dom(e)), Some(d1));
         assert_eq!(t.get(NodeKind::Ran(e)), None);
+    }
+
+    /// One node of every kind: the four slotted kinds and all the hashed
+    /// ones, with operators stacked on `base` (a node from before any
+    /// mark) and on each other.
+    fn intern_every_kind(t: &mut NodeTable, base: NodeId, salt: usize) -> Vec<NodeKind> {
+        let (con, data) = (ConId::from_index(salt), DataId::from_index(salt));
+        let mut kinds = vec![
+            NodeKind::Expr(ExprId::from_index(100 + salt)),
+            NodeKind::Binder(VarId::from_index(100 + salt)),
+            NodeKind::Dom(base),
+            NodeKind::Ran(base),
+            NodeKind::Proj(salt as u32, base),
+            NodeKind::DeCon {
+                con,
+                index: 1,
+                of: base,
+            },
+            NodeKind::DataClass(data),
+            NodeKind::Slot(con, 0),
+            NodeKind::DeConClass { data, base },
+        ];
+        if salt == 0 {
+            kinds.push(NodeKind::TopFun);
+        }
+        for kind in kinds.clone() {
+            let id = t.intern(kind);
+            // Operators on the node just made, so the tail nests.
+            kinds.push(NodeKind::Dom(id));
+            kinds.push(NodeKind::Proj(7, id));
+            t.intern(NodeKind::Dom(id));
+            t.intern(NodeKind::Proj(7, id));
+        }
+        kinds
+    }
+
+    #[test]
+    fn rewind_forgets_every_kind_and_replays_identically() {
+        let mut t = NodeTable::new();
+        let base = t.intern(NodeKind::Expr(ExprId::from_index(0)));
+        let other = t.intern(NodeKind::Binder(VarId::from_index(0)));
+        let before = intern_every_kind(&mut t, base, 0);
+        let mark = t.len();
+        let ids_before: Vec<NodeId> = before.iter().map(|&k| t.get(k).unwrap()).collect();
+
+        let after = intern_every_kind(&mut t, other, 1);
+        let first_pass: Vec<(NodeKind, NodeId)> =
+            after.iter().map(|&k| (k, t.get(k).unwrap())).collect();
+        assert!(first_pass.iter().all(|&(_, id)| id.index() >= mark));
+        t.rewind(mark);
+
+        assert_eq!(t.len(), mark);
+        for &(kind, _) in &first_pass {
+            assert_eq!(t.get(kind), None, "{kind:?} survived the rewind");
+        }
+        for (&kind, &id) in before.iter().zip(&ids_before) {
+            assert_eq!(t.get(kind), Some(id), "{kind:?} lost by the rewind");
+        }
+        assert_eq!(intern_every_kind(&mut t, other, 1), after);
+        for &(kind, id) in &first_pass {
+            assert_eq!(t.get(kind), Some(id), "{kind:?} replayed to a new id");
+            assert_eq!(t.kind(id), kind);
+        }
     }
 
     #[test]

@@ -252,13 +252,6 @@ impl QueryEngine {
         }
         let label_count = analysis.label_nodes.len();
         let words = label_count.div_ceil(64).max(1);
-        let mut occ_offsets = Vec::with_capacity(analysis.occurrences.len() + 1);
-        occ_offsets.push(0u32);
-        let mut occ_exprs = Vec::new();
-        for occ in &analysis.occurrences {
-            occ_exprs.extend(occ.iter().map(|e| e.index() as u32));
-            occ_offsets.push(occ_exprs.len() as u32);
-        }
         QueryEngine {
             csr,
             rev,
@@ -274,8 +267,8 @@ impl QueryEngine {
                 .iter()
                 .map(|n| n.index() as u32)
                 .collect(),
-            occ_offsets,
-            occ_exprs,
+            occ_offsets: analysis.occ_offsets.clone(),
+            occ_exprs: analysis.occ_exprs.clone(),
             label_count,
             words,
             summaries: OnceLock::new(),

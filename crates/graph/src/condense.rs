@@ -45,23 +45,6 @@ impl Condensation {
     /// [`Condensation::build`] (Tarjan computed it) and
     /// [`Condensation::from_comp_of`] (validated first).
     fn assemble(graph: &Csr, comp_of: Vec<u32>, comp_count: usize) -> Condensation {
-        // Condensed edges, deduplicated. Because each component's successors
-        // all have smaller ids, sorting each adjacency slice and deduping is
-        // exact; dedup per source keeps the DAG linear in the input.
-        let mut cond_edges: Vec<(u32, u32)> = Vec::new();
-        for u in 0..graph.node_count() {
-            let cu = comp_of[u];
-            for &v in graph.succs(u) {
-                let cv = comp_of[v as usize];
-                if cu != cv {
-                    cond_edges.push((cu, cv));
-                }
-            }
-        }
-        cond_edges.sort_unstable();
-        cond_edges.dedup();
-        let dag = Csr::from_edges(comp_count, &cond_edges);
-
         // Members, by counting sort over component ids.
         let n = graph.node_count();
         let mut member_offsets = vec![0u32; comp_count + 1];
@@ -77,6 +60,33 @@ impl Condensation {
             member_nodes[cursor[c as usize] as usize] = u as u32;
             cursor[c as usize] += 1;
         }
+
+        // Condensed edges, one component at a time: walk the members'
+        // successors, keep each target component once (`last_source`
+        // remembers the latest component that listed it) and sort the
+        // component's short target list. That is the sorted, deduplicated
+        // edge list a global sort would give, in linear time plus the
+        // per-component sorts.
+        let mut dag_offsets = Vec::with_capacity(comp_count + 1);
+        dag_offsets.push(0u32);
+        let mut dag_targets: Vec<u32> = Vec::new();
+        let mut last_source = vec![u32::MAX; comp_count];
+        for c in 0..comp_count {
+            let start = dag_targets.len();
+            let members = &member_nodes[member_offsets[c] as usize..member_offsets[c + 1] as usize];
+            for &u in members {
+                for &v in graph.succs(u as usize) {
+                    let cv = comp_of[v as usize];
+                    if cv as usize != c && last_source[cv as usize] != c as u32 {
+                        last_source[cv as usize] = c as u32;
+                        dag_targets.push(cv);
+                    }
+                }
+            }
+            dag_targets[start..].sort_unstable();
+            dag_offsets.push(u32::try_from(dag_targets.len()).expect("edge count overflow"));
+        }
+        let dag = Csr::from_trusted_parts(dag_offsets, dag_targets);
 
         Condensation {
             comp_of,

@@ -77,6 +77,14 @@ impl Csr {
         Csr { offsets, targets }
     }
 
+    /// Wraps arrays a constructor in this crate has just built and knows
+    /// to be well formed (the condensation's DAG).
+    pub(crate) fn from_trusted_parts(offsets: Vec<u32>, targets: Vec<u32>) -> Csr {
+        let csr = Csr { offsets, targets };
+        debug_assert_eq!(csr.audit(), Ok(()));
+        csr
+    }
+
     /// Freezes a [`DiGraph`].
     pub fn from_digraph(g: &DiGraph) -> Csr {
         Self::from_succs(g.node_count(), |u| g.succs(u))

@@ -261,6 +261,66 @@ pub enum ExprKind {
     },
 }
 
+impl ExprKind {
+    /// Calls `f` on every direct child, in left-to-right order.
+    pub fn for_each_child(&self, mut f: impl FnMut(ExprId)) {
+        match self {
+            ExprKind::Var(_) | ExprKind::Lit(_) => {}
+            ExprKind::Lam { body, .. } => f(*body),
+            ExprKind::App { func, arg } => {
+                f(*func);
+                f(*arg);
+            }
+            ExprKind::Let { rhs, body, .. } => {
+                f(*rhs);
+                f(*body);
+            }
+            ExprKind::LetRec { lambda, body, .. } => {
+                f(*lambda);
+                f(*body);
+            }
+            ExprKind::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                f(*cond);
+                f(*then_branch);
+                f(*else_branch);
+            }
+            ExprKind::Record(items) => {
+                for &e in items.iter() {
+                    f(e);
+                }
+            }
+            ExprKind::Proj { tuple, .. } => f(*tuple),
+            ExprKind::Con { args, .. } => {
+                for &e in args.iter() {
+                    f(e);
+                }
+            }
+            ExprKind::Case {
+                scrutinee,
+                arms,
+                default,
+            } => {
+                f(*scrutinee);
+                for arm in arms.iter() {
+                    f(arm.body);
+                }
+                if let Some(d) = default {
+                    f(*d);
+                }
+            }
+            ExprKind::Prim { args, .. } => {
+                for &e in args.iter() {
+                    f(e);
+                }
+            }
+        }
+    }
+}
+
 /// Surface-level (monomorphic) type expressions, used in datatype
 /// declarations to give constructor argument types.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -613,61 +673,8 @@ impl Program {
     }
 
     /// Calls `f` on every direct child of `id`, in left-to-right order.
-    pub fn for_each_child(&self, id: ExprId, mut f: impl FnMut(ExprId)) {
-        match self.kind(id) {
-            ExprKind::Var(_) | ExprKind::Lit(_) => {}
-            ExprKind::Lam { body, .. } => f(*body),
-            ExprKind::App { func, arg } => {
-                f(*func);
-                f(*arg);
-            }
-            ExprKind::Let { rhs, body, .. } => {
-                f(*rhs);
-                f(*body);
-            }
-            ExprKind::LetRec { lambda, body, .. } => {
-                f(*lambda);
-                f(*body);
-            }
-            ExprKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                f(*cond);
-                f(*then_branch);
-                f(*else_branch);
-            }
-            ExprKind::Record(items) => {
-                for &e in items.iter() {
-                    f(e);
-                }
-            }
-            ExprKind::Proj { tuple, .. } => f(*tuple),
-            ExprKind::Con { args, .. } => {
-                for &e in args.iter() {
-                    f(e);
-                }
-            }
-            ExprKind::Case {
-                scrutinee,
-                arms,
-                default,
-            } => {
-                f(*scrutinee);
-                for arm in arms.iter() {
-                    f(arm.body);
-                }
-                if let Some(d) = default {
-                    f(*d);
-                }
-            }
-            ExprKind::Prim { args, .. } => {
-                for &e in args.iter() {
-                    f(e);
-                }
-            }
-        }
+    pub fn for_each_child(&self, id: ExprId, f: impl FnMut(ExprId)) {
+        self.kind(id).for_each_child(f);
     }
 
     /// Direct children of `id`, in left-to-right order.

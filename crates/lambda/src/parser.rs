@@ -66,6 +66,42 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// The deepest the parser recurses, in levels: every open expression,
+/// atom and type expression is one level (a parenthesized expression is
+/// two, its atom and the expression inside). Source nested deeper is a
+/// parse error naming this limit, raised before the recursion can
+/// exhaust the stack.
+///
+/// Set by measurement on a release build: the deepest program the
+/// benchmark pool draws (`synth8000`, 200 seeds) nests 402 levels, and
+/// input at the limit, in every shape that reaches it, runs `analyze`,
+/// `lint` and `opt --emit` within the 2 MiB a daemon worker thread gets.
+pub const MAX_NESTING: usize = 1000;
+
+/// The tallest expression tree the parser builds, in levels. Loops build
+/// trees taller than the parser nests (declaration chains, curried `fun`
+/// parameters, application spines, operator chains), and every recursive
+/// walker downstream — validation, type inference, the pretty printer,
+/// the optimizer's copier, lint evidence — inherits this bound.
+///
+/// A fixed multiple of [`MAX_NESTING`], so one number tunes both: a tree
+/// level costs a walker a quarter to a half of the stack a level of
+/// parser recursion costs. The paper's own workloads need the headroom:
+/// the cubic benchmark at 512 copies is a 2,053-level declaration chain
+/// that nests only four levels deep.
+pub const MAX_HEIGHT: usize = 3 * MAX_NESTING;
+
+// `Parser::check_height` counts tree heights in `u16`.
+const _: () = assert!(MAX_HEIGHT < u16::MAX as usize);
+
+fn too_deep() -> String {
+    format!("input nests deeper than the limit of {MAX_NESTING} levels")
+}
+
+fn too_tall() -> String {
+    format!("expression tree is taller than the limit of {MAX_HEIGHT} levels")
+}
+
 const NOWHERE: Pos = Pos {
     offset: 0,
     line: 0,
@@ -93,9 +129,12 @@ pub fn parse(source: &str) -> Result<Program, ParseError> {
         b,
         scopes: HashMap::new(),
         shadowed: Vec::new(),
+        pending: Vec::new(),
+        depth: 0,
     };
     let root = p.decl_block(BlockKind::TopLevel)?;
     p.expect(&Tok::Eof)?;
+    p.check_height(0)?;
     Ok(p.b.finish(root)?)
 }
 
@@ -152,9 +191,15 @@ pub fn parse_fragment(
         b: ProgramBuilder::from_program(owned),
         scopes,
         shadowed: Vec::new(),
+        pending: Vec::new(),
+        depth: 0,
     };
 
-    let result = p.fragment();
+    let lo = p.b.expr_count();
+    let result = p.fragment().and_then(|fragment| {
+        p.check_height(lo)?;
+        Ok(fragment)
+    });
     // Reassemble the arena whether or not parsing succeeded; the session
     // layer discards the scratch copy on error.
     *program = p.b.finish_unchecked(Some(old_root));
@@ -237,6 +282,32 @@ struct MutualGroup<'a> {
     outer: Vec<(&'a str, VarId, ExprId)>,
 }
 
+/// A parsed declaration whose `let`/`letrec` node waits for the rest of
+/// its block (see [`Parser::decl_block`]).
+enum Pending<'a> {
+    /// `fun f p₁ … pₙ = body`.
+    Fun {
+        start: Pos,
+        name: &'a str,
+        binder: VarId,
+        lam: ExprId,
+    },
+    /// An `and`-connected `fun` group.
+    Group {
+        start: Pos,
+        names: Vec<&'a str>,
+        group: MutualGroup<'a>,
+    },
+    /// `val [rec] x = rhs`.
+    Val {
+        start: Pos,
+        name: &'a str,
+        binder: VarId,
+        rhs: ExprId,
+        recursive: bool,
+    },
+}
+
 struct Parser<'a> {
     toks: Vec<(Tok<'a>, Span)>,
     idx: usize,
@@ -252,6 +323,11 @@ struct Parser<'a> {
     /// [`Parser::unbind`] restores them. Scopes nest, so every unbind
     /// releases the most recent binding still in force.
     shadowed: Vec<(&'a str, Option<VarId>)>,
+    /// Declarations waiting for the rest of their block, innermost block
+    /// on top (see [`Parser::decl_block`]); one stack serves every block.
+    pending: Vec<Pending<'a>>,
+    /// Recursive parsing steps currently open (see [`Parser::nested`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -333,6 +409,45 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Runs one recursive parsing step a level deeper, refusing input
+    /// that nests past [`MAX_NESTING`] before it can exhaust the stack.
+    fn nested<T>(
+        &mut self,
+        step: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return self.err(too_deep());
+        }
+        self.depth += 1;
+        let result = step(self);
+        self.depth -= 1;
+        result
+    }
+
+    /// Refuses a tree taller than [`MAX_HEIGHT`] among the expressions
+    /// built since `lo`. Builders take their children as arguments, so a
+    /// child's id is always smaller than its parent's and one forward
+    /// pass sees every child before its parent; the expressions since
+    /// `lo` form whole trees, so every child is at `lo` or above.
+    fn check_height(&self, lo: usize) -> Result<(), ParseError> {
+        let mut heights: Vec<u16> = Vec::with_capacity(self.b.expr_count() - lo);
+        for i in lo..self.b.expr_count() {
+            let mut below = 0;
+            self.b
+                .kind(ExprId::from_index(i))
+                .for_each_child(|c| below = below.max(heights[c.index() - lo]));
+            if usize::from(below) == MAX_HEIGHT {
+                let span = self.b.span(ExprId::from_index(i));
+                return Err(ParseError {
+                    pos: span.map_or(NOWHERE, |s| s.start),
+                    message: too_tall(),
+                });
+            }
+            heights.push(below + 1);
+        }
+        Ok(())
+    }
+
     // --- scope management -------------------------------------------------
 
     fn bind(&mut self, name: &'a str) -> VarId {
@@ -364,69 +479,117 @@ impl<'a> Parser<'a> {
 
     /// Parses a sequence of declarations followed by the block body, and
     /// builds the nested `let`/`letrec` expression.
+    ///
+    /// The declarations are parsed in a loop, not by recursion: a block
+    /// with many declarations costs one stack frame, and only the tree
+    /// it builds is as deep as the declaration count (bounded by
+    /// [`Parser::check_height`]). The `let` nodes are built innermost
+    /// first once the body is parsed, the order recursion would give.
     fn decl_block(&mut self, kind: BlockKind) -> Result<ExprId, ParseError> {
-        match self.peek() {
-            Tok::Kw(Kw::Datatype) => {
-                self.datatype_decl()?;
-                self.decl_block(kind)
-            }
-            Tok::Kw(Kw::Fun) => {
-                let start = self.pos();
-                self.bump();
-                let names = self.scan_fun_group()?;
-                if names.len() == 1 {
-                    let (fname, f, lam) = self.fun_binding()?;
-                    let rest = self.decl_block(kind)?;
-                    self.unbind(fname);
-                    let node = self.b.letrec(f, lam, rest);
-                    Ok(self.mark(node, start))
-                } else {
-                    let group = self.mutual_group(&names)?;
-                    for ((name, binder, _), _) in group.outer.iter().zip(&names) {
-                        self.push_scope(name, *binder);
+        let base = self.pending.len();
+        loop {
+            match self.peek() {
+                Tok::Kw(Kw::Datatype) => self.datatype_decl()?,
+                Tok::Kw(Kw::Fun) => {
+                    let start = self.pos();
+                    self.bump();
+                    let names = self.scan_fun_group()?;
+                    if names.len() == 1 {
+                        let (name, binder, lam) = self.fun_binding()?;
+                        self.pending.push(Pending::Fun {
+                            start,
+                            name,
+                            binder,
+                            lam,
+                        });
+                    } else {
+                        let group = self.mutual_group(&names)?;
+                        for ((name, binder, _), _) in group.outer.iter().zip(&names) {
+                            self.push_scope(name, *binder);
+                        }
+                        self.pending.push(Pending::Group {
+                            start,
+                            names,
+                            group,
+                        });
                     }
-                    let rest = self.decl_block(kind)?;
+                }
+                Tok::Kw(Kw::Val) => {
+                    let start = self.pos();
+                    self.bump();
+                    let (name, binder, rhs, recursive) = self.val_binding()?;
+                    self.pending.push(Pending::Val {
+                        start,
+                        name,
+                        binder,
+                        rhs,
+                        recursive,
+                    });
+                }
+                _ => break,
+            }
+        }
+        let mut body = match kind {
+            BlockKind::TopLevel => {
+                if self.peek() == Tok::Eof {
+                    self.b.unit()
+                } else {
+                    self.expr()?
+                }
+            }
+            BlockKind::Let => {
+                self.expect_kw(Kw::In)?;
+                let body = self.expr()?;
+                self.expect_kw(Kw::End)?;
+                body
+            }
+        };
+        while self.pending.len() > base {
+            let decl = self.pending.pop().expect("above the block's base");
+            body = match decl {
+                Pending::Fun {
+                    start,
+                    name,
+                    binder,
+                    lam,
+                } => {
+                    self.unbind(name);
+                    let node = self.b.letrec(binder, lam, body);
+                    self.mark(node, start)
+                }
+                Pending::Group {
+                    start,
+                    names,
+                    group,
+                } => {
                     for name in names.iter().rev() {
                         self.unbind(name);
                     }
-                    let mut body = rest;
                     for (_, binder, rhs) in group.outer.iter().rev() {
                         body = self.b.let_(*binder, *rhs, body);
                         self.mark(body, start);
                     }
                     let node = self.b.letrec(group.pack, group.pack_lam, body);
-                    Ok(self.mark(node, start))
+                    self.mark(node, start)
                 }
-            }
-            Tok::Kw(Kw::Val) => {
-                let start = self.pos();
-                self.bump();
-                let (name, v, rhs, recursive) = self.val_binding()?;
-                let rest = self.decl_block(kind)?;
-                self.unbind(name);
-                let node = if recursive {
-                    self.b.letrec(v, rhs, rest)
-                } else {
-                    self.b.let_(v, rhs, rest)
-                };
-                Ok(self.mark(node, start))
-            }
-            _ => match kind {
-                BlockKind::TopLevel => {
-                    if self.peek() == Tok::Eof {
-                        Ok(self.b.unit())
+                Pending::Val {
+                    start,
+                    name,
+                    binder,
+                    rhs,
+                    recursive,
+                } => {
+                    self.unbind(name);
+                    let node = if recursive {
+                        self.b.letrec(binder, rhs, body)
                     } else {
-                        self.expr()
-                    }
+                        self.b.let_(binder, rhs, body)
+                    };
+                    self.mark(node, start)
                 }
-                BlockKind::Let => {
-                    self.expect_kw(Kw::In)?;
-                    let body = self.expr()?;
-                    self.expect_kw(Kw::End)?;
-                    Ok(body)
-                }
-            },
+            };
         }
+        Ok(body)
     }
 
     /// Token-level lookahead from just after `fun`: the names of the
@@ -714,6 +877,10 @@ impl<'a> Parser<'a> {
     }
 
     fn tyarg(&mut self) -> Result<TyExpr, ParseError> {
+        self.nested(Self::tyarg_step)
+    }
+
+    fn tyarg_step(&mut self) -> Result<TyExpr, ParseError> {
         let lhs = self.tyatom()?;
         if self.peek() == Tok::Arrow {
             self.bump();
@@ -768,6 +935,10 @@ impl<'a> Parser<'a> {
     // --- expressions --------------------------------------------------------
 
     fn expr(&mut self) -> Result<ExprId, ParseError> {
+        self.nested(Self::expr_step)
+    }
+
+    fn expr_step(&mut self) -> Result<ExprId, ParseError> {
         let start = self.pos();
         match self.peek() {
             Tok::Kw(Kw::Fn) => {
@@ -945,6 +1116,10 @@ impl<'a> Parser<'a> {
     }
 
     fn atom(&mut self) -> Result<ExprId, ParseError> {
+        self.nested(Self::atom_step)
+    }
+
+    fn atom_step(&mut self) -> Result<ExprId, ParseError> {
         let start = self.pos();
         match self.peek() {
             Tok::LIdent(name) => {
@@ -1417,5 +1592,147 @@ mod tests {
             let span = p.span(e).unwrap();
             assert!(span.start.line >= 1 && span.start.col >= 1);
         }
+    }
+
+    /// Runs `f` on a thread with room for debug-build parser frames at the
+    /// nesting limit (a release build needs about a fifth of this).
+    fn with_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(f)
+            .expect("spawn")
+            .join()
+            .expect("test thread");
+    }
+
+    fn tree_height(p: &Program) -> usize {
+        let mut heights = vec![0usize; p.size()];
+        for e in p.exprs() {
+            let mut below = 0;
+            p.for_each_child(e, |c| below = below.max(heights[c.index()]));
+            heights[e.index()] = below + 1;
+        }
+        heights[p.root().index()]
+    }
+
+    fn assert_refused(result: Result<Program, ParseError>, limit: usize) {
+        let err = result.expect_err("input past the limit must not parse");
+        assert!(
+            err.message.contains(&format!("limit of {limit} levels")),
+            "{err}"
+        );
+    }
+
+    fn assert_too_deep(result: Result<Program, ParseError>) {
+        assert_refused(result, MAX_NESTING);
+    }
+
+    fn assert_too_tall(result: Result<Program, ParseError>) {
+        assert_refused(result, MAX_HEIGHT);
+    }
+
+    #[test]
+    fn parser_recursion_at_the_limit_parses_and_one_level_more_fails() {
+        with_stack(|| {
+            // `not` recurses atom → atom: n prefixes open the expression,
+            // n atoms and the operand's atom, n + 2 levels.
+            let nots = |n: usize| format!("{}true", "not ".repeat(n));
+            let p = parse(&nots(MAX_NESTING - 2)).unwrap();
+            assert_eq!(tree_height(&p), MAX_NESTING - 1);
+            assert_too_deep(parse(&nots(MAX_NESTING - 1)));
+            // `fn` recurses expression → expression: n + 2 levels again.
+            let fns = |n: usize| format!("{}x", "fn x => ".repeat(n));
+            assert!(parse(&fns(MAX_NESTING - 2)).is_ok());
+            assert_too_deep(parse(&fns(MAX_NESTING - 1)));
+            // A parenthesized expression is an atom and an expression.
+            let parens = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+            assert!(parse(&parens(MAX_NESTING / 2 - 1)).is_ok());
+            assert_too_deep(parse(&parens(MAX_NESTING / 2)));
+            // Type expressions nest through `tyarg`: n parentheses open
+            // n + 1 levels.
+            let ty =
+                |n: usize| format!("datatype t = A of {}int{}; 1", "(".repeat(n), ")".repeat(n));
+            assert!(parse(&ty(MAX_NESTING - 1)).is_ok());
+            assert_too_deep(parse(&ty(MAX_NESTING)));
+            let arrows = |n: usize| format!("datatype t = A of {}int; 1", "int -> ".repeat(n));
+            assert!(parse(&arrows(MAX_NESTING - 1)).is_ok());
+            assert_too_deep(parse(&arrows(MAX_NESTING)));
+        });
+    }
+
+    #[test]
+    fn tree_height_at_the_limit_parses_and_one_level_more_fails() {
+        with_stack(|| {
+            // n top-level declarations desugar into a chain of n `let`s
+            // over the body: height n + 1, parsed by a loop.
+            let vals = |n: usize| format!("{}x", "val x = 1;\n".repeat(n));
+            let p = parse(&vals(MAX_HEIGHT - 1)).unwrap();
+            assert_eq!(tree_height(&p), MAX_HEIGHT);
+            assert_too_tall(parse(&vals(MAX_HEIGHT)));
+            // k curried parameters: k lambdas and the body under a
+            // `letrec`, height k + 2.
+            let curried = |k: usize| {
+                let params: Vec<String> = (0..k).map(|i| format!("x{i}")).collect();
+                format!("fun f {} = x0;\nf", params.join(" "))
+            };
+            let p = parse(&curried(MAX_HEIGHT - 2)).unwrap();
+            assert_eq!(tree_height(&p), MAX_HEIGHT);
+            assert_too_tall(parse(&curried(MAX_HEIGHT - 1)));
+            // Application spines and operator chains are built by loops.
+            let spine = |n: usize| format!("fun f x = x;\nf{}", " 1".repeat(n));
+            assert!(parse(&spine(MAX_HEIGHT - 2)).is_ok());
+            assert_too_tall(parse(&spine(MAX_HEIGHT - 1)));
+            let sums = |n: usize| format!("1{}", " + 1".repeat(n));
+            assert!(parse(&sums(MAX_HEIGHT - 1)).is_ok());
+            assert_too_tall(parse(&sums(MAX_HEIGHT)));
+            // Recursion and loops stack: a `not` chain at the parser's
+            // limit under a declaration chain that makes the tree exactly
+            // as tall as allowed.
+            let mixed = |n: usize| {
+                format!(
+                    "{}{}true",
+                    "val x = 1;\n".repeat(n),
+                    "not ".repeat(MAX_NESTING - 2)
+                )
+            };
+            let p = parse(&mixed(MAX_HEIGHT - MAX_NESTING + 1)).unwrap();
+            assert_eq!(tree_height(&p), MAX_HEIGHT);
+            assert_too_tall(parse(&mixed(MAX_HEIGHT - MAX_NESTING + 2)));
+        });
+    }
+
+    #[test]
+    fn far_too_deep_input_fails_at_the_limit() {
+        with_stack(|| {
+            for src in [
+                format!("{}fn x => x{}", "(".repeat(100_000), ")".repeat(100_000)),
+                format!("{}x", "fn x => ".repeat(100_000)),
+                format!("{}true", "not ".repeat(100_000)),
+            ] {
+                assert_too_deep(parse(&src));
+            }
+            for src in [
+                format!("{}x", "val x = 1;\n".repeat(100_000)),
+                format!("1{}", " + 1".repeat(100_000)),
+            ] {
+                assert_too_tall(parse(&src));
+            }
+        });
+    }
+
+    #[test]
+    fn session_fragments_are_bounded_too() {
+        with_stack(|| {
+            let mut program = parse("0").unwrap();
+            let deep = format!("val v = {}1{};", "(".repeat(100_000), ")".repeat(100_000));
+            let err = parse_fragment(&mut program, &HashMap::new(), &deep).unwrap_err();
+            assert!(err.message.contains("limit"), "{err}");
+            let tall = format!("val v = 1{};", " + 1".repeat(100_000));
+            let err = parse_fragment(&mut program, &HashMap::new(), &tall).unwrap_err();
+            assert!(err.message.contains("limit"), "{err}");
+            // The arena still takes a fragment within the limit.
+            let ok = parse_fragment(&mut program, &HashMap::new(), "val w = 2;").unwrap();
+            assert_eq!(ok.bindings.len(), 1);
+        });
     }
 }

@@ -153,9 +153,14 @@ pub fn optimize_with(
                 };
                 let planned = pp.plan.rewrites();
                 let mut performed = 0;
-                if !pp.plan.is_empty() {
-                    let rewritten =
-                        rewrite::apply(&current, &pp.plan).map_err(OptError::Rewrite)?;
+                // A rebuild that would nest past the parser's limit is
+                // dropped whole: the pass performs nothing this round.
+                let rewritten = if pp.plan.is_empty() {
+                    None
+                } else {
+                    rewrite::apply(&current, &pp.plan).map_err(OptError::Rewrite)?
+                };
+                if let Some(rewritten) = rewritten {
                     performed = rewritten.performed;
                     current = rewritten.program;
                     let analysis =
@@ -304,5 +309,48 @@ mod tests {
             oracle::check(&p, &out.program, &EvalOptions::default()),
             Ok(oracle::Agreement::Values)
         );
+    }
+
+    #[test]
+    fn inlining_that_would_grow_past_the_height_limit_is_dropped() {
+        // Each function wraps the previous one's call in 600 `not`s.
+        // Every body parses, but inlining the whole chain into one
+        // expression would build a tree about 3,600 levels tall.
+        let mut src = String::from("fun f0 x = not x;\n");
+        for i in 1..7 {
+            src.push_str(&format!(
+                "fun f{i} x = {}(f{} x);\n",
+                "not ".repeat(600),
+                i - 1
+            ));
+        }
+        src.push_str("f6 true");
+        let height = |p: &Program| {
+            let mut heights = vec![0usize; p.size()];
+            for e in p.exprs() {
+                let mut below = 0;
+                p.for_each_child(e, |c| below = below.max(heights[c.index()]));
+                heights[e.index()] = below + 1;
+            }
+            heights[p.root().index()]
+        };
+        std::thread::Builder::new()
+            .stack_size(256 << 20)
+            .spawn(move || {
+                let p = parse(&src);
+                let opts = OptOptions {
+                    passes: PassSet::only(Pass::InlineOnce),
+                    ..OptOptions::default()
+                };
+                let out = optimize(&p, &opts).expect("optimizes");
+                let inline = &out.report.passes[0];
+                assert!(inline.planned >= 6, "{:?}", out.report.passes);
+                assert_eq!(inline.performed, 0, "the tall rebuild is dropped");
+                assert_eq!(out.program.size(), p.size());
+                assert!(height(&out.program) <= stcfa_lambda::parser::MAX_HEIGHT);
+            })
+            .expect("spawn")
+            .join()
+            .expect("optimizer thread");
     }
 }

@@ -11,6 +11,7 @@
 
 use std::collections::HashMap;
 
+use stcfa_lambda::parser::MAX_HEIGHT;
 use stcfa_lambda::{ExprId, ExprKind, Literal, Program, ProgramBuilder, TyExpr, VarId};
 
 /// One planned edit, keyed by the source occurrence it replaces.
@@ -86,7 +87,13 @@ pub struct Rewritten {
 /// Applies `plan` to `src` in one rebuild. Errors only on a broken plan
 /// invariant (a variable escaping its scope, an action on the wrong node
 /// shape) — planning against live evidence never produces one.
-pub fn apply(src: &Program, plan: &RewritePlan) -> Result<Rewritten, String> {
+///
+/// Returns `Ok(None)` when the rebuilt program would be taller than the
+/// parser's [`MAX_HEIGHT`]: inlining a body copies it below its call
+/// site, so a rebuild can be taller than any program the parser accepts,
+/// and every recursive walker downstream relies on that bound. The
+/// rebuild stops at the limit, so the copy itself stays within it too.
+pub fn apply(src: &Program, plan: &RewritePlan) -> Result<Option<Rewritten>, String> {
     let mut copier = Copier {
         src,
         b: ProgramBuilder::new(),
@@ -94,18 +101,23 @@ pub fn apply(src: &Program, plan: &RewritePlan) -> Result<Rewritten, String> {
         plan,
         performed: 0,
         error: None,
+        depth: 0,
+        too_deep: false,
     };
     copier.copy_data_env();
     let root = copier.copy(src.root());
     if let Some(e) = copier.error {
         return Err(e);
     }
+    if copier.too_deep {
+        return Ok(None);
+    }
     let performed = copier.performed;
     let program = copier
         .b
         .finish(root)
         .map_err(|e| format!("rewritten program failed validation: {e}"))?;
-    Ok(Rewritten { program, performed })
+    Ok(Some(Rewritten { program, performed }))
 }
 
 struct Copier<'a> {
@@ -115,6 +127,11 @@ struct Copier<'a> {
     plan: &'a RewritePlan,
     performed: usize,
     error: Option<String>,
+    /// Open [`Copier::copy`] calls: a bound on the height of the output
+    /// built below the current one.
+    depth: usize,
+    /// Whether the rebuild reached [`MAX_HEIGHT`] and was cut short.
+    too_deep: bool,
 }
 
 impl Copier<'_> {
@@ -148,6 +165,17 @@ impl Copier<'_> {
     }
 
     fn copy(&mut self, e: ExprId) -> ExprId {
+        if self.depth == MAX_HEIGHT {
+            self.too_deep = true;
+            return self.b.unit(); // placeholder; the rebuild is dropped
+        }
+        self.depth += 1;
+        let copied = self.copy_step(e);
+        self.depth -= 1;
+        copied
+    }
+
+    fn copy_step(&mut self, e: ExprId) -> ExprId {
         match self.plan.get(e) {
             Some(Action::ElideApp) => {
                 self.performed += 1;
@@ -320,7 +348,7 @@ mod tests {
     #[test]
     fn empty_plan_is_an_alpha_renaming() {
         let p = Program::parse("let val f = fn x => x + 1 in f 41 end").unwrap();
-        let r = apply(&p, &RewritePlan::default()).unwrap();
+        let r = apply(&p, &RewritePlan::default()).unwrap().unwrap();
         assert_eq!(r.performed, 0);
         assert_eq!(r.program.size(), p.size());
         assert_eq!(int_of(&r.program), 42);
@@ -336,7 +364,7 @@ mod tests {
         assert!(plan.insert(site, Action::InlineBound { lam }));
         assert!(plan.insert(letn, Action::DropBinding));
         assert_eq!(plan.rewrites(), 1);
-        let r = apply(&p, &plan).unwrap();
+        let r = apply(&p, &plan).unwrap().unwrap();
         assert_eq!(r.performed, 1);
         assert_eq!(int_of(&r.program), 42);
         assert_eq!(r.program.label_count(), 0);
@@ -364,7 +392,7 @@ mod tests {
             plan.insert(*a, Action::ElideApp);
         }
         assert_eq!(plan.rewrites(), 2);
-        let r = apply(&p, &plan).unwrap();
+        let r = apply(&p, &plan).unwrap().unwrap();
         assert_eq!(r.performed, 1);
         assert_eq!(int_of(&r.program), 7);
     }

@@ -750,18 +750,8 @@ impl Server {
     fn op_stats(&self) -> Json {
         let store = self.store.stats();
         let mut analysis = stcfa_core::AnalysisStats::default();
-        self.store.for_each_resident(|snapshot| {
-            let s = snapshot.engine.stats();
-            analysis.build_nodes += s.build_nodes;
-            analysis.build_edges += s.build_edges;
-            analysis.close_nodes += s.close_nodes;
-            analysis.close_edges += s.close_edges;
-            analysis.edges_processed += s.edges_processed;
-            analysis.demand_registrations += s.demand_registrations;
-            analysis.queries_answered += s.queries_answered;
-            analysis.query_cache_hits += s.query_cache_hits;
-            analysis.query_cache_misses += s.query_cache_misses;
-        });
+        self.store
+            .for_each_resident(|snapshot| analysis += snapshot.engine.stats());
         let sessions = self
             .sessions
             .lock()

@@ -168,6 +168,61 @@ fi
 printf '%s\n' "$smoke_out" | sed -n '2p' | grep -q '"cached":true' \
   || { echo "server smoke: warm analyze was not a cache hit" >&2; exit 1; }
 
+echo "== server: deep-nesting smoke =="
+# Source nested far past the parser's limits is refused with a structured
+# parse error; the daemon then answers stats and exits 0 instead of
+# overflowing a worker's stack (which aborts the process and drops every
+# connection). Then source at the limits, in the shapes that cost the
+# most stack per level, must run analyze, lint and opt --emit through the
+# release CLI on a 2 MiB stack, the size of a daemon worker's. Both
+# limits are read back from the parse errors that name them.
+deep_src="$(printf '(%.0s' $(seq 100000))fn x => x$(printf ')%.0s' $(seq 100000))"
+if ! deep_out="$(printf '%s\n' \
+  "{\"id\":1,\"op\":\"analyze\",\"source\":\"$deep_src\"}" \
+  '{"id":2,"op":"stats"}' \
+  | ./target/release/stcfa serve --stdio --threads 2)"; then
+  echo "deep-nesting smoke: the daemon did not exit 0" >&2; exit 1
+fi
+printf '%s\n' "$deep_out" | cut -c1-160
+[ "$(printf '%s\n' "$deep_out" | wc -l)" = "2" ] \
+  || { echo "deep-nesting smoke: expected 2 responses" >&2; exit 1; }
+printf '%s\n' "$deep_out" | sed -n '1p' | grep -q '"kind":"parse"' \
+  || { echo "deep-nesting smoke: deep source was not a parse error" >&2; exit 1; }
+printf '%s\n' "$deep_out" | sed -n '2p' | grep -q '"ok":true,"result":{"protocol"' \
+  || { echo "deep-nesting smoke: stats went unanswered" >&2; exit 1; }
+nesting="$(printf '%s\n' "$deep_out" | sed -n '1s/.*nests deeper than the limit of \([0-9]*\) levels.*/\1/p')"
+printf 'val x = 1;\n%.0s' $(seq 100000) > "$CI_TMP/tall.ml"
+height="$(./target/release/stcfa "$CI_TMP/tall.ml" --summary 2>&1 >/dev/null \
+  | sed -n 's/.*taller than the limit of \([0-9]*\) levels.*/\1/p')" || true
+[ -n "$nesting" ] && [ -n "$height" ] \
+  || { echo "deep-nesting smoke: the parse errors do not name both limits" >&2; exit 1; }
+nested_src() { # shape, levels
+  case "$1" in
+    let) printf 'let val x = 1 in %.0s' $(seq "$2"); printf 'x'; printf ' end%.0s' $(seq "$2") ;;
+    record) printf '(1, %.0s' $(seq "$2"); printf '1'; printf ')%.0s' $(seq "$2") ;;
+    not) printf 'not %.0s' $(seq "$2"); printf 'true' ;;
+    if) printf 'if true then 1 else %.0s' $(seq "$2"); printf '1' ;;
+    # A declaration chain over a `not` chain at the nesting limit.
+    vals+not) printf 'val x = 1;\n%.0s' $(seq "$2"); nested_src not "$((nesting - 2))" ;;
+  esac
+}
+for shape_levels in "let $((nesting - 2))" "record $((nesting / 2 - 1))" "not $((nesting - 2))" \
+  "if $((nesting - 2))" "vals+not $((height - nesting + 1))"; do
+  set -- $shape_levels
+  nested_src "$1" "$(($2 + 1))" > "$CI_TMP/over.ml"
+  if ./target/release/stcfa "$CI_TMP/over.ml" --summary > /dev/null 2>&1; then
+    echo "deep-nesting smoke: $1 at $(($2 + 1)) levels should be past a limit" >&2; exit 1
+  fi
+  nested_src "$1" "$2" > "$CI_TMP/at.ml"
+  for cmd in "$CI_TMP/at.ml --summary" "lint $CI_TMP/at.ml" "opt $CI_TMP/at.ml --emit"; do
+    # shellcheck disable=SC2086
+    if ! (ulimit -s 2048; exec ./target/release/stcfa $cmd > /dev/null 2>&1); then
+      echo "deep-nesting smoke: \`stcfa $cmd\` failed on the $1 shape at the limit" >&2; exit 1
+    fi
+  done
+done
+echo "-- 100,000-deep source refused with a parse error, stats answered, exit 0; source at the limits ($nesting levels of nesting, $height of tree) runs analyze, lint and opt --emit on a 2 MiB stack"
+
 echo "== persist: warm restart smoke over stdio =="
 # Three daemon generations sharing one --cache-dir. The first builds and
 # persists; the second must answer the same conversation from disk —

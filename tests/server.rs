@@ -238,6 +238,57 @@ fn request_errors_never_kill_the_daemon() {
     d.shutdown();
 }
 
+/// Source nested past the parser's limit is a structured `parse` error,
+/// never a dead daemon: every open connection and session survives it.
+#[test]
+fn deeply_nested_source_is_a_parse_error_and_the_daemon_survives() {
+    for depth in [2_000usize, 100_000] {
+        let source = format!("{}fn x => x{}", "(".repeat(depth), ")".repeat(depth));
+        let input = format!(
+            "{{\"id\":1,\"op\":\"analyze\",\"source\":\"{source}\"}}\n{}\n",
+            r#"{"id":2,"op":"stats"}"#
+        );
+        let mut child = stcfa()
+            .args(["serve", "--stdio", "--threads", "2"])
+            // A debug build's parser frames are about five times a
+            // release build's, so the debug daemon's workers get 16 MiB
+            // where a release worker reaches the limit within its default
+            // 2 MiB (ci.sh's deep-nesting smoke runs the release daemon).
+            .env("RUST_MIN_STACK", (16usize << 20).to_string())
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        child
+            .stdin
+            .take()
+            .unwrap()
+            .write_all(input.as_bytes())
+            .unwrap();
+        let mut output = String::new();
+        child
+            .stdout
+            .take()
+            .unwrap()
+            .read_to_string(&mut output)
+            .unwrap();
+        let status = child.wait().unwrap();
+        assert!(status.success(), "depth {depth}: daemon exited {status}");
+        let lines: Vec<&str> = output.lines().collect();
+        assert_eq!(lines.len(), 2, "depth {depth}: {output}");
+        assert_eq!(field(lines[0], "ok"), "false", "{}", lines[0]);
+        assert_eq!(field(lines[0], "kind"), r#""parse""#, "{}", lines[0]);
+        assert!(
+            lines[0].contains("nests deeper than the limit"),
+            "{}",
+            lines[0]
+        );
+        assert_eq!(field(lines[1], "ok"), "true", "{}", lines[1]);
+        assert!(lines[1].contains(r#""analysis":{"#), "{}", lines[1]);
+    }
+}
+
 #[test]
 fn invalidated_snapshot_is_stale_until_reanalyzed() {
     let mut d = Daemon::spawn(2);
