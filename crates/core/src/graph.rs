@@ -49,19 +49,25 @@ pub struct SubGraph {
 
 /// Out-degree from which a source's edges are deduplicated through
 /// [`SubGraph`]'s hashed edge set instead of a scan of its successor
-/// list. Most nodes have a handful of successors, so the scan is the
-/// common case; the set keeps dedup constant-time on the wide fan-outs
-/// a client's program can create (one binder flowing to every use site,
-/// `TopFun` reaching every abstraction).
+/// list. The set keeps dedup constant-time on the wide fan-outs a
+/// client's program can create (one binder flowing to every use site,
+/// `TopFun` reaching every abstraction). On the benchmark's programs 94%
+/// of dedup checks meet a list of at most three entries and under 0.1%
+/// of nodes ever reach 16 successors; limits from 4 to 64 analyze them
+/// equally fast, and 16 keeps a scan within 64 bytes (DESIGN.md,
+/// "Engine storage").
 const SCAN_LIMIT: usize = 16;
 
 /// One node's successor or predecessor list, in insertion order: up to
-/// three neighbours in place, a heap vector beyond that. Most nodes never
-/// spill, so building the graph allocates per wide node, not per node.
+/// three neighbours in place, a heap vector beyond that. Three `u32`s
+/// are as many as fit in the 24 bytes of a `Vec`, so the inline form
+/// costs no memory over a vector, and they hold over 99% of successor
+/// and predecessor lists on every benchmark workload.
 type Adjacency = SmallList<u32, 3>;
 
-/// One node's demanded operators, in registration order. A node rarely
-/// carries more than two (`dom` and `ran` on a function value).
+/// One node's demanded operators, in registration order. No node in the
+/// benchmark's programs carries more than two (`dom` and `ran` on a
+/// function value).
 type Demands = SmallList<DemandOp, 2>;
 
 /// A short append-only list kept inline up to `N` entries and spilled to a

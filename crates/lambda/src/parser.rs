@@ -75,7 +75,8 @@ impl From<LexError> for ParseError {
 /// Set by measurement on a release build: the deepest program the
 /// benchmark pool draws (`synth8000`, 200 seeds) nests 402 levels, and
 /// input at the limit, in every shape that reaches it, runs `analyze`,
-/// `lint` and `opt --emit` within the 2 MiB a daemon worker thread gets.
+/// `lint` and `opt --emit` within a 2 MiB thread. A debug build needs
+/// about 8.6 MiB; the daemon's request workers get 16 MiB.
 pub const MAX_NESTING: usize = 1000;
 
 /// The tallest expression tree the parser builds, in levels. Loops build
@@ -129,7 +130,6 @@ pub fn parse(source: &str) -> Result<Program, ParseError> {
         b,
         scopes: HashMap::new(),
         shadowed: Vec::new(),
-        pending: Vec::new(),
         depth: 0,
     };
     let root = p.decl_block(BlockKind::TopLevel)?;
@@ -191,7 +191,6 @@ pub fn parse_fragment(
         b: ProgramBuilder::from_program(owned),
         scopes,
         shadowed: Vec::new(),
-        pending: Vec::new(),
         depth: 0,
     };
 
@@ -323,9 +322,6 @@ struct Parser<'a> {
     /// [`Parser::unbind`] restores them. Scopes nest, so every unbind
     /// releases the most recent binding still in force.
     shadowed: Vec<(&'a str, Option<VarId>)>,
-    /// Declarations waiting for the rest of their block, innermost block
-    /// on top (see [`Parser::decl_block`]); one stack serves every block.
-    pending: Vec<Pending<'a>>,
     /// Recursive parsing steps currently open (see [`Parser::nested`]).
     depth: usize,
 }
@@ -486,7 +482,7 @@ impl<'a> Parser<'a> {
     /// [`Parser::check_height`]). The `let` nodes are built innermost
     /// first once the body is parsed, the order recursion would give.
     fn decl_block(&mut self, kind: BlockKind) -> Result<ExprId, ParseError> {
-        let base = self.pending.len();
+        let mut pending = Vec::new();
         loop {
             match self.peek() {
                 Tok::Kw(Kw::Datatype) => self.datatype_decl()?,
@@ -496,7 +492,7 @@ impl<'a> Parser<'a> {
                     let names = self.scan_fun_group()?;
                     if names.len() == 1 {
                         let (name, binder, lam) = self.fun_binding()?;
-                        self.pending.push(Pending::Fun {
+                        pending.push(Pending::Fun {
                             start,
                             name,
                             binder,
@@ -507,7 +503,7 @@ impl<'a> Parser<'a> {
                         for ((name, binder, _), _) in group.outer.iter().zip(&names) {
                             self.push_scope(name, *binder);
                         }
-                        self.pending.push(Pending::Group {
+                        pending.push(Pending::Group {
                             start,
                             names,
                             group,
@@ -518,7 +514,7 @@ impl<'a> Parser<'a> {
                     let start = self.pos();
                     self.bump();
                     let (name, binder, rhs, recursive) = self.val_binding()?;
-                    self.pending.push(Pending::Val {
+                    pending.push(Pending::Val {
                         start,
                         name,
                         binder,
@@ -544,8 +540,7 @@ impl<'a> Parser<'a> {
                 body
             }
         };
-        while self.pending.len() > base {
-            let decl = self.pending.pop().expect("above the block's base");
+        while let Some(decl) = pending.pop() {
             body = match decl {
                 Pending::Fun {
                     start,

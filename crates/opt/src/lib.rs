@@ -153,20 +153,25 @@ pub fn optimize_with(
                 };
                 let planned = pp.plan.rewrites();
                 let mut performed = 0;
-                // A rebuild that would nest past the parser's limit is
-                // dropped whole: the pass performs nothing this round.
-                let rewritten = if pp.plan.is_empty() {
-                    None
-                } else {
-                    rewrite::apply(&current, &pp.plan).map_err(OptError::Rewrite)?
-                };
-                if let Some(rewritten) = rewritten {
-                    performed = rewritten.performed;
-                    current = rewritten.program;
-                    let analysis =
-                        Analysis::run(&current).map_err(|e| OptError::Analysis(e.to_string()))?;
-                    owned_engine = Some(QueryEngine::freeze(&analysis));
-                    cfa = None;
+                let mut skipped = pp.skipped;
+                if !pp.plan.is_empty() {
+                    match rewrite::apply(&current, &pp.plan).map_err(OptError::Rewrite)? {
+                        Some(rewritten) => {
+                            performed = rewritten.performed;
+                            current = rewritten.program;
+                            let analysis = Analysis::run(&current)
+                                .map_err(|e| OptError::Analysis(e.to_string()))?;
+                            owned_engine = Some(QueryEngine::freeze(&analysis));
+                            cfa = None;
+                        }
+                        // The rebuild would nest past the parser's limit
+                        // and is dropped whole: every planned rewrite is
+                        // reported as skipped for that reason.
+                        None => skipped.extend(pp.plan.sites().into_iter().map(|at| Skip {
+                            at,
+                            reason: SkipReason::HeightLimit,
+                        })),
+                    }
                 }
                 performed_this_round += performed;
                 report.passes.push(PassReport {
@@ -174,7 +179,7 @@ pub fn optimize_with(
                     round,
                     planned,
                     performed,
-                    skipped: pp.skipped,
+                    skipped,
                 });
             }
             if performed_this_round == 0 {
@@ -346,6 +351,13 @@ mod tests {
                 let inline = &out.report.passes[0];
                 assert!(inline.planned >= 6, "{:?}", out.report.passes);
                 assert_eq!(inline.performed, 0, "the tall rebuild is dropped");
+                let dropped: Vec<_> = inline
+                    .skipped
+                    .iter()
+                    .filter(|s| s.reason == SkipReason::HeightLimit)
+                    .collect();
+                assert_eq!(dropped.len(), inline.planned, "{:?}", inline.skipped);
+                assert!(out.report.to_json().contains(r#""reason":"height-limit""#));
                 assert_eq!(out.program.size(), p.size());
                 assert!(height(&out.program) <= stcfa_lambda::parser::MAX_HEIGHT);
             })

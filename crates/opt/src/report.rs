@@ -120,6 +120,9 @@ pub enum SkipReason {
     ArgAlreadyUnit,
     /// The per-pass rewrite budget for this round is exhausted.
     Budget,
+    /// The rebuild applying the pass's plan would be taller than the
+    /// parser's height limit, so the whole plan was dropped this round.
+    HeightLimit,
 }
 
 impl SkipReason {
@@ -133,6 +136,7 @@ impl SkipReason {
             SkipReason::ArgNotValue => "arg-not-value",
             SkipReason::ArgAlreadyUnit => "arg-already-unit",
             SkipReason::Budget => "budget-exhausted",
+            SkipReason::HeightLimit => "height-limit",
         }
     }
 }

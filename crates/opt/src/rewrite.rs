@@ -69,6 +69,19 @@ impl RewritePlan {
         self.actions.is_empty()
     }
 
+    /// The occurrences of the planned rewrites, in arena order
+    /// (bookkeeping edits excluded, as in [`RewritePlan::rewrites`]).
+    pub fn sites(&self) -> Vec<ExprId> {
+        let mut sites: Vec<usize> = self
+            .actions
+            .iter()
+            .filter(|(_, action)| !matches!(action, Action::DropBinding))
+            .map(|(&at, _)| at)
+            .collect();
+        sites.sort_unstable();
+        sites.into_iter().map(ExprId::from_index).collect()
+    }
+
     fn get(&self, at: ExprId) -> Option<Action> {
         self.actions.get(&at.index()).copied()
     }

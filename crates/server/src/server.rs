@@ -131,6 +131,28 @@ struct OpenSession {
 /// address.
 const ENGINE_SUB: u64 = 0;
 
+/// Stack size of every thread that handles requests. The parser bounds
+/// source nesting ([`stcfa_lambda::parser::MAX_NESTING`]) and tree height
+/// ([`stcfa_lambda::parser::MAX_HEIGHT`]), and with them the recursion of
+/// every consumer. A request at those limits needs about 1.1 MiB of stack
+/// in a release build and 8.6 MiB in a debug build (analyze, lint and
+/// `opt --emit` on each nesting shape, x86-64), so 16 MiB covers both
+/// profiles with room to spare. A thread commits only the stack pages it
+/// touches, so a worker costs no more memory than on the default 2 MiB
+/// stack until a request goes deep.
+const WORKER_STACK: usize = 16 << 20;
+
+/// Spawns a request-handling thread on `scope` with [`WORKER_STACK`].
+fn spawn_worker<'scope, F>(scope: &'scope std::thread::Scope<'scope, '_>, f: F)
+where
+    F: FnOnce() + Send + 'scope,
+{
+    std::thread::Builder::new()
+        .stack_size(WORKER_STACK)
+        .spawn_scoped(scope, f)
+        .expect("spawn a request worker");
+}
+
 impl Server {
     /// A daemon with the given options and an empty snapshot store (which
     /// warms lazily from `cache_dir`, when one is configured).
@@ -1099,7 +1121,7 @@ impl Server {
         let mut io_result = Ok(());
         std::thread::scope(|scope| {
             for _ in 0..self.options.threads.max(1) {
-                scope.spawn(|| {
+                spawn_worker(scope, || {
                     loop {
                         let job = shared.next_job();
                         let Some(job) = job else { break };
@@ -1219,7 +1241,7 @@ impl Server {
         std::thread::scope(|scope| {
             let pool_ref = &pool;
             for w in 0..pool.workers() {
-                scope.spawn(move || {
+                spawn_worker(scope, move || {
                     pool_ref.worker_loop(w, &|line, received| self.handle_line(line, received));
                 });
             }
@@ -1424,6 +1446,8 @@ impl Server {
             }
             for stream in acceptor.drain() {
                 let wake = Arc::clone(&notify);
+                // The connection thread only writes responses; the
+                // pipeline it runs spawns its own request workers.
                 scope.spawn(move || {
                     let _ = self.serve_tcp_connection(stream);
                     // A finished connection may have latched shutdown:

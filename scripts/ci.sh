@@ -174,8 +174,8 @@ echo "== server: deep-nesting smoke =="
 # overflowing a worker's stack (which aborts the process and drops every
 # connection). Then source at the limits, in the shapes that cost the
 # most stack per level, must run analyze, lint and opt --emit through the
-# release CLI on a 2 MiB stack, the size of a daemon worker's. Both
-# limits are read back from the parse errors that name them.
+# release CLI on a 2 MiB stack, and through the daemon's request workers.
+# Both limits are read back from the parse errors that name them.
 deep_src="$(printf '(%.0s' $(seq 100000))fn x => x$(printf ')%.0s' $(seq 100000))"
 if ! deep_out="$(printf '%s\n' \
   "{\"id\":1,\"op\":\"analyze\",\"source\":\"$deep_src\"}" \
@@ -220,8 +220,19 @@ for shape_levels in "let $((nesting - 2))" "record $((nesting / 2 - 1))" "not $(
       echo "deep-nesting smoke: \`stcfa $cmd\` failed on the $1 shape at the limit" >&2; exit 1
     fi
   done
+  at_src="$(tr '\n' ' ' < "$CI_TMP/at.ml")"
+  printf '%s\n' \
+    "{\"op\":\"analyze\",\"source\":\"$at_src\"}" \
+    "{\"op\":\"lint\",\"source\":\"$at_src\"}" \
+    "{\"v\":2,\"op\":\"opt\",\"source\":\"$at_src\",\"emit\":true}" >> "$CI_TMP/at_limit.jsonl"
 done
-echo "-- 100,000-deep source refused with a parse error, stats answered, exit 0; source at the limits ($nesting levels of nesting, $height of tree) runs analyze, lint and opt --emit on a 2 MiB stack"
+if ! at_out="$(./target/release/stcfa serve --stdio --threads 2 < "$CI_TMP/at_limit.jsonl")"; then
+  echo "deep-nesting smoke: the daemon did not exit 0 on source at the limits" >&2; exit 1
+fi
+at_requests="$(wc -l < "$CI_TMP/at_limit.jsonl")"
+[ "$(printf '%s\n' "$at_out" | grep -c '"ok":true')" = "$at_requests" ] \
+  || { echo "deep-nesting smoke: the daemon failed a request at the limits" >&2; printf '%s\n' "$at_out" | cut -c1-200 >&2; exit 1; }
+echo "-- 100,000-deep source refused with a parse error, stats answered, exit 0; source at the limits ($nesting levels of nesting, $height of tree) runs analyze, lint and opt --emit on a 2 MiB stack and on the daemon's workers ($at_requests requests)"
 
 echo "== persist: warm restart smoke over stdio =="
 # Three daemon generations sharing one --cache-dir. The first builds and

@@ -250,11 +250,6 @@ fn deeply_nested_source_is_a_parse_error_and_the_daemon_survives() {
         );
         let mut child = stcfa()
             .args(["serve", "--stdio", "--threads", "2"])
-            // A debug build's parser frames are about five times a
-            // release build's, so the debug daemon's workers get 16 MiB
-            // where a release worker reaches the limit within its default
-            // 2 MiB (ci.sh's deep-nesting smoke runs the release daemon).
-            .env("RUST_MIN_STACK", (16usize << 20).to_string())
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
@@ -287,6 +282,65 @@ fn deeply_nested_source_is_a_parse_error_and_the_daemon_survives() {
         assert_eq!(field(lines[1], "ok"), "true", "{}", lines[1]);
         assert!(lines[1].contains(r#""analysis":{"#), "{}", lines[1]);
     }
+}
+
+/// Source at the parser's limits runs `analyze`, `lint` and `opt --emit`
+/// on a daemon worker, in the shapes that cost the most stack per level:
+/// the worker's stack covers the deepest input the parser accepts, in
+/// this (debug) build as in a release build.
+#[test]
+fn source_at_the_nesting_limits_runs_on_a_daemon_worker() {
+    use stcfa::lambda::parser::{MAX_HEIGHT, MAX_NESTING};
+    let nots = |n: usize| format!("{}true", "not ".repeat(n));
+    let shapes = [
+        (
+            "let",
+            format!(
+                "{}x{}",
+                "let val x = 1 in ".repeat(MAX_NESTING - 2),
+                " end".repeat(MAX_NESTING - 2)
+            ),
+        ),
+        (
+            "record",
+            format!(
+                "{}1{}",
+                "(1, ".repeat(MAX_NESTING / 2 - 1),
+                ")".repeat(MAX_NESTING / 2 - 1)
+            ),
+        ),
+        ("not", nots(MAX_NESTING - 2)),
+        (
+            "if",
+            format!("{}1", "if true then 1 else ".repeat(MAX_NESTING - 2)),
+        ),
+        // A declaration chain over a `not` chain at the nesting limit.
+        (
+            "vals+not",
+            format!(
+                "{}{}",
+                "val x = 1; ".repeat(MAX_HEIGHT - MAX_NESTING + 1),
+                nots(MAX_NESTING - 2)
+            ),
+        ),
+    ];
+    let mut d = Daemon::spawn(2);
+    for (shape, source) in shapes {
+        for request in [
+            format!(r#"{{"op":"analyze","source":"{source}"}}"#),
+            format!(r#"{{"op":"lint","source":"{source}"}}"#),
+            format!(r#"{{"v":2,"op":"opt","source":"{source}","emit":true}}"#),
+        ] {
+            let response = d.roundtrip(&request);
+            assert_eq!(
+                field(&response, "ok"),
+                "true",
+                "{shape}: {}",
+                &response[..response.len().min(200)]
+            );
+        }
+    }
+    d.shutdown();
 }
 
 #[test]
