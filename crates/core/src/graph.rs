@@ -82,25 +82,15 @@ enum SmallList<T, const N: usize> {
     Spilled(Vec<T>),
 }
 
-impl Default for Adjacency {
-    fn default() -> Self {
-        SmallList::Inline {
-            len: 0,
-            items: [0; 3],
-        }
-    }
-}
-
-impl Default for Demands {
-    fn default() -> Self {
-        SmallList::Inline {
-            len: 0,
-            items: [DemandOp::Dom; 2],
-        }
-    }
-}
-
 impl<T: Copy, const N: usize> SmallList<T, N> {
+    /// An empty list; `filler` only initializes the unused inline slots.
+    fn empty(filler: T) -> Self {
+        SmallList::Inline {
+            len: 0,
+            items: [filler; N],
+        }
+    }
+
     #[inline]
     fn as_slice(&self) -> &[T] {
         match self {
@@ -179,9 +169,9 @@ impl SubGraph {
     /// Grows per-node storage to cover `n` nodes.
     pub fn ensure_nodes(&mut self, n: usize) {
         if self.succs.len() < n {
-            self.succs.resize(n, Adjacency::default());
-            self.preds.resize(n, Adjacency::default());
-            self.demands.resize(n, Demands::default());
+            self.succs.resize(n, Adjacency::empty(0));
+            self.preds.resize(n, Adjacency::empty(0));
+            self.demands.resize(n, Demands::empty(DemandOp::Dom));
         }
     }
 
