@@ -4,8 +4,8 @@
 //! The paper's thesis is that the "all calls from all call sites" view of
 //! CFA is the wrong interface: consumers should run directly on the
 //! subtransitive graph, never materializing the quadratic table. This
-//! crate implements the paper's three consumers plus the optimization they
-//! motivate:
+//! crate implements the paper's three consumers plus the call graph the
+//! rule layer's dominators read:
 //!
 //! - [`mod@effects`] — which expressions may have side effects (Section 8), by
 //!   graph colouring; with a quadratic reference implementation for
@@ -16,10 +16,9 @@
 //!   (abstract, third bullet).
 //! - [`callgraph`] — per-function call-graph construction (reachability,
 //!   recursion detection).
-//! - [`deadcode`] — dead-binding elimination driven by the effects
-//!   analysis.
-//! - [`inline`] — an inliner that combines 1-limited and called-once
-//!   analysis and rewrites the program.
+//!
+//! The optimization these analyses motivate — called-once inlining and
+//! dead-code removal — is the `stcfa-opt` pipeline.
 //!
 //! ```
 //! use stcfa_lambda::Program;
@@ -35,14 +34,10 @@
 
 pub mod called_once;
 pub mod callgraph;
-pub mod deadcode;
 pub mod effects;
-pub mod inline;
 pub mod klimited;
 
 pub use called_once::{CallSites, CalledOnce};
 pub use callgraph::CallGraph;
-pub use deadcode::{eliminate_dead_bindings, DeadCodeStats};
 pub use effects::{effects, effects_via_cfa0, Effects};
-pub use inline::{find_candidates, inline_once, Candidate, InlineError};
 pub use klimited::{KLimited, KSet};

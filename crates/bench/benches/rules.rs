@@ -1,11 +1,11 @@
-//! The rule layer vs its hand-fused twins: what does declarativity
-//! cost? Three comparisons per program size —
+//! What does the rule layer cost? Three measurements per program size —
 //!
-//! 1. the full hand-fused lint report vs the rule-backed STCFA002/004/005
-//!    backend (`lint_rule_backed`, which includes `ExtDb` construction
-//!    the way a cold request pays it);
+//! 1. the full lint report (all eight rules, STCFA007/008 evaluated by
+//!    the rule engine, including `ExtDb` construction the way a cold
+//!    request pays it);
 //! 2. the semi-naive dominator program over the call graph, cold
-//!    (fresh `ExtDb`) and warm (derived tables cached);
+//!    (fresh `ExtDb`) and warm (derived tables cached), and STCFA008's
+//!    whole dominated-redundant analysis on a fresh `ExtDb`;
 //! 3. taint reachability, full sweep vs a single demand-mode
 //!    membership query — the asymmetry the demand evaluator exists for.
 //!
@@ -17,8 +17,8 @@ use stcfa_core::{Analysis, QueryEngine};
 use stcfa_devkit::bench::{BenchmarkId, Criterion};
 use stcfa_devkit::{criterion_group, criterion_main};
 use stcfa_lambda::Program;
-use stcfa_lint::{lint, lint_rule_backed, LintOptions};
-use stcfa_rules::{dominators, expr_is_tainted, tainted_exprs, ExtDb};
+use stcfa_lint::{lint, LintOptions};
+use stcfa_rules::{dominated_redundant, dominators, expr_is_tainted, tainted_exprs, ExtDb};
 use stcfa_workloads::cubic;
 use stcfa_workloads::synth::{generate, SynthConfig};
 use std::hint::black_box;
@@ -50,16 +50,11 @@ fn bench_rules(c: &mut Criterion) {
         let q = QueryEngine::freeze(&a);
         q.prepare();
 
-        // 1. Full hand-fused report vs the rule-backed subset backend.
+        // 1. The full lint report.
         group.bench_with_input(
             BenchmarkId::new("lint_hand_fused", &name),
             &(&p, &a, &q),
             |b, (p, a, q)| b.iter(|| black_box(lint(p, a, q, &LintOptions { threads: 1 }))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("lint_rule_backed", &name),
-            &(&p, &a, &q),
-            |b, (p, a, q)| b.iter(|| black_box(lint_rule_backed(p, a, q))),
         );
 
         // 2. Dominators: cold pays ExtDb + call-graph derivation, warm
@@ -80,18 +75,26 @@ fn bench_rules(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dominators_warm", &name), &db, |b, db| {
             b.iter(|| black_box(dominators(db)))
         });
+        // STCFA008's rule-engine cost as lint pays it: a fresh `ExtDb`,
+        // the call graph, the dominator program and the glue join.
+        group.bench_with_input(
+            BenchmarkId::new("dominated_redundant_cold", &name),
+            &(&p, &a, &q),
+            |b, (p, a, q)| {
+                b.iter(|| {
+                    let db = ExtDb::new(p, a, q);
+                    black_box(dominated_redundant(&db))
+                })
+            },
+        );
 
         // 3. Taint: the whole-program sweep vs one demand-mode
         // membership question at the root, same sources (the
         // effectful-bodied labels, or label 0 when there are none).
         let sources: Vec<_> = {
-            let eff = db.effects();
             let mut s: Vec<_> = p
                 .all_labels()
-                .filter(|&l| match p.kind(p.lam_of_label(l)) {
-                    stcfa_lambda::ExprKind::Lam { body, .. } => eff.is_effectful(*body),
-                    _ => false,
-                })
+                .filter(|&l| db.label_is_effectful(l))
                 .collect();
             if s.is_empty() {
                 s.extend(p.all_labels().take(1));

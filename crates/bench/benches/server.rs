@@ -153,11 +153,10 @@ fn bench_server(c: &mut Criterion) {
     group.finish();
 }
 
-/// Boots a daemon on an ephemeral loopback port — either the
-/// nonblocking event-loop fleet or the legacy thread-per-connection
-/// transport — runs `f` against the bound address, then drives a clean
-/// protocol shutdown and joins the serve thread.
-fn with_tcp_server(threaded: bool, f: impl FnOnce(&str)) {
+/// Boots a daemon on an ephemeral loopback port through the nonblocking
+/// event-loop fleet, runs `f` against the bound address, then drives a
+/// clean protocol shutdown and joins the serve thread.
+fn with_tcp_server(f: impl FnOnce(&str)) {
     let server = Server::new(ServerOptions {
         threads: 2,
         // Nominal load for the 256-connection soak is 2048 frames in
@@ -170,11 +169,7 @@ fn with_tcp_server(threaded: bool, f: impl FnOnce(&str)) {
         let srv = &server;
         scope.spawn(move || {
             let on_bound = move |a: std::net::SocketAddr| tx.send(a).unwrap();
-            if threaded {
-                srv.serve_tcp_threaded("127.0.0.1:0", on_bound).unwrap();
-            } else {
-                srv.serve_tcp("127.0.0.1:0", on_bound).unwrap();
-            }
+            srv.serve_tcp("127.0.0.1:0", on_bound).unwrap();
         });
         let addr = rx.recv().unwrap().to_string();
         f(&addr);
@@ -196,14 +191,10 @@ fn bench_soak(c: &mut Criterion) {
     // repeats. The tiny identity source keeps per-request engine work
     // negligible so the measurement isolates the *transport*: framing,
     // dispatch, scheduling, and write-path behaviour under concurrency.
-    let cases: &[(&str, bool, usize)] = &[
-        ("fleet/c64", false, 64),
-        ("threaded/c64", true, 64),
-        ("fleet/c256", false, 256),
-    ];
-    for &(name, threaded, connections) in cases {
+    let cases: &[(&str, usize)] = &[("fleet/c64", 64), ("fleet/c256", 256)];
+    for &(name, connections) in cases {
         let mut last: Option<SoakReport> = None;
-        with_tcp_server(threaded, |addr| {
+        with_tcp_server(|addr| {
             let config = SoakConfig {
                 addr: addr.to_owned(),
                 connections,

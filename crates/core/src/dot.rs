@@ -14,9 +14,7 @@ use crate::node::{NodeId, NodeKind};
 pub fn describe(analysis: &Analysis, program: &Program, n: NodeId) -> String {
     match analysis.nodes().kind(n) {
         NodeKind::Expr(e) => match program.kind(e) {
-            ExprKind::Lam { label, param, .. } => {
-                format!("λ{}#{}", program.var_name(*param), label.index())
-            }
+            ExprKind::Lam { label, .. } => program.label_name(*label),
             ExprKind::App { .. } => format!("app@{}", e.index()),
             ExprKind::Record(_) => format!("record@{}", e.index()),
             ExprKind::Con { con, .. } => format!(

@@ -631,6 +631,16 @@ impl Program {
         self.labels[label.index()]
     }
 
+    /// The display name of the abstraction carrying `label`:
+    /// `λ<param>#<label index>`, as the CLI, the protocol, lint messages
+    /// and DOT output print it.
+    pub fn label_name(&self, label: Label) -> String {
+        let ExprKind::Lam { param, .. } = self.kind(self.lam_of_label(label)) else {
+            unreachable!("every label carries an abstraction")
+        };
+        format!("λ{}#{}", self.var_name(*param), label.index())
+    }
+
     /// If `id` is an abstraction, its label.
     pub fn label_of(&self, id: ExprId) -> Option<Label> {
         match self.kind(id) {

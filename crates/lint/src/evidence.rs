@@ -95,11 +95,11 @@ pub fn is_machinery(program: &Program, lam: ExprId) -> bool {
     }
 }
 
-/// The `STCFA003` evidence: every non-machinery abstraction the engine
-/// proves invoked from exactly one call site, with that site. Sorted by
-/// label index (the program's label order).
-pub fn called_once_evidence(program: &Program, engine: &QueryEngine) -> Vec<(Label, ExprId)> {
-    let sites = CalledOnce::via_engine(program, engine);
+/// The `STCFA003` evidence: every non-machinery abstraction that
+/// `sites` (the engine-backed [`CalledOnce::via_engine`] count) proves
+/// invoked from exactly one call site, with that site. Sorted by label
+/// index (the program's label order).
+pub fn called_once_evidence(program: &Program, sites: &CalledOnce) -> Vec<(Label, ExprId)> {
     let mut out = Vec::new();
     for l in program.all_labels() {
         if is_machinery(program, program.lam_of_label(l)) {
@@ -164,7 +164,8 @@ mod tests {
     #[test]
     fn called_once_and_useless_params() {
         let (p, engine) = setup("fun konst a b = a; konst 1 2");
-        assert!(!called_once_evidence(&p, &engine).is_empty());
+        let sites = CalledOnce::via_engine(&p, &engine);
+        assert!(!called_once_evidence(&p, &sites).is_empty());
         let useless = useless_param_evidence(&p, &engine);
         assert_eq!(useless.len(), 1);
         assert_eq!(p.var_name(useless[0].1), "b");

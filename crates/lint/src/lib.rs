@@ -5,7 +5,7 @@
 //! the subtransitive graph is that CFA-*consuming* analyses run in linear
 //! time directly on the graph. This crate turns those analyses into a
 //! user-facing diagnostics product: a set of rules with stable codes
-//! (`STCFA001`–`STCFA006`), severities, and source spans, all answered
+//! (`STCFA001`–`STCFA008`), severities, and source spans, all answered
 //! through a frozen [`QueryEngine`](stcfa_core::QueryEngine) snapshot —
 //! no per-rule BFS, no materialized quadratic closure.
 //!
@@ -26,10 +26,9 @@
 //! `STCFA_QUERY_THREADS` setting: diagnostics are sorted by occurrence id
 //! then rule code, and every engine query is answered positionally.
 //!
-//! `STCFA002/004/005` also exist as declarative rule programs evaluated
-//! by the [`stcfa_rules`] engine — [`lint_rule_backed`] runs them and is
-//! byte-identical to [`lint`] filtered to those codes, and
-//! [`explain`](explain()) prints the program behind any code.
+//! `STCFA007/008` are declarative rule programs evaluated by the
+//! [`stcfa_rules`] engine; [`explain`](explain()) prints the program
+//! behind them, and the definition behind every other code.
 //!
 //! # Example
 //!
@@ -52,11 +51,9 @@ pub mod evidence;
 pub mod explain;
 pub mod render;
 pub mod rules;
-pub mod rules_backed;
 
 pub use diag::Confidence;
 pub use diag::{Diagnostic, RuleCode, Severity};
 pub use explain::explain;
 pub use render::{render_json, render_text};
 pub use rules::{lint, lint_with_suspicion, LintOptions};
-pub use rules_backed::{lint_rule_backed, RULE_BACKED_CODES};

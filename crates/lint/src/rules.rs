@@ -11,7 +11,6 @@
 use std::cell::OnceCell;
 
 use stcfa_apps::called_once::{CallSites, CalledOnce};
-use stcfa_apps::effects::effects;
 use stcfa_cfa0::Cfa0;
 use stcfa_core::{Analysis, QueryEngine};
 use stcfa_lambda::{ExprId, ExprKind, Label, Program};
@@ -39,88 +38,11 @@ impl Default for LintOptions {
     }
 }
 
-/// A display name for the abstraction with label `l`: `λ<param>#<index>`.
-pub(crate) fn lam_name(program: &Program, l: Label) -> String {
-    let lam = program.lam_of_label(l);
-    match program.kind(lam) {
-        ExprKind::Lam { param, .. } => {
-            format!("λ{}#{}", program.var_name(*param), l.index())
-        }
-        _ => format!("λ#{}", l.index()),
-    }
-}
-
 /// A short source location for cross-references inside messages.
-pub(crate) fn place(program: &Program, e: ExprId) -> String {
+fn place(program: &Program, e: ExprId) -> String {
     match program.span(e) {
         Some(s) => format!("{}:{}", s.start.line, s.start.col),
         None => format!("occurrence {}", e.index()),
-    }
-}
-
-/// The STCFA002 diagnostic for label `l`. Shared by the hand-fused
-/// linter and the rule-engine backend so the two are byte-identical by
-/// construction; the differential test then checks the *logic* agrees.
-/// Proven when the whole snapshot is suspicion-free: the engine then
-/// equals the exact analysis, so absence of call sites is exact absence
-/// (under `Forget` the engine can also *cut* flow, so engine-absence
-/// alone does not prove anything).
-pub(crate) fn diag_never_invoked(
-    program: &Program,
-    suspicion: &SuspicionIndex,
-    l: Label,
-) -> Diagnostic {
-    let lam = program.lam_of_label(l);
-    let d = Diagnostic::at(
-        RuleCode::NeverInvokedAbstraction,
-        lam,
-        program,
-        format!("abstraction {} is never invoked", lam_name(program, l)),
-    );
-    if suspicion.all_exact() {
-        d.proven()
-    } else {
-        d
-    }
-}
-
-/// The STCFA004 diagnostic for parameter `param` of abstraction `lam`.
-pub(crate) fn diag_useless_param(
-    program: &Program,
-    param: stcfa_lambda::VarId,
-    lam: ExprId,
-) -> Diagnostic {
-    Diagnostic::at(
-        RuleCode::UselessParameter,
-        lam,
-        program,
-        format!("parameter `{}` is never used", program.var_name(param)),
-    )
-}
-
-/// The STCFA005 diagnostic for label `l`. Proven when the program
-/// result's cone is suspicion-free: "escapes" was read off `L(root)`,
-/// and a certified-exact root set cannot carry a spurious label.
-pub(crate) fn diag_escaping_effectful(
-    program: &Program,
-    engine: &QueryEngine,
-    suspicion: &SuspicionIndex,
-    l: Label,
-) -> Diagnostic {
-    let lam = program.lam_of_label(l);
-    let d = Diagnostic::at(
-        RuleCode::EscapingEffectfulClosure,
-        lam,
-        program,
-        format!(
-            "effectful closure {} escapes to the program result",
-            lam_name(program, l)
-        ),
-    );
-    if suspicion.of_expr(engine, program.root()) == 0 {
-        d.proven()
-    } else {
-        d
     }
 }
 
@@ -194,6 +116,10 @@ pub fn lint_with_suspicion(
     // --- STCFA002 / STCFA003: call-site counts per abstraction, via the
     // engine-backed called-once analysis. Labels that flow to the program
     // result escape to the consumer, so "never invoked" does not apply.
+    // STCFA002 is proven when the whole snapshot is suspicion-free: the
+    // engine then equals the exact analysis, so absence of call sites is
+    // exact absence (under `Forget` the engine can also *cut* flow, so
+    // engine-absence alone does not prove anything).
     let sites = CalledOnce::via_engine(program, engine);
     let escaping = engine.labels_of(program.root());
     for l in program.all_labels() {
@@ -203,17 +129,23 @@ pub fn lint_with_suspicion(
             continue;
         }
         if matches!(sites.of(l), CallSites::None) && escaping.binary_search(&l).is_err() {
-            out.push(diag_never_invoked(program, suspicion, l));
+            let d = Diagnostic::at(
+                RuleCode::NeverInvokedAbstraction,
+                program.lam_of_label(l),
+                program,
+                format!("abstraction {} is never invoked", program.label_name(l)),
+            );
+            out.push(if suspicion.all_exact() { d.proven() } else { d });
         }
     }
-    for (l, site) in evidence::called_once_evidence(program, engine) {
+    for (l, site) in evidence::called_once_evidence(program, &sites) {
         let mut d = Diagnostic::at(
             RuleCode::CalledOnceInline,
             program.lam_of_label(l),
             program,
             format!(
                 "abstraction {} is called exactly once (at {}); inline candidate",
-                lam_name(program, l),
+                program.label_name(l),
                 place(program, site)
             ),
         );
@@ -232,21 +164,34 @@ pub fn lint_with_suspicion(
     // --- STCFA004: parameters with no occurrence, exemptions applied by
     // the shared evidence module.
     for (lam, param) in evidence::useless_param_evidence(program, engine) {
-        out.push(diag_useless_param(program, param, lam));
+        out.push(Diagnostic::at(
+            RuleCode::UselessParameter,
+            lam,
+            program,
+            format!("parameter `{}` is never used", program.var_name(param)),
+        ));
     }
 
     // --- STCFA005: effectful closures escaping to the program result.
-    // The linear colouring needs the analysis graph itself; run it only
-    // when something escapes at all.
-    if !escaping.is_empty() {
-        let eff = effects(program, analysis);
-        for &l in &escaping {
-            let lam = program.lam_of_label(l);
-            if let ExprKind::Lam { body, .. } = program.kind(lam) {
-                if eff.is_effectful(*body) {
-                    out.push(diag_escaping_effectful(program, engine, suspicion, l));
-                }
-            }
+    // The linear colouring needs the analysis graph itself; the rule
+    // database computes it once for this rule and STCFA007. Proven when
+    // the program result's cone is suspicion-free: "escapes" was read
+    // off `L(root)`, and a certified-exact root set cannot carry a
+    // spurious label.
+    let db = ExtDb::new(program, analysis, engine);
+    let root_exact = suspicion.of_expr(engine, program.root()) == 0;
+    for &l in &escaping {
+        if db.label_is_effectful(l) {
+            let d = Diagnostic::at(
+                RuleCode::EscapingEffectfulClosure,
+                program.lam_of_label(l),
+                program,
+                format!(
+                    "effectful closure {} escapes to the program result",
+                    program.label_name(l)
+                ),
+            );
+            out.push(if root_exact { d.proven() } else { d });
         }
     }
 
@@ -256,14 +201,9 @@ pub fn lint_with_suspicion(
     // label sets may merge an effectful and a pure abstraction (007) or
     // are still singletons under the exact analysis (008) only when the
     // oracle agrees.
-    let db = ExtDb::new(program, analysis, engine);
     let mixed = mixed_purity(&db);
     if !mixed.is_empty() {
-        let eff = db.effects();
-        let eff_of = |l: Label| match program.kind(program.lam_of_label(l)) {
-            ExprKind::Lam { body, .. } => eff.is_effectful(*body),
-            _ => false,
-        };
+        let eff_of = |l: Label| db.label_is_effectful(l);
         let cfa = cfa_cell.get_or_init(|| Cfa0::analyze(program));
         for (app, func) in mixed {
             let exact = cfa.labels(program, func);
@@ -282,8 +222,8 @@ pub fn lint_with_suspicion(
                 program,
                 format!(
                     "mixed-purity call: the operator may invoke effectful {} or pure {}",
-                    lam_name(program, e),
-                    lam_name(program, p)
+                    program.label_name(e),
+                    program.label_name(p)
                 ),
             ));
         }
@@ -292,13 +232,9 @@ pub fn lint_with_suspicion(
     if !redundant.is_empty() {
         let cfa = cfa_cell.get_or_init(|| Cfa0::analyze(program));
         for r in redundant {
-            // Desugaring machinery (`$…` parameters) is not the user's
-            // code; skip it, matching STCFA002/003.
-            let machinery = match program.kind(program.lam_of_label(r.target)) {
-                ExprKind::Lam { param, .. } => program.var_name(*param).starts_with('$'),
-                _ => false,
-            };
-            if machinery {
+            // Desugaring machinery is not the user's code; skip it,
+            // matching STCFA002/003.
+            if evidence::is_machinery(program, program.lam_of_label(r.target)) {
                 continue;
             }
             let exact = cfa.labels(program, r.func);
@@ -311,7 +247,7 @@ pub fn lint_with_suspicion(
                 program,
                 format!(
                     "dominated-redundant application: every call path already applies {} at {}",
-                    lam_name(program, r.target),
+                    program.label_name(r.target),
                     place(program, r.by_app)
                 ),
             ));

@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use stcfa_apps::called_once::CalledOnce;
 use stcfa_cfa0::{Cfa0, LiveCfa0};
 use stcfa_core::{Answer, Query, QueryEngine};
 use stcfa_lambda::{ExprId, ExprKind, Label, Literal, Program};
@@ -85,7 +86,7 @@ pub fn dead_apps(
 /// moving the body when closures cross activations.
 pub fn inline_once(program: &Program, engine: &QueryEngine, cfa: &Cfa0, budget: usize) -> PassPlan {
     let mut out = PassPlan::default();
-    let ev = evidence::called_once_evidence(program, engine);
+    let ev = evidence::called_once_evidence(program, &CalledOnce::via_engine(program, engine));
     if ev.is_empty() {
         return out;
     }

@@ -1,8 +1,6 @@
-//! The shipped rule programs: the three ported lint analyses
-//! (never-invoked, useless-parameter, escaping-effectful), the
-//! call-graph dominator relation, taint-style source→sink reachability,
-//! and the mixed-purity / dominated-redundant analyses behind lint codes
-//! STCFA007 and STCFA008.
+//! The shipped rule programs: the call-graph dominator relation,
+//! taint-style source→sink reachability, and the mixed-purity /
+//! dominated-redundant analyses behind lint codes STCFA007 and STCFA008.
 //!
 //! Each analysis comes as a pair: a `*_program()` constructor returning
 //! the declarative [`RuleProgram`] (what `stcfa lint --explain` prints)
@@ -10,142 +8,11 @@
 //! answer relation into typed ids.
 
 use stcfa_graph::BitSet;
-use stcfa_lambda::{ExprId, ExprKind, Label, VarId};
+use stcfa_lambda::{ExprId, ExprKind, Label};
 
 use crate::edb::ExtDb;
 use crate::eval::Evaluator;
-use crate::program::{head, neg, neq, pos, var, Dom, RelId, RuleProgram, WILD};
-
-/// `never_invoked`: labels of abstractions no application can call and
-/// that do not escape to the program result (rule form of STCFA002).
-pub fn never_invoked_program() -> (RuleProgram, RelId) {
-    let mut p = RuleProgram::new();
-    let app_func = p.edb("app_func", &[Dom::Expr, Dom::Expr]);
-    let expr_label = p.edb("expr_label", &[Dom::Expr, Dom::Label]);
-    let root_expr = p.edb("root_expr", &[Dom::Expr]);
-    let lam_label = p.edb("lam_label", &[Dom::Label, Dom::Expr]);
-    let machinery = p.edb("machinery_label", &[Dom::Label]);
-    let invoked = p.decl("invoked", &[Dom::Label]);
-    let escaping = p.decl("escaping", &[Dom::Label]);
-    let report = p.decl("never_invoked", &[Dom::Label]);
-    p.rule(
-        head(invoked, &[var("l")]),
-        vec![
-            pos(app_func, &[WILD, var("e")]),
-            pos(expr_label, &[var("e"), var("l")]),
-        ],
-    )
-    .expect("well-formed");
-    p.rule(
-        head(escaping, &[var("l")]),
-        vec![
-            pos(root_expr, &[var("e")]),
-            pos(expr_label, &[var("e"), var("l")]),
-        ],
-    )
-    .expect("well-formed");
-    p.rule(
-        head(report, &[var("l")]),
-        vec![
-            pos(lam_label, &[var("l"), WILD]),
-            neg(invoked, &[var("l")]),
-            neg(escaping, &[var("l")]),
-            neg(machinery, &[var("l")]),
-        ],
-    )
-    .expect("well-formed");
-    (p, report)
-}
-
-/// Evaluates [`never_invoked_program`]; labels in increasing order.
-pub fn never_invoked(db: &ExtDb<'_>) -> Vec<Label> {
-    let (p, report) = never_invoked_program();
-    let mut ev = Evaluator::new(&p, db).expect("program is well-formed");
-    ev.run();
-    ev.unary(report)
-        .into_iter()
-        .map(|l| Label::from_index(l as usize))
-        .collect()
-}
-
-/// `useless_param`: λ parameters with no occurrences (rule form of
-/// STCFA004). The answer pairs each parameter with its abstraction.
-pub fn useless_param_program() -> (RuleProgram, RelId) {
-    let mut p = RuleProgram::new();
-    let occurrence = p.edb("occurrence", &[Dom::Var, Dom::Expr]);
-    let param = p.edb("param", &[Dom::Var, Dom::Expr]);
-    let exempt = p.edb("exempt_var", &[Dom::Var]);
-    let used = p.decl("used", &[Dom::Var]);
-    let report = p.decl("useless_param", &[Dom::Var, Dom::Expr]);
-    p.rule(
-        head(used, &[var("v")]),
-        vec![pos(occurrence, &[var("v"), WILD])],
-    )
-    .expect("well-formed");
-    p.rule(
-        head(report, &[var("v"), var("lam")]),
-        vec![
-            pos(param, &[var("v"), var("lam")]),
-            neg(used, &[var("v")]),
-            neg(exempt, &[var("v")]),
-        ],
-    )
-    .expect("well-formed");
-    (p, report)
-}
-
-/// Evaluates [`useless_param_program`]; `(binder, lambda)` pairs in
-/// increasing binder order.
-pub fn useless_param(db: &ExtDb<'_>) -> Vec<(VarId, ExprId)> {
-    let (p, report) = useless_param_program();
-    let mut ev = Evaluator::new(&p, db).expect("program is well-formed");
-    ev.run();
-    ev.pairs(report)
-        .into_iter()
-        .map(|(v, e)| {
-            (
-                VarId::from_index(v as usize),
-                ExprId::from_index(e as usize),
-            )
-        })
-        .collect()
-}
-
-/// `escaping_effectful`: effectful abstractions reaching the program
-/// result (rule form of STCFA005).
-pub fn escaping_effectful_program() -> (RuleProgram, RelId) {
-    let mut p = RuleProgram::new();
-    let root_expr = p.edb("root_expr", &[Dom::Expr]);
-    let expr_label = p.edb("expr_label", &[Dom::Expr, Dom::Label]);
-    let effectful = p.edb("effectful_label", &[Dom::Label]);
-    let escaping = p.decl("escaping", &[Dom::Label]);
-    let report = p.decl("escaping_effectful", &[Dom::Label]);
-    p.rule(
-        head(escaping, &[var("l")]),
-        vec![
-            pos(root_expr, &[var("e")]),
-            pos(expr_label, &[var("e"), var("l")]),
-        ],
-    )
-    .expect("well-formed");
-    p.rule(
-        head(report, &[var("l")]),
-        vec![pos(escaping, &[var("l")]), pos(effectful, &[var("l")])],
-    )
-    .expect("well-formed");
-    (p, report)
-}
-
-/// Evaluates [`escaping_effectful_program`]; labels in increasing order.
-pub fn escaping_effectful(db: &ExtDb<'_>) -> Vec<Label> {
-    let (p, report) = escaping_effectful_program();
-    let mut ev = Evaluator::new(&p, db).expect("program is well-formed");
-    ev.run();
-    ev.unary(report)
-        .into_iter()
-        .map(|l| Label::from_index(l as usize))
-        .collect()
-}
+use crate::program::{head, neg, neq, pos, var, Dom, RelId, RuleProgram};
 
 /// The call-graph dominator relation, as stratified Datalog:
 /// `nd(n, d)` — the entry reaches `n` on a path avoiding `d` — is the
@@ -475,41 +342,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn never_invoked_finds_the_dead_lambda() {
-        let fx = Fixture::new("let val dead = fn x => x in (fn y => y) 1 end");
-        let db = fx.db();
-        let got = never_invoked(&db);
-        assert_eq!(got.len(), 1);
-        // The reported label is the one bound to `dead`.
-        let lam = fx.program.lam_of_label(got[0]);
-        assert!(matches!(
-            fx.program.kind(lam),
-            ExprKind::Lam { param, .. } if fx.program.var_name(*param) == "x"
-        ));
-    }
-
-    #[test]
-    fn useless_param_flags_konst_second_argument() {
-        let fx = Fixture::new("fun konst a b = a; konst 1 2");
-        let db = fx.db();
-        let got = useless_param(&db);
-        assert_eq!(got.len(), 1);
-        assert_eq!(fx.program.var_name(got[0].0), "b");
-    }
-
-    #[test]
-    fn escaping_effectful_sees_the_returned_printer() {
-        let fx = Fixture::new("let val f = fn x => print x in f end");
-        let got = escaping_effectful(&fx.db());
-        assert_eq!(got.len(), 1, "the printer escapes");
-        let fx2 = Fixture::new("let val f = fn x => print x in 1 end");
-        assert!(
-            escaping_effectful(&fx2.db()).is_empty(),
-            "mentioned, not returned"
-        );
-    }
-
     /// Brute-force check: `dom(n, d)` iff the entry cannot reach `n`
     /// when `d` is removed from the call graph.
     #[test]
@@ -563,13 +395,7 @@ mod tests {
         let sources: Vec<Label> = fx
             .program
             .all_labels()
-            .filter(|&l| {
-                let lam = fx.program.lam_of_label(l);
-                match fx.program.kind(lam) {
-                    ExprKind::Lam { body, .. } => db.effects().is_effectful(*body),
-                    _ => false,
-                }
-            })
+            .filter(|&l| db.label_is_effectful(l))
             .collect();
         assert_eq!(sources.len(), 2);
         let full = tainted_exprs(&db, &sources);

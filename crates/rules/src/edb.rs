@@ -188,6 +188,16 @@ impl<'a> ExtDb<'a> {
             .get_or_init(|| effects(self.program, self.analysis))
     }
 
+    /// Whether the body of the abstraction carrying `l` may perform
+    /// effects, read off the linear colouring (the `effectful_label`
+    /// view; `pure_label` is its complement).
+    pub fn label_is_effectful(&self, l: Label) -> bool {
+        match self.program.kind(self.program.lam_of_label(l)) {
+            ExprKind::Lam { body, .. } => self.effects().is_effectful(*body),
+            _ => false,
+        }
+    }
+
     /// The call graph (computed once, on first use).
     pub fn callgraph(&self) -> &CallGraph {
         self.callgraph
@@ -245,14 +255,6 @@ impl<'a> ExtDb<'a> {
             }
             out
         })
-    }
-
-    fn label_is_effectful(&self, l: usize) -> bool {
-        let lam = self.program.lam_of_label(Label::from_index(l));
-        match self.program.kind(lam) {
-            ExprKind::Lam { body, .. } => self.effects().is_effectful(*body),
-            _ => false,
-        }
     }
 
     fn label_is_machinery(&self, l: usize) -> bool {
@@ -361,14 +363,14 @@ impl<'a> ExtDb<'a> {
             EdbRel::RootExpr => f(self.program.root().index() as u32, 0),
             EdbRel::EffectfulLabel => {
                 for l in 0..self.engine.label_count() {
-                    if self.label_is_effectful(l) {
+                    if self.label_is_effectful(Label::from_index(l)) {
                         f(l as u32, 0);
                     }
                 }
             }
             EdbRel::PureLabel => {
                 for l in 0..self.engine.label_count() {
-                    if !self.label_is_effectful(l) {
+                    if !self.label_is_effectful(Label::from_index(l)) {
                         f(l as u32, 0);
                     }
                 }
@@ -530,8 +532,8 @@ impl<'a> ExtDb<'a> {
             EdbRel::Param => self.param_lam()[a as usize] == b,
             EdbRel::AppFunc => self.app_operator(a as usize) == Some(b),
             EdbRel::RootExpr => self.program.root().index() as u32 == a,
-            EdbRel::EffectfulLabel => self.label_is_effectful(a as usize),
-            EdbRel::PureLabel => !self.label_is_effectful(a as usize),
+            EdbRel::EffectfulLabel => self.label_is_effectful(Label::from_index(a as usize)),
+            EdbRel::PureLabel => !self.label_is_effectful(Label::from_index(a as usize)),
             EdbRel::MachineryLabel => self.label_is_machinery(a as usize),
             EdbRel::ExemptVar => self.var_is_exempt(a as usize),
             EdbRel::CgEdge => self.callgraph().graph().has_edge(a as usize, b as usize),

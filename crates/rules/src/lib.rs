@@ -22,23 +22,23 @@
 //!   arithmetic as the hand-fused analyses, and a demand mode answers
 //!   single membership questions from a BFS cone.
 //!
-//! [`analyses`] holds the shipped programs: the three lint analyses
-//! ported byte-identically from their hand-fused forms (STCFA002/004/
-//! 005), the call-graph dominator relation, taint-style source→sink
-//! reachability, and the two new lint analyses (STCFA007 mixed purity,
-//! STCFA008 dominated-redundant application).
+//! [`analyses`] holds the shipped programs: the call-graph dominator
+//! relation, taint-style source→sink reachability, and the two lint
+//! analyses whose only implementation is a rule program (STCFA007 mixed
+//! purity, STCFA008 dominated-redundant application).
 //!
 //! ```
 //! use stcfa_core::{Analysis, QueryEngine};
 //! use stcfa_lambda::Program;
 //! use stcfa_rules::edb::ExtDb;
 //!
-//! let p = Program::parse("let val dead = fn x => x in (fn y => y) 1 end").unwrap();
+//! let p = Program::parse("fun pick b = if b then (fn x => print x) else (fn y => y); (pick true) 5")
+//!     .unwrap();
 //! let a = Analysis::run(&p).unwrap();
 //! let engine = QueryEngine::freeze(&a);
 //! let db = ExtDb::new(&p, &a, &engine);
-//! let dead = stcfa_rules::analyses::never_invoked(&db);
-//! assert_eq!(dead.len(), 1);
+//! let mixed = stcfa_rules::analyses::mixed_purity(&db);
+//! assert_eq!(mixed.len(), 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -49,8 +49,8 @@ pub mod eval;
 pub mod program;
 
 pub use analyses::{
-    dominated_redundant, dominators, escaping_effectful, expr_is_tainted, mixed_purity,
-    never_invoked, tainted_exprs, useless_param, DomRelation, DominatedRedundant,
+    dominated_redundant, dominators, expr_is_tainted, mixed_purity, tainted_exprs, DomRelation,
+    DominatedRedundant,
 };
 pub use edb::{edb_catalog, edb_schema, ExtDb};
 pub use eval::{EvalStats, Evaluator};

@@ -31,7 +31,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use stcfa_core::{Analysis, AnalysisOptions, DatatypePolicy, QueryEngine};
-use stcfa_lambda::{ExprId, ExprKind, Label, Program};
+use stcfa_lambda::{ExprId, Label, Program};
 use stcfa_lint::{lint_with_suspicion, Diagnostic, LintOptions};
 use stcfa_opt::{optimize_with, OptOptions, Pass, PassSet};
 use stcfa_rules::ExtDb;
@@ -109,7 +109,7 @@ pub struct Server {
     in_flight: AtomicU64,
     query_ns: AtomicU64,
     /// Latched by the `shutdown` op; transports poll it.
-    stop: Arc<AtomicBool>,
+    stop: AtomicBool,
     /// Fleet counters, registered by the TCP event-loop transport so
     /// the `stats` op can render them. `None` for stdio-only daemons.
     fleet: Mutex<Option<Arc<FleetStats>>>,
@@ -165,7 +165,7 @@ impl Server {
             requests: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             query_ns: AtomicU64::new(0),
-            stop: Arc::new(AtomicBool::new(false)),
+            stop: AtomicBool::new(false),
             fleet: Mutex::new(None),
         }
     }
@@ -1425,53 +1425,6 @@ impl Server {
         });
         None
     }
-
-    /// The pre-fleet transport: one blocking OS thread per connection,
-    /// each running the stdio pipeline over the socket. Kept as the
-    /// soak bench's baseline and behind `--transport threaded` for
-    /// comparison; the accept path shares the fleet's [`Acceptor`], so
-    /// even the legacy transport no longer sleep-polls.
-    pub fn serve_tcp_threaded(
-        &self,
-        addr: &str,
-        on_bound: impl FnOnce(std::net::SocketAddr),
-    ) -> io::Result<()> {
-        let listener = TcpListener::bind(addr)?;
-        on_bound(listener.local_addr()?);
-        let notify = Arc::new(Parker::new());
-        let acceptor = Acceptor::spawn(listener, Arc::clone(&notify))?;
-        std::thread::scope(|scope| loop {
-            if self.is_stopping() {
-                break;
-            }
-            for stream in acceptor.drain() {
-                let wake = Arc::clone(&notify);
-                // The connection thread only writes responses; the
-                // pipeline it runs spawns its own request workers.
-                scope.spawn(move || {
-                    let _ = self.serve_tcp_connection(stream);
-                    // A finished connection may have latched shutdown:
-                    // wake the accept loop so it notices.
-                    wake.wake();
-                });
-            }
-            notify.wait(None);
-        });
-        acceptor.shutdown();
-        Ok(())
-    }
-
-    /// One TCP connection: same pipeline, with a read timeout so an idle
-    /// connection notices a daemon-wide shutdown within ~50 ms.
-    fn serve_tcp_connection(&self, stream: TcpStream) -> io::Result<()> {
-        stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-        let writer = stream.try_clone()?;
-        let reader = TimeoutLineReader {
-            inner: BufReader::new(stream),
-            stop: Arc::clone(&self.stop),
-        };
-        self.serve(reader, writer)
-    }
 }
 
 /// The `fleet` block of the `stats` response.
@@ -1977,16 +1930,10 @@ fn taint_sources(
             ErrorKind::Proto,
             "`sources` must be an array of label indices",
         )),
-        None => {
-            let eff = db.effects();
-            Ok(program
-                .all_labels()
-                .filter(|&l| match program.kind(program.lam_of_label(l)) {
-                    ExprKind::Lam { body, .. } => eff.is_effectful(*body),
-                    _ => false,
-                })
-                .collect())
-        }
+        None => Ok(program
+            .all_labels()
+            .filter(|&l| db.label_is_effectful(l))
+            .collect()),
     }
 }
 
@@ -2033,13 +1980,7 @@ fn label_param(request: &Json, program: &Program) -> Result<Label, RequestError>
 fn labels_json(program: &Program, labels: &[Label]) -> Json {
     let names: Vec<Json> = labels
         .iter()
-        .map(|&l| {
-            let lam = program.lam_of_label(l);
-            let ExprKind::Lam { param, .. } = program.kind(lam) else {
-                unreachable!()
-            };
-            Json::str(format!("λ{}#{}", program.var_name(*param), l.index()))
-        })
+        .map(|&l| Json::str(program.label_name(l)))
         .collect();
     Json::obj(vec![
         ("count", Json::num(labels.len() as u64)),
@@ -2206,49 +2147,6 @@ fn spawn_reader<R: BufRead + Send + 'static>(mut reader: R, shared: Arc<PipeShar
         }
         shared.finish_input();
     });
-}
-
-/// A line reader over a read-timeout TCP stream: `WouldBlock`/`TimedOut`
-/// reads poll the daemon's stop flag instead of erroring out, so idle
-/// connections participate in graceful shutdown.
-struct TimeoutLineReader {
-    inner: BufReader<TcpStream>,
-    stop: Arc<AtomicBool>,
-}
-
-impl io::Read for TimeoutLineReader {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        io::Read::read(&mut self.inner, buf)
-    }
-}
-
-impl BufRead for TimeoutLineReader {
-    fn fill_buf(&mut self) -> io::Result<&[u8]> {
-        self.inner.fill_buf()
-    }
-
-    fn consume(&mut self, amt: usize) {
-        self.inner.consume(amt)
-    }
-
-    fn read_line(&mut self, buf: &mut String) -> io::Result<usize> {
-        loop {
-            match self.inner.read_line(buf) {
-                Ok(n) => return Ok(n),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if self.stop.load(Ordering::SeqCst) {
-                        return Ok(0); // treat daemon shutdown as EOF
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,14 +1,14 @@
 //! A miniature compiler pass built on the paper's linear-time analyses:
-//! repeatedly find call sites with a *unique, called-once* target (1-limited
-//! CFA + called-once analysis, Sections 8–9) and inline them, verifying
-//! after every step that observable behaviour is unchanged.
+//! inline every call site whose target is *called exactly once* (the
+//! called-once analysis of Sections 8–9, read off the frozen query
+//! engine) with the optimizer's `inline-once` pass, then verify that
+//! observable behaviour is unchanged.
 //!
 //! Run with: `cargo run --example inliner_pipeline`
 
-use stcfa::apps::{find_candidates, inline_once};
-use stcfa::core::Analysis;
 use stcfa::lambda::eval::{eval, EvalOptions};
 use stcfa::lambda::Program;
+use stcfa::opt::{optimize, OptOptions, Pass, PassSet};
 
 fn main() {
     let source = "\
@@ -17,38 +17,44 @@ fn main() {
         let val step = fn x => cube x + 1 in\n\
           print (step 3)\n\
         end";
-    let mut program = Program::parse(source).expect("parses");
+    let program = Program::parse(source).expect("parses");
     println!("before:\n{}\n", program.to_source());
 
     let reference = eval(&program, EvalOptions::default()).expect("terminates");
 
-    let mut round = 0;
-    loop {
-        let analysis = Analysis::run(&program).expect("bounded-type program");
-        let candidates = find_candidates(&program, &analysis);
-        let Some(c) = candidates.first().copied() else {
-            break;
-        };
-        round += 1;
+    let options = OptOptions {
+        passes: PassSet::only(Pass::InlineOnce),
+        ..OptOptions::default()
+    };
+    let optimized = optimize(&program, &options).expect("bounded-type program");
+    let report = &optimized.report;
+    for pass in &report.passes {
         println!(
-            "round {round}: inlining the unique target {:?} at call site {:?}",
-            c.label, c.site
-        );
-        program = inline_once(&program, &analysis, c.site).expect("candidate inlines");
-
-        // The pass must preserve observable behaviour.
-        let now = eval(&program, EvalOptions::default()).expect("terminates");
-        assert_eq!(
-            now.outputs, reference.outputs,
-            "inlining changed the output!"
+            "round {}: inlined {} called-once target(s)",
+            pass.round, pass.performed
         );
     }
 
-    println!("\nafter {round} rounds:\n{}", program.to_source());
+    // The pass must preserve observable behaviour.
+    let now = eval(&optimized.program, EvalOptions::default()).expect("terminates");
+    assert_eq!(
+        now.outputs, reference.outputs,
+        "inlining changed the output!"
+    );
+
+    println!(
+        "\nafter {} rounds:\n{}",
+        report.rounds,
+        optimized.program.to_source()
+    );
     println!(
         "\napplication sites: {} (was {})",
-        program.app_sites().len(),
-        Program::parse(source).unwrap().app_sites().len()
+        optimized.program.app_sites().len(),
+        program.app_sites().len()
+    );
+    println!(
+        "nodes: {} (was {}); abstractions: {} (was {})",
+        report.nodes_after, report.nodes_before, report.labels_after, report.labels_before
     );
     println!("printed output unchanged: {:?}", reference.outputs);
 }

@@ -16,7 +16,6 @@
 //!   --effects          the may-have-side-effects report (paper §8)
 //!   --k-limited <k>    call targets cut off at k with "many" (paper §9)
 //!   --called-once      functions called from exactly one / no call site
-//!   --inline           repeatedly inline unique called-once targets; print program
 //!   --types            type metrics: k_avg, k_max, order, arity (paper §4–5)
 //!   --boundedness      direct vs McAllester (let-expanded) type bounds (§5)
 //!   --eval             run the program under call-by-value
@@ -89,7 +88,7 @@
 use std::io::Read as _;
 use std::process::ExitCode;
 
-use stcfa::apps::{effects, find_candidates, inline_once, CallSites, CalledOnce, KLimited};
+use stcfa::apps::{effects, CallSites, CalledOnce, KLimited};
 use stcfa::cfa0::Cfa0;
 use stcfa::core::hybrid::HybridCfa;
 use stcfa::core::{dot, Analysis, AnalysisOptions, DatatypePolicy, PolyAnalysis, QueryEngine};
@@ -141,7 +140,6 @@ enum Command {
     Effects,
     KLimited(usize),
     CalledOnce,
-    Inline,
     Types,
     Boundedness,
     Eval,
@@ -205,7 +203,7 @@ impl Engine {
 
 fn usage() -> &'static str {
     "usage: stcfa <FILE|-> [--summary|--labels|--call-sites|--effects|\
-     --k-limited <k>|--called-once|--inline|--types|--boundedness|--eval|--live|--witness|--dot]*\n\
+     --k-limited <k>|--called-once|--types|--boundedness|--eval|--live|--witness|--dot]*\n\
      \t[--analysis sub|poly|hybrid|cfa0|sba|unify] [--policy c1|c2|exact|forget]\n\
      \t[--max-nodes <n>] [--fuel <n>] [--precision [--precision-budget <n>]]\n\
      \tor: stcfa lint <FILE|-> [--format text|json] [--policy ...] [--threads <n>]\n\
@@ -213,7 +211,7 @@ fn usage() -> &'static str {
      \tor: stcfa opt <FILE|-> [--passes name,...] [--emit] [--report text|json] [--max-rounds <n>] [--budget <n>] [--threads <n>]\n\
      \tor: stcfa rule <FILE|-> --name dominators|taint [--sources l,l,...] [--expr <n>] [--policy ...]\n\
      \tor: stcfa serve [--stdio|--addr HOST:PORT] [--threads <n>] [--shards <n>] [--cache-capacity <bytes>] [--cache-dir <path>]\n\
-     \t\t[--deadline-ms <n>] [--max-inflight <n>] [--conn-inflight <n>] [--transport fleet|threaded]\n\
+     \t\t[--deadline-ms <n>] [--max-inflight <n>] [--conn-inflight <n>]\n\
      \t\t[--precision-budget <n>] [--summary]\n\
      \tor: stcfa client --addr HOST:PORT [--request <json>]\n\
      \tor: stcfa soak --addr HOST:PORT [--connections <n>] [--bursts <n>] [--burst <n>] [--source-file <path>] [--no-warm]\n\
@@ -239,7 +237,6 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--call-sites" => commands.push(Command::CallSites),
             "--effects" => commands.push(Command::Effects),
             "--called-once" => commands.push(Command::CalledOnce),
-            "--inline" => commands.push(Command::Inline),
             "--types" => commands.push(Command::Types),
             "--boundedness" => commands.push(Command::Boundedness),
             "--eval" => commands.push(Command::Eval),
@@ -353,14 +350,6 @@ fn grade_str(info: stcfa::precision::PrecisionInfo) -> String {
         info.tier.level(),
         info.suspicion
     )
-}
-
-fn lam_name(program: &Program, l: Label) -> String {
-    let lam = program.lam_of_label(l);
-    let ExprKind::Lam { param, .. } = program.kind(lam) else {
-        unreachable!()
-    };
-    format!("λ{}#{}", program.var_name(*param), l.index())
 }
 
 fn repl() -> Result<(), String> {
@@ -695,13 +684,9 @@ fn run_rule(args: &[String]) -> Result<(), CliError> {
                 }
                 None => {
                     // Default: every effectful-bodied abstraction.
-                    let eff = db.effects();
                     program
                         .all_labels()
-                        .filter(|&l| match program.kind(program.lam_of_label(l)) {
-                            ExprKind::Lam { body, .. } => eff.is_effectful(*body),
-                            _ => false,
-                        })
+                        .filter(|&l| db.label_is_effectful(l))
                         .collect()
                 }
             };
@@ -926,7 +911,7 @@ fn run_session(args: &[String]) -> Result<(), CliError> {
         let labels = engine.labels_of(value);
         let names: Vec<String> = labels
             .iter()
-            .map(|&l| lam_name(snapshot.program(), l))
+            .map(|&l| snapshot.program().label_name(l))
             .collect();
         println!(
             "value:   {} ({{{}}}) in module {}",
@@ -976,7 +961,6 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
     let mut addr = None;
     let mut stdio = false;
     let mut summary = false;
-    let mut threaded = false;
     let mut options = ServerOptions::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -986,17 +970,6 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
             "--shards" => options.shards = flag_value(&mut it, "--shards")?,
             "--max-inflight" => options.max_inflight = flag_value(&mut it, "--max-inflight")?,
             "--conn-inflight" => options.conn_inflight = flag_value(&mut it, "--conn-inflight")?,
-            "--transport" => {
-                threaded = match it.next().map(String::as_str) {
-                    Some("fleet") => false,
-                    Some("threaded") => true,
-                    other => {
-                        return Err(CliError::BadValue(format!(
-                            "--transport expects fleet|threaded, got {other:?}"
-                        )))
-                    }
-                };
-            }
             "--addr" => {
                 addr = Some(
                     it.next()
@@ -1064,7 +1037,6 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
     };
     let result = match addr {
         None => server.serve_stdio(),
-        Some(addr) if threaded => server.serve_tcp_threaded(&addr, on_bound),
         Some(addr) => server.serve_tcp(&addr, on_bound),
     };
     if summary {
@@ -1245,7 +1217,6 @@ fn run() -> Result<(), CliError> {
                 | Command::Effects
                 | Command::KLimited(_)
                 | Command::CalledOnce
-                | Command::Inline
                 | Command::Witness
                 | Command::Dot
         )
@@ -1347,7 +1318,7 @@ fn run() -> Result<(), CliError> {
                     println!("L(root) = {{}} (the program's value is not a function){grade}");
                 } else {
                     let names: Vec<String> =
-                        labels.iter().map(|&l| lam_name(&program, l)).collect();
+                        labels.iter().map(|&l| program.label_name(l)).collect();
                     println!("L(root) = {{{}}}{grade}", names.join(", "));
                 }
             }
@@ -1366,7 +1337,7 @@ fn run() -> Result<(), CliError> {
                         _ => (engine.labels_of(&program, *func), String::new()),
                     };
                     let names: Vec<String> =
-                        labels.iter().map(|&l| lam_name(&program, l)).collect();
+                        labels.iter().map(|&l| program.label_name(l)).collect();
                     println!("  site@{}: {{{}}}{grade}", app.index(), names.join(", "));
                 }
             }
@@ -1396,7 +1367,7 @@ fn run() -> Result<(), CliError> {
                     match set.as_small() {
                         Some(ls) => {
                             let names: Vec<String> =
-                                ls.iter().map(|&l| lam_name(&program, l)).collect();
+                                ls.iter().map(|&l| program.label_name(l)).collect();
                             println!("  site@{}: {{{}}}", app.index(), names.join(", "));
                         }
                         None => println!("  site@{}: many", app.index()),
@@ -1412,25 +1383,8 @@ fn run() -> Result<(), CliError> {
                         CallSites::One(site) => format!("called once (site@{})", site.index()),
                         CallSites::Many => "called from several sites".to_owned(),
                     };
-                    println!("  {}: {verdict}", lam_name(&program, l));
+                    println!("  {}: {verdict}", program.label_name(l));
                 }
-            }
-            Command::Inline => {
-                let mut current = program.clone();
-                let mut rounds = 0usize;
-                loop {
-                    let a = Analysis::run_with(&current, analysis_options)
-                        .map_err(|e| e.to_string())?;
-                    let cands = find_candidates(&current, &a);
-                    let Some(c) = cands.first() else { break };
-                    current = inline_once(&current, &a, c.site).map_err(|e| e.to_string())?;
-                    rounds += 1;
-                    if rounds > 1000 {
-                        return Err("inliner did not converge".into());
-                    }
-                }
-                eprintln!("inlined {rounds} call sites");
-                println!("{}", current.to_source());
             }
             Command::Types => {
                 let typed = TypedProgram::infer(&program).map_err(|e| e.to_string())?;
@@ -1520,7 +1474,7 @@ fn run() -> Result<(), CliError> {
                         .expect("label is in L(root)");
                     println!(
                         "witness for {} ∈ L(root), {} steps:",
-                        lam_name(&program, l),
+                        program.label_name(l),
                         path.len() - 1
                     );
                     for (i, &n) in path.iter().enumerate() {

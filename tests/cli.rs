@@ -72,7 +72,7 @@ fn effects_eval_and_types() {
 #[test]
 fn inline_pipeline_from_stdin() {
     let mut child = stcfa()
-        .args(["-", "--inline"])
+        .args(["opt", "-", "--passes", "inline-once", "--emit"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -91,9 +91,14 @@ fn inline_pipeline_from_stdin() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("inlined 1 call sites"), "{stderr}");
+    assert!(
+        stderr.contains("round 1 inline-once: 1 performed"),
+        "{stderr}"
+    );
+    // The inlined function's binding is gone with its only call.
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("41"), "{stdout}");
+    assert!(!stdout.contains("fn "), "{stdout}");
 }
 
 #[test]
@@ -314,7 +319,7 @@ fn lint_reads_stdin() {
 #[test]
 fn lint_explain_prints_rule_definitions() {
     let out = stcfa()
-        .args(["lint", "--explain", "STCFA004"])
+        .args(["lint", "--explain", "STCFA007"])
         .output()
         .unwrap();
     assert!(
@@ -323,12 +328,12 @@ fn lint_explain_prints_rule_definitions() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.starts_with("STCFA004"), "{stdout}");
+    assert!(stdout.starts_with("STCFA007"), "{stdout}");
     assert!(stdout.contains(":-"), "declarative clauses: {stdout}");
-    assert!(stdout.contains(".edb occurrence"), "{stdout}");
+    assert!(stdout.contains(".edb effectful_label"), "{stdout}");
     // Matching is case-insensitive.
     let out = stcfa()
-        .args(["lint", "--explain", "stcfa007"])
+        .args(["lint", "--explain", "stcfa004"])
         .output()
         .unwrap();
     assert!(out.status.success());
