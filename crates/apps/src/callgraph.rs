@@ -12,6 +12,7 @@
 //! reachability).
 
 use stcfa_core::{Analysis, QueryEngine};
+use stcfa_graph::bitset::ones;
 use stcfa_graph::DiGraph;
 use stcfa_lambda::{ExprId, ExprKind, Label, Program};
 
@@ -22,6 +23,8 @@ pub struct CallGraph {
     /// virtual root (top-level evaluation).
     graph: DiGraph,
     labels: usize,
+    /// Expression → the node of its nearest enclosing abstraction.
+    encloser: Vec<u32>,
 }
 
 impl CallGraph {
@@ -36,44 +39,54 @@ impl CallGraph {
 
     /// Builds the call graph through an existing frozen [`QueryEngine`].
     pub fn build_with_engine(program: &Program, engine: &QueryEngine) -> CallGraph {
-        engine.prepare(); // every site is queried — the sweep pays for itself
         let labels = program.label_count();
         let mut graph = DiGraph::with_nodes(labels + 1);
-        // Map every expression to its enclosing abstraction (or the root).
-        let mut encloser = vec![labels; program.size()];
-        // Walk top-down: children inherit, lambda bodies switch owner.
-        fn assign(program: &Program, e: ExprId, owner: usize, encloser: &mut [usize]) {
+        // Map every expression to its enclosing abstraction (or the root)
+        // by an iterative top-down walk: children inherit their parent's
+        // owner; a lambda's body switches to the lambda's label.
+        let mut encloser = vec![labels as u32; program.size()];
+        let mut stack = vec![(program.root(), labels as u32)];
+        while let Some((e, owner)) = stack.pop() {
             encloser[e.index()] = owner;
             match program.kind(e) {
-                ExprKind::Lam { label, body, .. } => {
-                    assign(program, *body, label.index(), encloser);
-                }
-                _ => {
-                    let mut children = Vec::new();
-                    program.for_each_child(e, |c| children.push(c));
-                    for c in children {
-                        assign(program, c, owner, encloser);
-                    }
-                }
+                ExprKind::Lam { label, body, .. } => stack.push((*body, label.index() as u32)),
+                _ => program.for_each_child(e, |c| stack.push((c, owner))),
             }
         }
-        assign(program, program.root(), labels, &mut encloser);
-
-        for app in program.app_sites() {
+        // Each caller's edges in first-occurrence order over its sites in
+        // program order. Visiting the sites grouped by caller (a stable
+        // sort) lets one stamp per callee deduplicate in O(1).
+        let mut sites = program.app_sites();
+        sites.sort_by_key(|app| encloser[app.index()]);
+        let mut stamp = vec![u32::MAX; labels];
+        for app in sites {
             let ExprKind::App { func, .. } = program.kind(app) else {
                 unreachable!()
             };
             let caller = encloser[app.index()];
-            for callee in engine.labels_of(*func) {
-                graph.add_edge_dedup(caller, callee.index());
+            for callee in ones(engine.label_row(*func)) {
+                if stamp[callee] != caller {
+                    stamp[callee] = caller;
+                    graph.add_edge(caller as usize, callee);
+                }
             }
         }
-        CallGraph { graph, labels }
+        CallGraph {
+            graph,
+            labels,
+            encloser,
+        }
     }
 
     /// The virtual root node id.
     pub fn root(&self) -> usize {
         self.labels
+    }
+
+    /// The node lexically enclosing `e`: the label of its nearest
+    /// enclosing abstraction, or [`CallGraph::root`] for top-level code.
+    pub fn encloser_of(&self, e: ExprId) -> usize {
+        self.encloser[e.index()] as usize
     }
 
     /// Whether `caller` may directly call `callee`.
@@ -165,6 +178,53 @@ mod tests {
         );
         assert!(cg.calls(Some(apply_inner), arg), "f y happens inside fn y");
         assert!(!cg.calls(Some(arg), apply_outer));
+        for app in p.app_sites() {
+            let ExprKind::App { func, .. } = p.kind(app) else {
+                unreachable!()
+            };
+            let inner = matches!(p.kind(*func), ExprKind::Var(v) if p.var_name(*v) == "f");
+            let want = if inner {
+                apply_inner.index()
+            } else {
+                cg.root()
+            };
+            assert_eq!(cg.encloser_of(app), want, "{app:?}");
+        }
+    }
+
+    #[test]
+    fn edges_keep_first_occurrence_order_per_caller() {
+        // The reference construction: every site in program order, each
+        // target added unless its caller already has the edge. The last
+        // program interleaves `f`'s sites with `fn y`'s.
+        let srcs = [
+            "fun apply f = fn y => f y; apply (fn n => n + 1) 7",
+            "fun fact n = if n = 0 then 1 else n * fact (n - 1); fact 5",
+            "fun pick b = if b then (fn x => x) else (fn y => y + 1);\n\
+             fun go g = (pick true) (g ((pick false) 1)); val r = go (fn z => z); (pick true) r",
+            "fun g x = x; fun f x = let val a = g x in (fn y => g y) (g a) end; f 1",
+        ];
+        for src in srcs {
+            let p = Program::parse(src).unwrap();
+            let a = Analysis::run(&p).unwrap();
+            let cg = CallGraph::build(&p, &a);
+            let mut want = DiGraph::with_nodes(p.label_count() + 1);
+            for app in p.app_sites() {
+                let ExprKind::App { func, .. } = p.kind(app) else {
+                    unreachable!()
+                };
+                for callee in a.labels_of(*func) {
+                    want.add_edge_dedup(cg.encloser_of(app), callee.index());
+                }
+            }
+            for node in 0..want.node_count() {
+                assert_eq!(
+                    cg.graph().succs(node),
+                    want.succs(node),
+                    "{src:?} node {node}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! - [`called_once`] — functions called from exactly one call site
 //!   (abstract, third bullet).
 //! - [`callgraph`] — per-function call-graph construction (reachability,
-//!   recursion detection).
+//!   recursion detection, each expression's enclosing abstraction).
 //!
 //! The optimization these analyses motivate — called-once inlining and
 //! dead-code removal — is the `stcfa-opt` pipeline.

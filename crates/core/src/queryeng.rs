@@ -480,6 +480,13 @@ impl QueryEngine {
         &rows[c * self.words..(c + 1) * self.words]
     }
 
+    /// `L(e)` as the raw label row of `e`'s component (see
+    /// [`QueryEngine::summary_row`]): no copy, no allocation. Forces the
+    /// full sweep on first call.
+    pub fn label_row(&self, e: ExprId) -> &[u64] {
+        self.summary_row(self.cond.comp_of(self.expr_nodes[e.index()] as usize))
+    }
+
     /// The graph node carrying expression occurrence `e`.
     pub fn node_of_expr(&self, e: ExprId) -> NodeId {
         NodeId::from_index(self.expr_nodes[e.index()] as usize)

@@ -155,19 +155,25 @@ impl BitSet {
 
     /// Iterates over the elements in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut bits = w;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
+        ones(&self.words)
     }
+}
+
+/// The indices of the set bits of a raw word row (bit `i` is bit
+/// `i % 64` of word `i / 64`), in increasing order.
+pub fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut bits = w;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                None
+            } else {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(wi * 64 + b)
+            }
+        })
+    })
 }
 
 impl FromIterator<usize> for BitSet {

@@ -4,8 +4,9 @@
 //! reduces every CFA query to plain graph reachability; this crate provides
 //! that machinery: a compact adjacency-list [`DiGraph`], [`BitSet`]s for
 //! frontiers and label sets, an SCC decomposition and a (deliberately
-//! quadratic) transitive closure for the "all label sets" experiment, the
-//! [`Worklist`] shared by all fixed-point solvers in the workspace, and —
+//! quadratic) transitive closure for the "all label sets" experiment, a
+//! Cooper–Harvey–Kennedy [`DomTree`] (built by [`DiGraph::dominator_tree`]),
+//! the [`Worklist`] shared by all fixed-point solvers in the workspace, and —
 //! for finished graphs — a frozen [`Csr`] snapshot with its SCC
 //! [`Condensation`], the substrate of the batch query engine in
 //! `stcfa-core`.
@@ -26,10 +27,12 @@ pub mod bitset;
 pub mod condense;
 pub mod csr;
 pub mod digraph;
+pub mod dominators;
 pub mod worklist;
 
 pub use bitset::BitSet;
 pub use condense::Condensation;
 pub use csr::Csr;
 pub use digraph::DiGraph;
+pub use dominators::DomTree;
 pub use worklist::Worklist;

@@ -1,5 +1,6 @@
-//! Property tests for the graph substrate: reachability, SCCs and the
-//! transitive closure must agree with each other on random graphs.
+//! Property tests for the graph substrate: reachability, SCCs, the
+//! transitive closure and the dominator tree must agree with each other
+//! on random graphs.
 
 // Index-based loops intentionally mirror the dense-id indexing the
 // assertions compare; iterators would obscure the parallel access.
@@ -76,6 +77,40 @@ proptest! {
         let mut sorted = order.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..g.node_count()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn dominator_tree_matches_removal_reachability(g in arb_graph()) {
+        // By definition: `d` dominates a reachable `n` iff the entry
+        // cannot reach `n` once `d` is removed.
+        let entry = g.node_count() - 1;
+        let tree = g.dominator_tree(entry);
+        let reach = g.reachable_from(entry);
+        for d in 0..g.node_count() {
+            let mut avoiding = BitSet::new(g.node_count());
+            if d != entry {
+                avoiding.insert(entry);
+                let mut stack = vec![entry];
+                while let Some(u) = stack.pop() {
+                    for &v in g.succs(u) {
+                        if v as usize != d && avoiding.insert(v as usize) {
+                            stack.push(v as usize);
+                        }
+                    }
+                }
+            }
+            for n in 0..g.node_count() {
+                let want = reach.contains(n) && !avoiding.contains(n);
+                prop_assert_eq!(tree.dominates(d, n), want, "dominates({}, {})", d, n);
+            }
+        }
+        for n in 0..g.node_count() {
+            prop_assert_eq!(tree.is_reachable(n), reach.contains(n), "node {}", n);
+            if let Some(i) = tree.idom(n) {
+                prop_assert!(tree.strictly_dominates(i, n), "idom({}) = {}", n, i);
+                prop_assert!(tree.pre(i) < tree.pre(n));
+            }
+        }
     }
 
     #[test]

@@ -350,10 +350,16 @@ pub fn lex(source: &str) -> Result<Vec<(Tok<'_>, Span)>, LexError> {
                     },
                 ));
             }
-            other => {
+            _ => {
+                // Name the whole character, not its first byte. Tokens
+                // and delimiters are ASCII, so `i` is a character boundary.
+                let ch = source
+                    .get(i..)
+                    .and_then(|rest| rest.chars().next())
+                    .unwrap_or(char::REPLACEMENT_CHARACTER);
                 return Err(LexError {
                     pos: pos!(),
-                    message: format!("unexpected character `{}`", other as char),
+                    message: format!("unexpected character `{ch}`"),
                 });
             }
         }
@@ -413,6 +419,20 @@ mod tests {
             kinds("1 (* hi (* nested *) there *) 2 -- line\n3"),
             vec![Tok::Int(1), Tok::Int(2), Tok::Int(3), Tok::Eof]
         );
+    }
+
+    #[test]
+    fn non_ascii_characters_are_named_whole() {
+        for (src, ch) in [("val x = é", 'é'), ("f \u{FFFD} 1", '\u{FFFD}')] {
+            let err = lex(src).unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("unexpected character `{ch}`"),
+                "{src:?}"
+            );
+            assert_eq!(err.pos.offset, src.find(ch).unwrap(), "{src:?}");
+            assert_eq!(err.pos.line, 1);
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! `stcfa lint --explain CODE`: the definition behind each rule code.
 //!
-//! Rule-backed codes (STCFA007, STCFA008) print their actual declarative
+//! Rule-backed codes (STCFA007, STCFA008) print their declarative
 //! program — the [`stcfa_rules`] source of truth, rendered in Datalog
-//! surface syntax — so what the explainer shows is what the evaluator
-//! runs. The other codes are computed by the hand-fused rules in
-//! [`crate::rules`] and get prose instead.
+//! surface syntax. STCFA007's program is what the evaluator runs;
+//! STCFA008's dominator relation is computed as a dominator tree, and
+//! the printed program is its specification, the oracle the tests check
+//! the tree against. The other codes are computed by the hand-fused
+//! rules in [`crate::rules`] and get prose instead.
 
 use std::fmt::Write as _;
 
@@ -98,9 +100,10 @@ pub fn explain(code: &str) -> Option<String> {
                 "This application has a single possible target, and another call\n\
                  site with the same sole target sits in a call-graph node that\n\
                  strictly dominates this one — every path here already applied\n\
-                 that abstraction. Built on the dominator relation, itself a\n\
-                 stratified rule program (`nd(n, d)` is \"the entry reaches `n`\n\
-                 avoiding `d`\"; `dom` is its negation on reachable nodes):\n\n",
+                 that abstraction. Built on the call graph's dominator relation,\n\
+                 computed as a dominator tree; specified by this program\n\
+                 (`nd(n, d)` is \"the entry reaches `n` avoiding `d`\"; `dom` is\n\
+                 its negation on reachable nodes):\n\n",
             );
             let _ = write!(out, "{}", analyses::dominators_program().0);
         }

@@ -5,9 +5,14 @@
 //! Each analysis comes as a pair: a `*_program()` constructor returning
 //! the declarative [`RuleProgram`] (what `stcfa lint --explain` prints)
 //! and a driver that evaluates it against an [`ExtDb`] and decodes the
-//! answer relation into typed ids.
+//! answer relation into typed ids. The dominator relation is the one
+//! exception: its driver computes the call graph's dominator tree
+//! directly (Cooper–Harvey–Kennedy, [`stcfa_graph::DomTree`]), and
+//! [`dominators_program`] stays as its specification and test oracle,
+//! the role the cubic references play for the engine.
 
-use stcfa_graph::BitSet;
+use stcfa_graph::bitset::ones;
+use stcfa_graph::DomTree;
 use stcfa_lambda::{ExprId, ExprKind, Label};
 
 use crate::edb::ExtDb;
@@ -19,6 +24,10 @@ use crate::program::{head, neg, neq, pos, var, Dom, RelId, RuleProgram};
 /// positive complement, and `dom(n, d) = reach(n) ∧ ¬nd(n, d)`. Every
 /// reachable node dominates itself; the entry is dominated only by
 /// itself.
+///
+/// This is the specification [`dominators`] meets, not how it computes:
+/// evaluating it derives `O(C·(C + E))` `nd` tuples over `C` call-graph
+/// nodes, so only `lint --explain`, the tests and the rules bench use it.
 pub fn dominators_program() -> (RuleProgram, RelId, RelId) {
     let mut p = RuleProgram::new();
     let entry = p.edb("cg_entry", &[Dom::CgNode]);
@@ -65,62 +74,15 @@ pub fn dominators_program() -> (RuleProgram, RelId, RelId) {
 }
 
 /// The dominator relation over call-graph nodes (labels plus the
-/// virtual entry at index `label_count()`).
-#[derive(Clone, Debug)]
-pub struct DomRelation {
-    entry: usize,
-    reachable: BitSet,
-    /// Per node: its dominators, increasing; empty for unreachable nodes.
-    doms: Vec<Vec<u32>>,
-}
+/// virtual entry at index `label_count()`), held as the call graph's
+/// dominator tree: `O(C)` arrays, `O(1)` dominance tests.
+pub type DomRelation = DomTree;
 
-impl DomRelation {
-    /// The entry node (the call graph's virtual root).
-    pub fn entry(&self) -> usize {
-        self.entry
-    }
-
-    /// Whether the entry reaches `n`.
-    pub fn is_reachable(&self, n: usize) -> bool {
-        self.reachable.contains(n)
-    }
-
-    /// The dominators of `n` in increasing order (includes `n` itself;
-    /// empty for unreachable nodes).
-    pub fn doms_of(&self, n: usize) -> &[u32] {
-        &self.doms[n]
-    }
-
-    /// Whether `d` dominates `n` (reflexive on reachable nodes).
-    pub fn dominates(&self, d: usize, n: usize) -> bool {
-        self.doms[n].binary_search(&(d as u32)).is_ok()
-    }
-
-    /// Whether `d` dominates `n` and `d != n`.
-    pub fn strictly_dominates(&self, d: usize, n: usize) -> bool {
-        d != n && self.dominates(d, n)
-    }
-}
-
-/// Evaluates [`dominators_program`] over the call graph.
+/// The call graph's dominator tree, rooted at its virtual entry; the
+/// relation [`dominators_program`] specifies.
 pub fn dominators(db: &ExtDb<'_>) -> DomRelation {
-    let (p, reach, dom) = dominators_program();
-    let mut ev = Evaluator::new(&p, db).expect("program is well-formed");
-    ev.run();
-    let n = db.dom_size(Dom::CgNode);
-    let mut reachable = BitSet::new(n);
-    for x in ev.unary(reach) {
-        reachable.insert(x as usize);
-    }
-    let mut doms = vec![Vec::new(); n];
-    for (node, d) in ev.pairs(dom) {
-        doms[node as usize].push(d);
-    }
-    DomRelation {
-        entry: n - 1,
-        reachable,
-        doms,
-    }
+    let cg = db.callgraph();
+    cg.graph().dominator_tree(cg.root())
 }
 
 /// Taint reachability: `src_label` is seeded with the source labels,
@@ -274,43 +236,63 @@ pub struct DominatedRedundant {
 /// dominated by another same-target application's encloser (the glue
 /// analysis behind STCFA008). Sorted by reported application id; each
 /// reported application cites the smallest qualifying witness.
+///
+/// One sort and one dominator-tree sweep: per target, the enclosers are
+/// visited in tree preorder with a stack holding the chain of the
+/// target's enclosers that dominate the current one, each paired with the
+/// smallest application at or above it.
 pub fn dominated_redundant(db: &ExtDb<'_>) -> Vec<DominatedRedundant> {
     let dom = dominators(db);
     let program = db.program();
     let engine = db.engine();
-    // Applications with a singleton target, grouped by that target.
-    let mut by_target: Vec<Vec<(ExprId, ExprId, usize)>> = vec![Vec::new(); program.label_count()];
+    let cg = db.callgraph();
+    // (target, encloser's preorder number, application, operator, encloser)
+    // for every application with a singleton target and a reachable encloser.
+    let mut sites: Vec<(Label, usize, ExprId, ExprId, usize)> = Vec::new();
     for &app in db.app_sites() {
         let ExprKind::App { func, .. } = program.kind(app) else {
             continue;
         };
-        let labels = engine.labels_of(*func);
-        if let [only] = labels[..] {
-            let enc = db.encloser_of(app) as usize;
-            if dom.is_reachable(enc) {
-                by_target[only.index()].push((app, *func, enc));
+        let mut targets = ones(engine.label_row(*func));
+        if let (Some(only), None) = (targets.next(), targets.next()) {
+            let enc = cg.encloser_of(app);
+            if let Some(pre) = dom.pre(enc) {
+                sites.push((Label::from_index(only), pre, app, *func, enc));
             }
         }
     }
+    sites.sort_unstable();
     let mut out = Vec::new();
-    for (target, apps) in by_target.iter().enumerate() {
-        for &(app, func, enc) in apps {
-            let witness = apps
-                .iter()
-                .filter(|&&(other, _, oenc)| other != app && dom.strictly_dominates(oenc, enc))
-                .map(|&(other, _, _)| other)
-                .min();
+    let mut chain: Vec<(usize, ExprId)> = Vec::new();
+    let mut i = 0;
+    while i < sites.len() {
+        let (target, _, first, _, enc) = sites[i];
+        if i == 0 || sites[i - 1].0 != target {
+            chain.clear();
+        }
+        while chain
+            .last()
+            .is_some_and(|&(top, _)| !dom.dominates(top, enc))
+        {
+            chain.pop();
+        }
+        let witness = chain.last().map(|&(_, by_app)| by_app);
+        // Every application of this target in this encloser, smallest first.
+        while i < sites.len() && sites[i].0 == target && sites[i].4 == enc {
+            let (_, _, app, func, _) = sites[i];
             if let Some(by_app) = witness {
                 out.push(DominatedRedundant {
                     app,
                     func,
-                    target: Label::from_index(target),
+                    target,
                     by_app,
                 });
             }
+            i += 1;
         }
+        chain.push((enc, witness.map_or(first, |w| w.min(first))));
     }
-    out.sort_by_key(|r| r.app.index());
+    out.sort_by_key(|r| r.app);
     out
 }
 
@@ -318,6 +300,7 @@ pub fn dominated_redundant(db: &ExtDb<'_>) -> Vec<DominatedRedundant> {
 mod tests {
     use super::*;
     use stcfa_core::{Analysis, QueryEngine};
+    use stcfa_graph::BitSet;
     use stcfa_lambda::Program;
 
     struct Fixture {
@@ -461,5 +444,21 @@ mod tests {
         // Sibling calls in the same encloser never dominate each other.
         let fx2 = Fixture::new("fun f x = x; val a = f 1; val b = f 2; b");
         assert!(dominated_redundant(&fx2.db()).is_empty());
+    }
+
+    #[test]
+    fn dominated_redundant_cites_the_smallest_witness() {
+        // `g` is applied at top level, in `f` (called only from top
+        // level) and in `fn w` (called only from `f`). The innermost call
+        // has two dominating witnesses and cites the smaller id, the
+        // top-level `g 1`, not the nearer `g y`.
+        let fx = Fixture::new(
+            "fun g x = x; val a = g 1; \
+             fun f y = let val b = g y in (fn w => g w) b end; f 2",
+        );
+        let got = dominated_redundant(&fx.db());
+        assert_eq!(got.len(), 2, "{got:?}");
+        let first = fx.program.app_sites()[0];
+        assert!(got.iter().all(|r| r.by_app == first), "{got:?}");
     }
 }

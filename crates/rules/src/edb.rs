@@ -31,7 +31,7 @@
 //! sweep consumers use.
 //!
 //! Derived inputs that are not free (the effects colouring, the call
-//! graph, the encloser map) are computed lazily, at most once per
+//! graph with its encloser map) are computed lazily, at most once per
 //! [`ExtDb`], and only when a program actually references them.
 
 use std::cell::OnceCell;
@@ -39,6 +39,7 @@ use std::cell::OnceCell;
 use stcfa_apps::callgraph::CallGraph;
 use stcfa_apps::effects::{effects, Effects};
 use stcfa_core::{Analysis, NodeId, QueryEngine};
+use stcfa_graph::bitset::ones;
 use stcfa_lambda::{ExprId, ExprKind, Label, Program, VarId};
 
 use crate::program::Dom;
@@ -130,9 +131,6 @@ pub struct ExtDb<'a> {
     engine: &'a QueryEngine,
     effects: OnceCell<Effects>,
     callgraph: OnceCell<CallGraph>,
-    /// Expression → enclosing call-graph node (label index, or the
-    /// virtual root `label_count()`).
-    encloser: OnceCell<Vec<u32>>,
     /// Binder → its λ's expression (`u32::MAX` = not a λ parameter).
     param_lam: OnceCell<Vec<u32>>,
     /// Label → the nodes carrying its own bit.
@@ -151,7 +149,6 @@ impl<'a> ExtDb<'a> {
             engine,
             effects: OnceCell::new(),
             callgraph: OnceCell::new(),
-            encloser: OnceCell::new(),
             param_lam: OnceCell::new(),
             origins: OnceCell::new(),
             apps: OnceCell::new(),
@@ -209,28 +206,10 @@ impl<'a> ExtDb<'a> {
         self.apps.get_or_init(|| self.program.app_sites())
     }
 
-    /// The call-graph node lexically enclosing `e`: the label of the
-    /// nearest enclosing abstraction, or the virtual root.
-    pub fn encloser_of(&self, e: ExprId) -> u32 {
-        self.encloser.get_or_init(|| {
-            let labels = self.program.label_count();
-            let mut out = vec![labels as u32; self.program.size()];
-            // Iterative top-down walk: children inherit their parent's
-            // owner; a lambda's body switches to the lambda's label.
-            let mut stack = vec![(self.program.root(), labels as u32)];
-            while let Some((e, owner)) = stack.pop() {
-                out[e.index()] = owner;
-                match self.program.kind(e) {
-                    ExprKind::Lam { label, body, .. } => {
-                        stack.push((*body, label.index() as u32));
-                    }
-                    _ => {
-                        self.program.for_each_child(e, |c| stack.push((c, owner)));
-                    }
-                }
-            }
-            out
-        })[e.index()]
+    /// The call-graph node lexically enclosing `e` (the call graph's
+    /// encloser map, as a relation column).
+    fn encloser_of(&self, e: ExprId) -> u32 {
+        self.callgraph().encloser_of(e) as u32
     }
 
     fn param_lam(&self) -> &[u32] {
@@ -427,13 +406,8 @@ impl<'a> ExtDb<'a> {
             }
             EdbRel::NodeComp => f(self.engine.condensation().comp_of(key as usize) as u32),
             EdbRel::CompLabel => {
-                for (wi, &word) in self.engine.summary_row(key as usize).iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros();
-                        bits &= bits - 1;
-                        f(wi as u32 * 64 + b);
-                    }
+                for l in ones(self.engine.summary_row(key as usize)) {
+                    f(l as u32);
                 }
             }
             EdbRel::ExprNode => f(self
@@ -441,12 +415,9 @@ impl<'a> ExtDb<'a> {
                 .node_of_expr(ExprId::from_index(key as usize))
                 .index() as u32),
             EdbRel::ExprLabel => {
-                let c = self.engine.condensation().comp_of(
-                    self.engine
-                        .node_of_expr(ExprId::from_index(key as usize))
-                        .index(),
-                );
-                self.for_each_matching(EdbRel::CompLabel, c as u32, f);
+                for l in ones(self.engine.label_row(ExprId::from_index(key as usize))) {
+                    f(l as u32);
+                }
             }
             EdbRel::LabelOrigin => {
                 for &n in &self.origins()[key as usize] {
@@ -562,14 +533,11 @@ impl<'a> ExtDb<'a> {
                 .summary_row(key as usize)
                 .iter()
                 .any(|&w| w != 0),
-            EdbRel::ExprLabel => {
-                let c = self.engine.condensation().comp_of(
-                    self.engine
-                        .node_of_expr(ExprId::from_index(key as usize))
-                        .index(),
-                );
-                self.has_key(EdbRel::CompLabel, c as u32)
-            }
+            EdbRel::ExprLabel => self
+                .engine
+                .label_row(ExprId::from_index(key as usize))
+                .iter()
+                .any(|&w| w != 0),
             EdbRel::LabelOrigin => !self.origins()[key as usize].is_empty(),
             EdbRel::Occurrence => self
                 .engine
@@ -596,14 +564,7 @@ impl<'a> ExtDb<'a> {
     pub(crate) fn row_words(&self, rel: EdbRel, key: u32) -> Option<&[u64]> {
         match rel {
             EdbRel::CompLabel => Some(self.engine.summary_row(key as usize)),
-            EdbRel::ExprLabel => {
-                let c = self.engine.condensation().comp_of(
-                    self.engine
-                        .node_of_expr(ExprId::from_index(key as usize))
-                        .index(),
-                );
-                Some(self.engine.summary_row(c))
-            }
+            EdbRel::ExprLabel => Some(self.engine.label_row(ExprId::from_index(key as usize))),
             _ => None,
         }
     }

@@ -22,10 +22,14 @@
 //!   arithmetic as the hand-fused analyses, and a demand mode answers
 //!   single membership questions from a BFS cone.
 //!
-//! [`analyses`] holds the shipped programs: the call-graph dominator
-//! relation, taint-style source→sink reachability, and the two lint
-//! analyses whose only implementation is a rule program (STCFA007 mixed
-//! purity, STCFA008 dominated-redundant application).
+//! [`analyses`] holds the shipped programs: taint-style source→sink
+//! reachability, STCFA007's mixed-purity analysis (whose only
+//! implementation is its rule program), and the call-graph dominator
+//! relation behind STCFA008's dominated-redundant analysis. The
+//! dominator relation is computed as the call graph's dominator tree
+//! ([`stcfa_graph::DomTree`]); its stratified program,
+//! [`analyses::dominators_program`], is the specification that
+//! `lint --explain STCFA008` prints and the oracle the tests evaluate.
 //!
 //! ```
 //! use stcfa_core::{Analysis, QueryEngine};

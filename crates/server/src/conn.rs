@@ -33,7 +33,8 @@ const READ_CHUNK: usize = 16 * 1024;
 const READ_BUDGET: usize = 256 * 1024;
 
 /// A request line longer than this is refused (the connection is marked
-/// broken): the fleet's buffers are bounded by construction.
+/// broken, and stdio input ends): the daemon's buffers are bounded by
+/// construction.
 pub const MAX_LINE: usize = 32 * 1024 * 1024;
 
 /// Admission limits applied by the event loop through [`Conn`].

@@ -24,7 +24,7 @@
 //!   lock — no request is ever silently dropped mid-drain.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -38,7 +38,7 @@ use stcfa_rules::ExtDb;
 use stcfa_session::{LinkError, LinkReport, Module, Workspace};
 
 use crate::cache::{Invalidate, LookupError, Snapshot, SnapshotKey, SnapshotStore};
-use crate::conn::{Conn, ConnLimits, Frame};
+use crate::conn::{Conn, ConnLimits, Frame, MAX_LINE};
 use crate::json::Json;
 use crate::poll::{Acceptor, Backoff, Parker};
 use crate::proto::{
@@ -558,7 +558,9 @@ impl Server {
 
     /// `rule` (protocol 2): evaluates a shipped rule program against a
     /// snapshot. `name` picks the program — `dominators` returns the
-    /// call-graph dominator relation for every reachable node;
+    /// call-graph dominator relation (read off the call graph's
+    /// dominator tree, which the program specifies) for every reachable
+    /// node;
     /// `taint` closes the given source labels (default: every
     /// effectful-bodied abstraction) over the flow edges, for the whole
     /// program or, with `expr`, as one demand query that walks only the
@@ -2121,17 +2123,26 @@ impl SeqGate {
 }
 
 /// Spawns the detached reader thread: lines in, jobs out. Detached on
-/// purpose — see [`Server::serve`].
+/// purpose — see [`Server::serve`]. Lines are framed the way the TCP
+/// transport frames them: invalid UTF-8 is decoded lossily (the request
+/// then fails with a structured error and the next line is served), and
+/// a line longer than [`MAX_LINE`] ends the input instead of being
+/// buffered without bound.
 fn spawn_reader<R: BufRead + Send + 'static>(mut reader: R, shared: Arc<PipeShared>) {
     std::thread::spawn(move || {
         let mut seq = 0u64;
-        let mut line = String::new();
+        let mut line = Vec::new();
         loop {
             line.clear();
-            match reader.read_line(&mut line) {
+            match (&mut reader)
+                .take(MAX_LINE as u64 + 1)
+                .read_until(b'\n', &mut line)
+            {
                 Ok(0) => break,
+                Ok(_) if line.len() > MAX_LINE && !line.ends_with(b"\n") => break,
                 Ok(_) => {
                     let received = Instant::now();
+                    let line = String::from_utf8_lossy(&line);
                     let trimmed = line.trim();
                     if trimmed.is_empty() {
                         continue; // blank keep-alive lines get no response
@@ -2511,6 +2522,32 @@ mod tests {
             assert_eq!(line.get("ok"), Some(&Json::Bool(true)));
         }
         assert!(s.is_stopping());
+    }
+
+    #[test]
+    fn stdio_line_over_the_cap_ends_input() {
+        // A line of exactly `MAX_LINE` bytes is framed (and refused as
+        // bad JSON); one byte more ends the input, so the request after
+        // it is never read.
+        let stats = |id: u32| format!("{{\"id\":{id},\"op\":\"stats\"}}\n").into_bytes();
+        let mut input = stats(1);
+        input.resize(input.len() + MAX_LINE, b'x');
+        input.push(b'\n');
+        input.extend(stats(2));
+        input.resize(input.len() + MAX_LINE + 1, b'x');
+        input.push(b'\n');
+        input.extend(stats(3));
+        let mut out = Vec::new();
+        server().serve(io::Cursor::new(input), &mut out).unwrap();
+        let lines: Vec<Json> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| Json::parse(l).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert_eq!(lines[0].get("id").and_then(Json::as_u64), Some(1));
+        assert_eq!(lines[1].get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(lines[2].get("id").and_then(Json::as_u64), Some(2));
     }
 
     /// A writer whose client vanished: the first `allow` writes succeed,

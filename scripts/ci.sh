@@ -77,6 +77,26 @@ if [ "$RULES_DIGEST_GOT" != "$RULES_DIGEST_WANT" ]; then
 fi
 echo "-- corpus rules digest ok ($RULES_DIGEST_GOT)"
 
+echo "== rules: corpus dominator relation is pinned =="
+# `stcfa rule --name dominators` over the whole corpus: every reachable
+# call-graph node with its dominator list. The relation is computed as a
+# dominator tree and specified by the stratified nd/dom program; this pin
+# was taken from the program's evaluation, so the tree must reproduce
+# its output byte for byte (tests/dominators_oracle.rs checks the same
+# agreement pair by pair).
+DOMINATORS_DIGEST_WANT="3106577595"
+dominators_report="$(for f in corpus/*.ml; do
+  echo "== $f"
+  ./target/release/stcfa rule "$f" --name dominators
+done)"
+DOMINATORS_DIGEST_GOT="$(printf '%s\n' "$dominators_report" | cksum | cut -d' ' -f1)"
+if [ "$DOMINATORS_DIGEST_GOT" != "$DOMINATORS_DIGEST_WANT" ]; then
+  echo "dominators digest drifted: want $DOMINATORS_DIGEST_WANT got $DOMINATORS_DIGEST_GOT" >&2
+  printf '%s\n' "$dominators_report" >&2
+  exit 1
+fi
+echo "-- corpus dominators digest ok ($DOMINATORS_DIGEST_GOT)"
+
 echo "== rules: clippy on the rule crate (warnings are errors) =="
 cargo clippy -p stcfa-rules --all-targets --offline -- -D warnings
 

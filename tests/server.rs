@@ -1023,6 +1023,60 @@ fn fleet_transcripts_are_byte_identical_across_shards_and_threads() {
 
 /// Polls the `stats` op until `pred` holds (the event loop reaps
 /// asynchronously) — bounded, never a spin-forever.
+#[test]
+fn invalid_utf8_gets_the_same_answers_over_stdio_and_tcp() {
+    // A `\xff` inside a source string: both transports decode the line
+    // lossily, answer it with a structured parse error naming U+FFFD, and
+    // go on to answer the requests after it.
+    let input: &[u8] = b"{\"v\":1,\"id\":1,\"op\":\"analyze\",\"source\":\"fun f x = x; f \xff 1\"}\n\
+        {\"v\":1,\"id\":2,\"op\":\"analyze\",\"source\":\"fun f x = x; f 1\"}\n\
+        {\"v\":1,\"id\":3,\"op\":\"query\",\"kind\":\"label-set\",\"source\":\"fun f x = x; f (fn y => y)\"}\n";
+
+    let mut child = stcfa()
+        .args(["serve", "--stdio", "--threads", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    child.stdin.take().unwrap().write_all(input).unwrap();
+    let mut over_stdio = String::new();
+    child
+        .stdout
+        .take()
+        .unwrap()
+        .read_to_string(&mut over_stdio)
+        .unwrap();
+    assert!(child.wait().unwrap().success());
+
+    let d = TcpDaemon::spawn(&["--threads", "2"]);
+    let stream = d.connect();
+    let mut writer = stream.try_clone().unwrap();
+    writer.write_all(input).unwrap();
+    writer.flush().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut over_tcp = String::new();
+    for _ in 0..3 {
+        let n = reader.read_line(&mut over_tcp).unwrap();
+        assert!(n > 0, "connection closed early: {over_tcp}");
+    }
+    d.shutdown();
+
+    assert_eq!(over_stdio, over_tcp);
+    let lines: Vec<&str> = over_stdio.lines().collect();
+    assert_eq!(lines.len(), 3, "{over_stdio}");
+    assert_eq!(field(lines[0], "ok"), "false", "{}", lines[0]);
+    assert!(
+        lines[0].contains(r#""kind":"parse""#)
+            && lines[0].contains("unexpected character `\u{FFFD}`"),
+        "{}",
+        lines[0]
+    );
+    for line in &lines[1..] {
+        assert_eq!(field(line, "ok"), "true", "{line}");
+    }
+}
+
 fn wait_for_stats(d: &TcpDaemon, what: &str, pred: impl Fn(&str) -> bool) -> String {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
