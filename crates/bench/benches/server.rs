@@ -127,8 +127,8 @@ fn bench_server(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&cache_root);
 
     // Pipeline throughput over a warm cache: 64 label-set queries against
-    // the largest corpus entry, through the full ordered pipeline at
-    // --threads 1/2/8.
+    // the largest corpus entry, piped through `serve` (the stdio
+    // transport: one connection of the event loop) at --threads 1/2/8.
     let (_, big) = corpus.last().expect("corpus is non-empty");
     let mut batch = String::new();
     for i in 0..64 {

@@ -1,25 +1,25 @@
-//! Per-connection state for the event-loop transport: incremental line
-//! framing over a nonblocking stream, a buffered ordered writer, and the
-//! per-connection sequence gate that keeps transcripts byte-identical at
-//! any shard/worker count.
+//! Per-connection state for the event loop, on either transport:
+//! incremental line framing over a nonblocking stream, a buffered ordered
+//! writer, and the per-connection sequence gate that keeps transcripts
+//! byte-identical at any shard/worker count.
 //!
 //! A [`Conn`] owns one client stream and never blocks on it: reads and
 //! writes stop at `WouldBlock` and resume on the next event-loop sweep.
 //! Every framed request line gets the next sequence number; responses
 //! are appended to the write buffer strictly in that order regardless of
 //! which shard worker finished first. Order-sensitive lines (the
-//! stateful `session/*` ops and `evict`) are *held* inside the
-//! connection until every earlier request has been answered, and only
-//! then dispatched — the same observable semantics as the stdio
-//! pipeline's sequence gate, but enforced at dispatch time so shard
-//! workers never block on each other (a blocking gate can deadlock a
-//! pool where every worker waits on a task queued behind it).
+//! stateful `session/*` ops and `evict`, see [`needs_order`]) are *held*
+//! inside the connection until every earlier request has been answered,
+//! and only then dispatched, so shard workers never block on each other
+//! (a blocking gate can deadlock a pool where every worker waits on a
+//! task queued behind it).
 //!
 //! Backpressure is the absence of a read: once the connection has
 //! [`ConnLimits::conn_inflight`] unanswered requests, or its write
 //! buffer exceeds [`ConnLimits::wbuf_soft_cap`] because the client reads
 //! slowly, [`Conn::wants_read`] goes false and the event loop simply
-//! stops pulling bytes. The kernel's TCP window does the rest.
+//! stops pulling bytes. The kernel's TCP window, or the full pipe behind
+//! a piped stream, does the rest.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -32,8 +32,10 @@ const READ_CHUNK: usize = 16 * 1024;
 /// the rest of the loop.
 const READ_BUDGET: usize = 256 * 1024;
 
-/// A request line longer than this is refused (the connection is marked
-/// broken, and stdio input ends): the daemon's buffers are bounded by
+/// A request line with more bytes than this before its newline ends the
+/// connection's input, however reads split it: the connection stops
+/// reading, drops its read buffer, answers every request framed before
+/// that line and is then reaped. The daemon's buffers are bounded by
 /// construction.
 pub const MAX_LINE: usize = 32 * 1024 * 1024;
 
@@ -98,10 +100,11 @@ pub struct Conn<S> {
     ready: BTreeMap<u64, String>,
     /// Order-sensitive lines waiting for `emit_next` to reach them.
     held: BTreeMap<u64, Frame>,
-    /// Client sent EOF (or a read error): no more frames will arrive.
+    /// Client sent EOF, a read failed, or a line went over [`MAX_LINE`]:
+    /// no more frames will arrive.
     read_closed: bool,
-    /// The write side failed (or the line cap tripped): the connection
-    /// is beyond use and should be reaped without further I/O.
+    /// The write side failed: the connection is beyond use and should
+    /// be reaped without further I/O.
     dead: bool,
 }
 
@@ -149,24 +152,11 @@ impl<S: Read + Write> Conn<S> {
     /// dispatch; order-sensitive ones are held internally until their
     /// turn (see [`Conn::complete`]). Respects the limits *between*
     /// chunks so a single sweep cannot blow far past `conn_inflight`.
-    pub fn pump_read(&mut self, limits: &ConnLimits, order_sensitive: fn(&str) -> bool) -> Pumped {
+    pub fn pump_read(&mut self, limits: &ConnLimits) -> Pumped {
         let mut out = Pumped::default();
-        if self.dead || self.read_closed {
-            return out;
-        }
         let mut budget = READ_BUDGET;
-        loop {
-            if !self.wants_read(limits) || budget == 0 {
-                break;
-            }
+        while budget > 0 && self.wants_read(limits) {
             let old_len = self.rbuf.len();
-            if old_len >= MAX_LINE {
-                // A frame longer than the cap: the client is broken or
-                // hostile; refuse the connection rather than buffer
-                // without bound.
-                self.dead = true;
-                break;
-            }
             self.rbuf.resize(old_len + READ_CHUNK.min(budget), 0);
             match self.stream.read(&mut self.rbuf[old_len..]) {
                 Ok(0) => {
@@ -179,7 +169,7 @@ impl<S: Read + Write> Conn<S> {
                     self.rbuf.truncate(old_len + n);
                     budget = budget.saturating_sub(n);
                     out.progressed = true;
-                    self.extract_frames(&mut out, order_sensitive);
+                    self.extract_frames(&mut out);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     self.rbuf.truncate(old_len);
@@ -202,15 +192,17 @@ impl<S: Read + Write> Conn<S> {
     }
 
     /// Splits complete lines out of the read buffer. Blank lines are
-    /// keep-alives and consume no sequence number (matching the stdio
-    /// reader); lines are trimmed. Invalid UTF-8 is passed through
-    /// lossily — the JSON parser turns it into a structured `proto`
-    /// error, which is still a well-formed transcript entry.
-    fn extract_frames(&mut self, out: &mut Pumped, order_sensitive: fn(&str) -> bool) {
+    /// keep-alives and consume no sequence number; lines are trimmed.
+    /// Invalid UTF-8 is passed through lossily — the JSON parser turns it
+    /// into a structured `proto` error, which is still a well-formed
+    /// transcript entry. A line over [`MAX_LINE`], framed or still
+    /// partial, ends the input.
+    fn extract_frames(&mut self, out: &mut Pumped) {
         let mut start = 0;
-        while let Some(nl) =
-            find_byte(&self.rbuf[self.scan.max(start)..], b'\n').map(|i| i + self.scan.max(start))
-        {
+        while let Some(nl) = find_byte(&self.rbuf[self.scan..], b'\n').map(|i| i + self.scan) {
+            if nl - start > MAX_LINE {
+                return self.refuse_input();
+            }
             let raw = &self.rbuf[start..nl];
             let line = String::from_utf8_lossy(raw);
             let trimmed = line.trim();
@@ -221,7 +213,7 @@ impl<S: Read + Write> Conn<S> {
                     received: Instant::now(),
                 };
                 self.next_seq += 1;
-                if order_sensitive(trimmed) && frame.seq != self.emit_next {
+                if needs_order(trimmed) && frame.seq != self.emit_next {
                     self.held.insert(frame.seq, frame);
                 } else {
                     out.dispatch.push(frame);
@@ -230,12 +222,20 @@ impl<S: Read + Write> Conn<S> {
             start = nl + 1;
             self.scan = start;
         }
-        if start > 0 {
-            self.rbuf.drain(..start);
-            self.scan = self.rbuf.len();
-        } else {
-            self.scan = self.rbuf.len();
+        self.rbuf.drain(..start);
+        self.scan = self.rbuf.len();
+        if self.rbuf.len() > MAX_LINE {
+            self.refuse_input();
         }
+    }
+
+    /// A line over [`MAX_LINE`]: stop reading and free the read buffer.
+    /// Requests framed before the line are still answered and flushed;
+    /// the connection is then reaped like one whose client hung up.
+    fn refuse_input(&mut self) {
+        self.read_closed = true;
+        self.rbuf = Vec::new();
+        self.scan = 0;
     }
 
     /// Records the response for `seq` and advances the ordered emit
@@ -258,11 +258,10 @@ impl<S: Read + Write> Conn<S> {
         }
     }
 
-    /// Flushes as much of the write buffer as the socket accepts.
-    /// Returns whether any bytes moved. A hard write error (client
-    /// vanished) marks the connection dead; like the stdio writer,
-    /// remaining responses are discarded rather than blocking the
-    /// daemon.
+    /// Flushes as much of the write buffer as the stream accepts.
+    /// Returns whether any bytes moved. A hard write or flush error
+    /// (client vanished) marks the connection dead; remaining responses
+    /// are discarded rather than blocking the daemon.
     pub fn pump_write(&mut self) -> bool {
         if self.dead || self.wbuf.is_empty() {
             return false;
@@ -283,13 +282,15 @@ impl<S: Read + Write> Conn<S> {
                 }
             }
         }
+        if written > 0 && !self.dead && self.stream.flush().is_err() {
+            self.dead = true;
+        }
         if self.dead {
             self.wbuf.clear();
             return written > 0;
         }
         if written > 0 {
             self.wbuf.drain(..written);
-            let _ = self.stream.flush();
             return true;
         }
         false
@@ -322,11 +323,16 @@ impl<S: Read + Write> Conn<S> {
     pub fn is_dead(&self) -> bool {
         self.dead
     }
+}
 
-    /// Whether the client has closed its write half.
-    pub fn is_read_closed(&self) -> bool {
-        self.read_closed
-    }
+/// Whether a request line must execute in stream order: the stateful
+/// `session/*` ops, and `evict`, which observes session pins. A
+/// conservative substring check: every `session/*` op's line contains
+/// `"session/` and every `evict` op's line contains `"evict"`, so there
+/// are no false negatives; a false positive (the marker inside a source
+/// string) merely orders one extra request, which is harmless.
+fn needs_order(line: &str) -> bool {
+    line.contains("\"session/") || line.contains("\"evict\"")
 }
 
 fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
@@ -389,14 +395,6 @@ mod tests {
         }
     }
 
-    fn never_ordered(_: &str) -> bool {
-        false
-    }
-
-    fn session_ordered(line: &str) -> bool {
-        line.contains("\"session/")
-    }
-
     #[test]
     fn frames_split_across_chunks_and_blank_lines_take_no_seq() {
         let mut stream = FakeStream::default();
@@ -404,7 +402,7 @@ mod tests {
         stream.to_read.push_back(b":2}\n  \n{\"c\":3}\n".to_vec());
         let mut conn = Conn::new(stream, 0);
         let limits = ConnLimits::default();
-        let pumped = conn.pump_read(&limits, never_ordered);
+        let pumped = conn.pump_read(&limits);
         assert!(pumped.progressed);
         let got: Vec<(u64, &str)> = pumped
             .dispatch
@@ -421,10 +419,10 @@ mod tests {
         let mut stream = FakeStream::default();
         stream.to_read.push_back(b"{\"partial\"".to_vec());
         let mut conn = Conn::new(stream, 1);
-        let pumped = conn.pump_read(&limits, never_ordered);
+        let pumped = conn.pump_read(&limits);
         assert!(pumped.dispatch.is_empty());
         assert_eq!(conn.inflight(), 0);
-        assert!(!conn.is_read_closed());
+        assert!(!conn.read_closed);
     }
 
     #[test]
@@ -435,7 +433,7 @@ mod tests {
             .push_back(b"{\"a\":1}\n{\"b\":2}\n{\"c\":3}\n".to_vec());
         let mut conn = Conn::new(stream, 0);
         let limits = ConnLimits::default();
-        let pumped = conn.pump_read(&limits, never_ordered);
+        let pumped = conn.pump_read(&limits);
         assert_eq!(pumped.dispatch.len(), 3);
         assert_eq!(conn.inflight(), 3);
         // Finish out of order: 2, 0, 1.
@@ -456,7 +454,7 @@ mod tests {
             .push_back(b"{\"q\":0}\n{\"op\":\"session/open\"}\n{\"q\":2}\n".to_vec());
         let mut conn = Conn::new(stream, 0);
         let limits = ConnLimits::default();
-        let pumped = conn.pump_read(&limits, session_ordered);
+        let pumped = conn.pump_read(&limits);
         // The session op (seq 1) is held; 0 and 2 dispatch immediately.
         let seqs: Vec<u64> = pumped.dispatch.iter().map(|f| f.seq).collect();
         assert_eq!(seqs, vec![0, 2]);
@@ -476,7 +474,7 @@ mod tests {
             .to_read
             .push_back(b"{\"op\":\"session/query\"}\n".to_vec());
         let mut conn = Conn::new(stream, 1);
-        let pumped = conn.pump_read(&limits, session_ordered);
+        let pumped = conn.pump_read(&limits);
         assert_eq!(pumped.dispatch.len(), 1);
     }
 
@@ -492,7 +490,7 @@ mod tests {
             conn_inflight: 2,
             wbuf_soft_cap: 1 << 20,
         };
-        let pumped = conn.pump_read(&limits, never_ordered);
+        let pumped = conn.pump_read(&limits);
         assert_eq!(pumped.dispatch.len(), 2);
         assert!(!conn.wants_read(&limits), "at the cap: reads must stop");
         assert_eq!(conn.stream.to_read.len(), 1, "third chunk left unread");
@@ -500,7 +498,7 @@ mod tests {
         conn.complete(0, "r0".into());
         conn.complete(1, "r1".into());
         assert!(conn.wants_read(&limits));
-        let pumped = conn.pump_read(&limits, never_ordered);
+        let pumped = conn.pump_read(&limits);
         assert_eq!(pumped.dispatch.len(), 1);
 
         // Slow-reader cap: an unflushable write buffer past the soft cap
@@ -515,7 +513,7 @@ mod tests {
             conn_inflight: 64,
             wbuf_soft_cap: 4,
         };
-        conn.pump_read(&limits, never_ordered);
+        conn.pump_read(&limits);
         conn.complete(0, "a-long-response".into());
         assert!(!conn.pump_write(), "window 0: nothing flushes");
         assert!(!conn.wants_read(&limits), "wbuf over cap: reads must stop");
@@ -534,7 +532,7 @@ mod tests {
         stream.to_read.push_back(b"{\"a\":1}\n".to_vec());
         let mut conn = Conn::new(stream, 0);
         let limits = ConnLimits::default();
-        conn.pump_read(&limits, never_ordered);
+        conn.pump_read(&limits);
         conn.complete(0, "0123456789".into());
         // 3 bytes of socket budget per sweep: several sweeps to drain
         // 11 bytes, each resuming exactly where the last stopped.
@@ -553,7 +551,7 @@ mod tests {
         let mut stream = FakeStream::default();
         stream.to_read.push_back(b"{\"a\":1}\n".to_vec());
         let mut conn = Conn::new(stream, 1);
-        conn.pump_read(&limits, never_ordered);
+        conn.pump_read(&limits);
         conn.stream.write_broken = true;
         assert!(!conn.reapable(), "one request still dispatched");
         conn.complete(0, "r0".into());
@@ -570,9 +568,9 @@ mod tests {
         stream.eof = true;
         let mut conn = Conn::new(stream, 0);
         let limits = ConnLimits::default();
-        let pumped = conn.pump_read(&limits, never_ordered);
+        let pumped = conn.pump_read(&limits);
         assert_eq!(pumped.dispatch.len(), 1);
-        assert!(conn.is_read_closed());
+        assert!(conn.read_closed);
         assert!(
             !conn.reapable(),
             "mid-burst disconnect: the dispatched request must finish first"
@@ -585,19 +583,80 @@ mod tests {
 
     #[test]
     fn oversized_line_kills_the_connection_instead_of_buffering() {
+        // One request, then newline-free garbage forever: the request is
+        // still answered, the garbage is dropped once it passes the cap,
+        // and the connection is reaped like one whose client hung up.
         let mut stream = FakeStream::default();
-        // Feed newline-free garbage forever.
+        stream.to_read.push_back(b"{\"a\":1}\n".to_vec());
         for _ in 0..((MAX_LINE / (1 << 14)) + 4) {
             stream.to_read.push_back(vec![b'x'; 1 << 14]);
         }
         let mut conn = Conn::new(stream, 0);
         let limits = ConnLimits::default();
+        let mut framed = Vec::new();
         let mut sweeps = 0;
-        while !conn.is_dead() {
-            conn.pump_read(&limits, never_ordered);
+        while !conn.read_closed {
+            framed.extend(conn.pump_read(&limits).dispatch);
             sweeps += 1;
             assert!(sweeps < 4096, "line cap never tripped");
         }
+        assert!(!conn.stream.to_read.is_empty(), "reading stops at the cap");
+        assert_eq!(conn.rbuf.capacity(), 0, "the partial line is dropped");
+        assert_eq!(framed.len(), 1);
+        assert!(!conn.reapable(), "the earlier request is still dispatched");
+        conn.complete(framed[0].seq, "r0".into());
+        conn.pump_write();
+        assert_eq!(conn.stream.written, b"r0\n", "earlier frames are answered");
+        assert!(conn.reapable());
+    }
+
+    /// Feeds a line of `head` bytes of `x`, then `last`, one read per
+    /// sweep; returns the framed line lengths and the connection.
+    fn sweep_line(head: usize, last: &[u8]) -> (Vec<usize>, Conn<FakeStream>) {
+        let mut conn = Conn::new(FakeStream::default(), 0);
+        let limits = ConnLimits::default();
+        let mut framed = Vec::new();
+        let mut left = head;
+        while left > 0 {
+            let n = left.min(READ_CHUNK);
+            conn.stream.to_read.push_back(vec![b'x'; n]);
+            framed.extend(
+                conn.pump_read(&limits)
+                    .dispatch
+                    .iter()
+                    .map(|f| f.line.len()),
+            );
+            left -= n;
+        }
+        conn.stream.to_read.push_back(last.to_vec());
+        framed.extend(
+            conn.pump_read(&limits)
+                .dispatch
+                .iter()
+                .map(|f| f.line.len()),
+        );
+        (framed, conn)
+    }
+
+    #[test]
+    fn line_cap_counts_line_bytes_however_reads_split_them() {
+        // Exactly MAX_LINE bytes, the newline in the same read as the
+        // last byte: framed.
+        let (framed, conn) = sweep_line(MAX_LINE - 1, b"x\n");
+        assert_eq!(framed, vec![MAX_LINE]);
+        assert!(!conn.read_closed);
+        // The same line with its newline in the next read: framed too.
+        let (framed, conn) = sweep_line(MAX_LINE, b"\n");
+        assert_eq!(framed, vec![MAX_LINE]);
+        assert!(!conn.read_closed);
+        // MAX_LINE + 100 bytes whose tail and newline arrive in one
+        // read: over the cap, so input ends and nothing is framed.
+        let mut tail = vec![b'x'; 200];
+        tail.push(b'\n');
+        let (framed, conn) = sweep_line(MAX_LINE - 100, &tail);
+        assert!(framed.is_empty(), "{framed:?}");
+        assert!(conn.read_closed);
+        assert_eq!(conn.rbuf.capacity(), 0);
         assert!(conn.reapable());
     }
 }

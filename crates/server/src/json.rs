@@ -175,6 +175,18 @@ impl Json {
     }
 }
 
+/// Decodes the JSON string literal whose opening quote is byte `at` of
+/// `input`, by the parser's own string rule. `None` when no literal
+/// starts there or it does not decode.
+pub(crate) fn decode_str_at(input: &str, at: usize) -> Option<String> {
+    Parser {
+        bytes: input.as_bytes(),
+        pos: at,
+    }
+    .string()
+    .ok()
+}
+
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {

@@ -21,16 +21,15 @@
 //! - [`json`] — the zero-dependency JSON reader/writer with canonical
 //!   (byte-deterministic) output, so transcripts are identical across
 //!   worker-thread counts.
-//! - [`server`] — the daemon itself: dispatch, the ordered
-//!   reader/worker/writer pipeline, stdio and TCP transports, graceful
-//!   drain on `shutdown`.
-//! - [`poll`], [`conn`], [`shard`] — the nonblocking event-loop TCP
-//!   transport (the *fleet*): a zero-FFI readiness loop over
-//!   nonblocking sockets, per-connection incremental framing with an
-//!   ordered buffered writer, and a sharded worker pool that routes
+//! - [`server`] — the daemon itself: dispatch, and one transport model
+//!   for stdio and TCP alike (the *fleet*): a zero-FFI event loop over
+//!   nonblocking connections — TCP sockets, or stdin/stdout as a single
+//!   piped connection — with per-connection incremental framing and an
+//!   ordered buffered writer, plus a sharded worker pool that routes
 //!   requests by snapshot digest so cache-affine work stays on one
 //!   worker. Admission control sheds excess load with the structured
-//!   `overloaded` error instead of buffering without bound.
+//!   `overloaded` error instead of buffering without bound, and
+//!   `shutdown` drains gracefully.
 //! - [`soak`] — a many-connection pipelined load driver (`stcfa soak`,
 //!   `benches/server.rs`, and CI's soak smoke all share it).
 //!
@@ -41,19 +40,17 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod conn;
+mod conn;
 pub mod json;
-pub mod poll;
+mod poll;
 pub mod proto;
 pub mod server;
-pub mod shard;
+mod shard;
 pub mod soak;
 
 pub use cache::{Invalidate, LookupError, Snapshot, SnapshotKey, SnapshotStore, StoreStats};
-pub use conn::{Conn, ConnLimits};
 pub use json::Json;
-pub use poll::{Acceptor, Backoff, Parker};
 pub use proto::{Deadline, ErrorKind, RequestError, PROTOCOL_VERSION, PROTOCOL_VERSION_SESSION};
 pub use server::{fleet_summary_line, Server, ServerOptions};
-pub use shard::{FleetStats, ShardPool};
+pub use shard::FleetStats;
 pub use soak::{run_soak, SoakConfig, SoakReport};

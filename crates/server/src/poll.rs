@@ -1,6 +1,7 @@
-//! Readiness primitives for the event-loop transport: a wakeable parker,
-//! an adaptive spin/park backoff, and a blocking acceptor thread that can
-//! be released without `poll(2)`.
+//! Readiness primitives for the event loop: a wakeable parker, an
+//! adaptive spin/park backoff, a blocking acceptor thread that can be
+//! released without `poll(2)`, and a piped stream that turns a blocking
+//! byte source (stdin) into one nonblocking connection.
 //!
 //! The fleet transport is zero-dependency by design: no `libc`, no `mio`,
 //! no FFI. Readiness therefore cannot come from `epoll`; instead the
@@ -8,19 +9,23 @@
 //! paces itself with [`Backoff`] — spin while traffic is hot, park on a
 //! [`Parker`] with an escalating timeout when it is not. Everything that
 //! can produce work without the loop noticing on its own (a finished
-//! worker, a fresh connection) holds a [`Parker`] handle and wakes it, so
-//! the escalated timeout is a *bound* on discovery latency for the one
-//! signal nobody can deliver: bytes arriving on an already-open socket.
+//! worker, a fresh connection, a chunk of piped input) holds a [`Parker`]
+//! handle and wakes it, so the escalated timeout is a *bound* on
+//! discovery latency for the one signal nobody can deliver: bytes
+//! arriving on an already-open socket.
 //!
-//! The accept path needs no polling at all: [`Acceptor`] parks a
-//! dedicated thread inside blocking `accept(2)` (zero CPU while idle) and
-//! is released on shutdown by a loopback self-connect — the classic
-//! self-pipe trick, with a TCP connection standing in for the pipe.
+//! The blocking calls live on dedicated threads instead. [`Acceptor`]
+//! parks one inside `accept(2)` (zero CPU while idle) and is released on
+//! shutdown by a loopback self-connect — the classic self-pipe trick,
+//! with a TCP connection standing in for the pipe. [`Piped`] parks one
+//! inside the byte source's `read(2)` and hands its bytes to the loop
+//! through a bounded channel.
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -90,12 +95,6 @@ const HOT_SWEEPS: u32 = 16;
 /// First park duration once the hot window is exhausted.
 const PARK_FLOOR: Duration = Duration::from_micros(50);
 
-impl Default for Backoff {
-    fn default() -> Backoff {
-        Backoff::new()
-    }
-}
-
 impl Backoff {
     /// A backoff in the hot state.
     pub fn new() -> Backoff {
@@ -124,10 +123,8 @@ impl Backoff {
 
 /// The accept thread's hand-off queue plus its shutdown latch.
 struct AcceptShared {
-    /// Accepted streams, in arrival order.
+    /// Accepted streams, already nonblocking, in arrival order.
     queue: Mutex<VecDeque<TcpStream>>,
-    /// Signalled on every push (for blocking consumers).
-    cv: Condvar,
     /// Latched by [`Acceptor::shutdown`]; the accept thread drops the
     /// wake connection and exits when it sees this.
     stop: AtomicBool,
@@ -146,7 +143,9 @@ pub struct Acceptor {
 
 impl Acceptor {
     /// Spawns the accept thread over an already-bound listener. `notify`
-    /// is woken every time a fresh connection lands in the queue.
+    /// is woken every time a fresh connection lands in the queue; the
+    /// thread makes each one nonblocking (a stream that refuses is
+    /// dropped) and disables Nagle's algorithm on it first.
     pub fn spawn(listener: TcpListener, notify: Arc<Parker>) -> io::Result<Acceptor> {
         // Blocking accepts on purpose: the thread consumes nothing while
         // idle. (The listener may arrive nonblocking from an older
@@ -155,7 +154,6 @@ impl Acceptor {
         let local = listener.local_addr()?;
         let shared = Arc::new(AcceptShared {
             queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
             stop: AtomicBool::new(false),
             notify,
         });
@@ -170,31 +168,11 @@ impl Acceptor {
         })
     }
 
-    /// The listener's bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local
-    }
-
     /// Drains every connection accepted since the last call (never
     /// blocks).
     pub fn drain(&self) -> Vec<TcpStream> {
         let mut queue = self.shared.queue.lock().expect("accept queue poisoned");
         queue.drain(..).collect()
-    }
-
-    /// Blocks until a connection arrives or [`Acceptor::shutdown`] runs.
-    /// `None` means the acceptor is stopping and the queue is drained.
-    pub fn recv(&self) -> Option<TcpStream> {
-        let mut queue = self.shared.queue.lock().expect("accept queue poisoned");
-        loop {
-            if let Some(stream) = queue.pop_front() {
-                return Some(stream);
-            }
-            if self.shared.stop.load(Ordering::SeqCst) {
-                return None;
-            }
-            queue = self.shared.cv.wait(queue).expect("accept queue poisoned");
-        }
     }
 
     /// Latches stop and releases the blocked `accept(2)` by connecting to
@@ -204,10 +182,9 @@ impl Acceptor {
         // The self-connect gives accept() something to return; the thread
         // then observes `stop` and exits. If the connect fails (exotic
         // bind address, fd exhaustion) fall back to letting the thread
-        // die with the process — the queue consumers are already
-        // released via the condvar below.
+        // die with the process — the event loop is released by the wake
+        // below.
         let _ = TcpStream::connect_timeout(&self.wake_addr(), Duration::from_millis(500));
-        self.shared.cv.notify_all();
         self.shared.notify.wake();
         let handle = self.handle.lock().expect("accept handle poisoned").take();
         if let Some(handle) = handle {
@@ -237,10 +214,15 @@ fn accept_loop(listener: TcpListener, shared: Arc<AcceptShared>) {
                     drop(stream);
                     break;
                 }
-                let mut queue = shared.queue.lock().expect("accept queue poisoned");
-                queue.push_back(stream);
-                shared.cv.notify_one();
-                drop(queue);
+                if stream.set_nonblocking(true).is_err() {
+                    continue;
+                }
+                let _ = stream.set_nodelay(true);
+                shared
+                    .queue
+                    .lock()
+                    .expect("accept queue poisoned")
+                    .push_back(stream);
                 shared.notify.wake();
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -256,10 +238,121 @@ fn accept_loop(listener: TcpListener, shared: Arc<AcceptShared>) {
     }
 }
 
+/// Bytes the piped reader thread moves per chunk.
+const PIPE_CHUNK: usize = 16 * 1024;
+
+/// Chunks that may wait in a piped stream's channel. With the reader's
+/// own chunk and the one being framed, this bounds the piped input held
+/// ahead of the framer: once the loop stops reading (backpressure), the
+/// reader blocks and the pipe pushes back on the client.
+const PIPE_DEPTH: usize = 4;
+
+/// A blocking byte source and sink served as one event-loop connection
+/// (the stdio transport). A detached reader thread moves the source's
+/// bytes through a bounded channel and wakes the loop's [`Parker`] on
+/// each chunk, so reads never block: they return `WouldBlock` while the
+/// channel is empty and end of input once the reader has stopped. Writes
+/// go to the sink one response line per call, so a sink that fails
+/// part-way fails at a response boundary, and they block: a piped stream
+/// is the only connection on its loop, so nothing else waits on it.
+pub struct Piped<'e, W> {
+    chunks: Receiver<Vec<u8>>,
+    /// The chunk being read, and how much of it has been.
+    chunk: Vec<u8>,
+    at: usize,
+    sink: W,
+    /// The sink's first error, kept for the caller: the connection only
+    /// learns that its write side broke.
+    error: &'e mut Option<io::Error>,
+}
+
+impl<'e, W: Write> Piped<'e, W> {
+    /// Spawns the reader thread over `source`. It is detached on purpose:
+    /// a read blocked on an open stdin must not hold a drained shutdown
+    /// hostage. It exits at end of input, on a read error (treated as
+    /// end of input), or once the stream is dropped.
+    pub fn spawn<R: Read + Send + 'static>(
+        mut source: R,
+        sink: W,
+        notify: Arc<Parker>,
+        error: &'e mut Option<io::Error>,
+    ) -> Piped<'e, W> {
+        let (tx, chunks) = mpsc::sync_channel(PIPE_DEPTH);
+        std::thread::spawn(move || {
+            loop {
+                let mut chunk = vec![0; PIPE_CHUNK];
+                match source.read(&mut chunk) {
+                    Ok(0) => break,
+                    Ok(n) => {
+                        chunk.truncate(n);
+                        if tx.send(chunk).is_err() {
+                            break;
+                        }
+                        notify.wake();
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => break,
+                }
+            }
+            // The loop learns of end of input from the hung-up channel.
+            drop(tx);
+            notify.wake();
+        });
+        Piped {
+            chunks,
+            chunk: Vec::new(),
+            at: 0,
+            sink,
+            error,
+        }
+    }
+
+    /// Keeps the sink's first error for the caller and hands the
+    /// connection one of the same kind.
+    fn latch(&mut self, e: io::Error) -> io::Error {
+        let kind = e.kind();
+        self.error.get_or_insert(e);
+        io::Error::from(kind)
+    }
+}
+
+impl<W> Read for Piped<'_, W> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.at == self.chunk.len() {
+            self.chunk = match self.chunks.try_recv() {
+                Ok(chunk) => chunk,
+                Err(TryRecvError::Empty) => return Err(io::ErrorKind::WouldBlock.into()),
+                Err(TryRecvError::Disconnected) => return Ok(0),
+            };
+            self.at = 0;
+        }
+        let n = buf.len().min(self.chunk.len() - self.at);
+        buf[..n].copy_from_slice(&self.chunk[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+impl<W: Write> Write for Piped<'_, W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let line = buf
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(buf, |nl| &buf[..=nl]);
+        match self.sink.write_all(line) {
+            Ok(()) => Ok(line.len()),
+            Err(e) => Err(self.latch(e)),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.sink.flush().map_err(|e| self.latch(e))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
     use std::time::Instant;
 
     #[test]
@@ -306,9 +399,9 @@ mod tests {
     #[test]
     fn acceptor_delivers_connections_and_shutdown_releases_accept() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
         let notify = Arc::new(Parker::new());
         let acceptor = Acceptor::spawn(listener, Arc::clone(&notify)).unwrap();
-        let addr = acceptor.local_addr();
 
         let mut client = TcpStream::connect(addr).unwrap();
         client.write_all(b"hello").unwrap();
@@ -327,20 +420,69 @@ mod tests {
     }
 
     #[test]
-    fn acceptor_recv_blocks_until_connection_or_stop() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let acceptor = Acceptor::spawn(listener, Arc::new(Parker::new())).unwrap();
-        let addr = acceptor.local_addr();
-        std::thread::scope(|scope| {
-            let h = scope.spawn(|| acceptor.recv().is_some());
-            std::thread::sleep(Duration::from_millis(20));
-            let _client = TcpStream::connect(addr).unwrap();
-            assert!(h.join().unwrap(), "recv missed the connection");
-            // After shutdown, recv drains to None.
-            let h = scope.spawn(|| acceptor.recv().is_none());
-            std::thread::sleep(Duration::from_millis(20));
-            acceptor.shutdown();
-            assert!(h.join().unwrap(), "recv did not observe stop");
-        });
+    fn piped_stream_reads_without_blocking_and_latches_the_first_write_error() {
+        let notify = Arc::new(Parker::new());
+        let mut error = None;
+        let mut sink = Vec::new();
+        let (tx, rx) = mpsc::channel::<u8>();
+        // A source that yields one line once released, then ends.
+        struct Gated(mpsc::Receiver<u8>, bool);
+        impl Read for Gated {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                if self.1 {
+                    return Ok(0);
+                }
+                self.0.recv().expect("the test releases the source");
+                self.1 = true;
+                buf[..3].copy_from_slice(b"ab\n");
+                Ok(3)
+            }
+        }
+        let mut piped = Piped::spawn(Gated(rx, false), &mut sink, Arc::clone(&notify), &mut error);
+        let mut buf = [0; 8];
+        assert_eq!(
+            piped.read(&mut buf).unwrap_err().kind(),
+            io::ErrorKind::WouldBlock,
+            "nothing piped yet: reads must not block"
+        );
+        tx.send(0).unwrap();
+        assert!(notify.wait(Some(Duration::from_secs(10))), "no chunk wake");
+        assert_eq!(piped.read(&mut buf).unwrap(), 3);
+        assert_eq!(&buf[..3], b"ab\n");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match piped.read(&mut buf) {
+                Ok(0) => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    assert!(Instant::now() < deadline, "end of input never arrived");
+                    notify.wait(Some(Duration::from_millis(10)));
+                }
+                other => panic!("unexpected read {other:?}"),
+            }
+        }
+        // One response line per write call.
+        assert_eq!(piped.write(b"r0\nr1\n").unwrap(), 3);
+        drop(piped);
+        assert_eq!(sink, b"r0\n");
+        assert!(error.is_none());
+
+        // A failing sink: the caller gets the first error itself back.
+        struct Gone(u32);
+        impl Write for Gone {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                let message = format!("client gone ({})", self.0);
+                Err(io::Error::new(io::ErrorKind::BrokenPipe, message))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut piped = Piped::spawn(io::empty(), Gone(0), notify, &mut error);
+        assert!(piped.write(b"r0\n").is_err());
+        assert!(piped.write(b"r1\n").is_err());
+        drop(piped);
+        let e = error.expect("the first error is kept");
+        assert_eq!(e.to_string(), "client gone (1)");
     }
 }

@@ -1,33 +1,44 @@
-//! The daemon: request dispatch, the worker pipeline, and the two
-//! transports (stdio and TCP).
+//! The daemon: request dispatch, and the one event loop that serves
+//! both transports (stdio and TCP).
 //!
 //! # Execution model
 //!
 //! One [`Server`] owns the [`SnapshotStore`] and the global counters. A
-//! *pipeline* serves one byte stream: a detached reader thread tags each
-//! line with a sequence number and its arrival [`Instant`] (the deadline
-//! clock), `threads` scoped workers call [`Server::handle_line`]
-//! concurrently, and a single writer emits responses **in request
-//! order** — so a transcript's bytes are independent of the worker count.
+//! transport is one event loop over its connections plus a sharded pool
+//! of `threads` workers. Under [`Server::serve_tcp`] an acceptor thread
+//! hands the loop its connections; under [`Server::serve`] (`--stdio`)
+//! the loop has one connection, whose input a detached reader thread
+//! pumps from the byte stream and whose output is the writer. The loop
+//! frames each line and stamps its arrival [`Instant`] (the deadline
+//! clock), admits it, and routes it by snapshot digest to a shard; the
+//! workers call [`Server::handle_line`] concurrently, and each
+//! connection emits its responses **in request order** — so a
+//! transcript's bytes are independent of the worker and shard counts.
 //!
 //! # Robustness invariants
 //!
 //! - A request never takes the daemon down: malformed JSON, parse and
 //!   analysis failures, stale snapshot handles and blown deadlines all
 //!   become structured error responses on the same connection.
-//! - `shutdown` is graceful: every request enqueued before it is still
-//!   answered (the single-writer ordering guarantees the shutdown
-//!   response is the last line written), then the pipeline drains and the
-//!   transport stops accepting input.
-//! - Workers exit only under the queue lock with the queue empty, and the
-//!   reader refuses to enqueue once shutdown is latched under that same
-//!   lock — no request is ever silently dropped mid-drain.
+//! - `shutdown` is graceful: once the loop sees the latch it stops
+//!   reading, every request framed before then is still answered and
+//!   flushed (the ordering guarantee makes the shutdown response the last
+//!   line on its connection), and then the transport returns.
+//! - Memory is bounded per connection: past `conn_inflight` unanswered
+//!   requests (or a slow reader's unflushed responses) the loop stops
+//!   reading, so the socket or pipe pushes back on the client; a line
+//!   over the 32 MiB cap ends the connection's input; and past
+//!   `max_inflight` requests in flight daemon-wide, new ones are refused
+//!   with the structured `overloaded` error.
+//! - Workers never wait on each other: an order-sensitive request is held
+//!   in its connection until every earlier request there is answered,
+//!   and only then dispatched.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::io::{self, Read, Write};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use stcfa_core::{Analysis, AnalysisOptions, DatatypePolicy, QueryEngine};
@@ -38,9 +49,9 @@ use stcfa_rules::ExtDb;
 use stcfa_session::{LinkError, LinkReport, Module, Workspace};
 
 use crate::cache::{Invalidate, LookupError, Snapshot, SnapshotKey, SnapshotStore};
-use crate::conn::{Conn, ConnLimits, Frame, MAX_LINE};
+use crate::conn::{Conn, ConnLimits, Frame};
 use crate::json::Json;
-use crate::poll::{Acceptor, Backoff, Parker};
+use crate::poll::{Acceptor, Backoff, Parker, Piped};
 use crate::proto::{
     err_response, ok_response, parse_policy, policy_to_disc, Deadline, ErrorKind, RequestError,
     PROTOCOL_VERSION, PROTOCOL_VERSION_SESSION,
@@ -50,7 +61,7 @@ use crate::shard::{Completion, FleetStats, ShardPool, Task};
 /// Configuration for one daemon.
 #[derive(Clone, Debug)]
 pub struct ServerOptions {
-    /// Worker threads per pipeline (also the lint engine's batch width).
+    /// Request worker threads (also the lint engine's batch width).
     pub threads: usize,
     /// Snapshot-store capacity in accounted bytes.
     pub cache_capacity: usize,
@@ -62,19 +73,18 @@ pub struct ServerOptions {
     /// demotes instead of dropping, and a restarted daemon warms from
     /// whatever the previous run persisted.
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Shard queue count for the TCP fleet transport (`--shards`);
-    /// `0` = one shard per worker thread. Requests route to shards by
-    /// snapshot digest, so shard count changes locality, never
-    /// transcripts.
+    /// Shard queue count (`--shards`); `0` = one shard per worker
+    /// thread. Requests route to shards by snapshot digest, so shard
+    /// count changes locality, never transcripts.
     pub shards: usize,
     /// Fleet-wide cap on dispatched-but-unanswered requests
     /// (`--max-inflight`). Admission past the cap is refused with the
     /// structured `overloaded` error instead of queueing without bound.
     pub max_inflight: usize,
     /// Per-connection cap on framed-but-unanswered requests
-    /// (`--conn-inflight`). At the cap the fleet stops reading from the
-    /// connection and lets TCP push back — no response is ever shed for
-    /// staying under it.
+    /// (`--conn-inflight`). At the cap the event loop stops reading from
+    /// the connection and lets its socket or pipe push back — no response
+    /// is ever shed for staying under it.
     pub conn_inflight: usize,
     /// Per-snapshot escalation budget, in engine nodes, for the adaptive
     /// precision scheduler (`--precision-budget`). Each Tier-2 cone run
@@ -110,8 +120,8 @@ pub struct Server {
     query_ns: AtomicU64,
     /// Latched by the `shutdown` op; transports poll it.
     stop: AtomicBool,
-    /// Fleet counters, registered by the TCP event-loop transport so
-    /// the `stats` op can render them. `None` for stdio-only daemons.
+    /// Fleet counters, registered by the running transport so the
+    /// `stats` op can render them. `None` until a transport runs.
     fleet: Mutex<Option<Arc<FleetStats>>>,
 }
 
@@ -170,8 +180,8 @@ impl Server {
         }
     }
 
-    /// The fleet counters, once a TCP event-loop transport has run (or
-    /// is running) on this daemon. `None` under stdio.
+    /// The fleet counters, once a transport has run (or is running) on
+    /// this daemon.
     pub fn fleet_stats(&self) -> Option<Arc<FleetStats>> {
         self.fleet.lock().expect("fleet slot poisoned").clone()
     }
@@ -187,23 +197,6 @@ impl Server {
     }
 
     // --- request dispatch ---------------------------------------------------
-
-    /// [`Server::handle_line`] under the pipeline's sequence gate:
-    /// order-sensitive requests (the stateful `session/*` ops and
-    /// `evict`, which observes session pins) wait until every earlier
-    /// request in the stream has been answered, so their effects — and
-    /// therefore the whole transcript — are independent of the worker
-    /// count. Stateless requests run concurrently as before. Deadlock-
-    /// free: the queue drains in sequence order, so the least in-flight
-    /// sequence number never waits.
-    fn handle_line_gated(&self, line: &str, received: Instant, gate: &SeqGate, seq: u64) -> String {
-        if needs_order(line) {
-            gate.wait_for_turn(seq);
-        }
-        let response = self.handle_line(line, received);
-        gate.complete(seq);
-        response
-    }
 
     /// Handles one request line and returns the one response line (no
     /// trailing newline). `received` anchors the deadline clock; pass the
@@ -1099,113 +1092,51 @@ impl Server {
         ]))
     }
 
-    // --- the pipeline -------------------------------------------------------
+    // --- transports ---------------------------------------------------------
 
-    /// Serves one line stream: requests from `reader`, responses to
-    /// `writer`, with this server's worker count. Returns when the input
-    /// ends or a `shutdown` request has drained. The reader runs on a
-    /// detached thread so a `shutdown` can complete even while the input
-    /// stream stays open (a blocked read never holds the drain hostage).
-    pub fn serve<R, W>(&self, reader: R, mut writer: W) -> io::Result<()>
+    /// Serves one line stream as the single connection of an event loop
+    /// (the `--stdio` transport): requests from `reader`, responses to
+    /// `writer`. Returns when the input has ended and everything framed
+    /// is answered, when a line over the 32 MiB cap has ended the input
+    /// the same way, when `writer` fails, or when a `shutdown` has
+    /// drained; the result is the first error `writer` reported. The
+    /// reader runs on a detached thread so a `shutdown` can complete even
+    /// while the input stream stays open (a blocked read never holds the
+    /// drain hostage).
+    pub fn serve<R, W>(&self, reader: R, writer: W) -> io::Result<()>
     where
-        R: BufRead + Send + 'static,
+        R: Read + Send + 'static,
         W: Write,
     {
-        let shared = Arc::new(PipeShared::default());
-        spawn_reader(reader, Arc::clone(&shared));
-        let gate = SeqGate::default();
-        let out = Mutex::new(OutState {
-            next_seq: 0,
-            ready: BTreeMap::new(),
-            workers_active: self.options.threads.max(1),
-        });
-        let out_cv = Condvar::new();
-        let mut io_result = Ok(());
-        std::thread::scope(|scope| {
-            for _ in 0..self.options.threads.max(1) {
-                spawn_worker(scope, || {
-                    loop {
-                        let job = shared.next_job();
-                        let Some(job) = job else { break };
-                        let latch_shutdown = {
-                            let response =
-                                self.handle_line_gated(&job.line, job.received, &gate, job.seq);
-                            let mut out = out.lock().expect("out lock poisoned");
-                            out.ready.insert(job.seq, response);
-                            out_cv.notify_all();
-                            self.is_stopping()
-                        };
-                        if latch_shutdown {
-                            // Latch under the queue lock so the reader
-                            // cannot enqueue past the drain point.
-                            shared.latch_stop();
-                        }
-                    }
-                    let mut out = out.lock().expect("out lock poisoned");
-                    out.workers_active -= 1;
-                    out_cv.notify_all();
-                });
-            }
-            // This thread is the writer: emit responses in sequence order.
-            let mut writer_dead = false;
-            let mut out_guard = out.lock().expect("out lock poisoned");
-            loop {
-                if writer_dead {
-                    // Still-running workers keep inserting responses (with
-                    // seq beyond the stalled next_seq); discard them every
-                    // pass so the drain condition below stays reachable.
-                    out_guard.ready.clear();
-                } else {
-                    while let Some(response) = {
-                        let seq = out_guard.next_seq;
-                        out_guard.ready.remove(&seq)
-                    } {
-                        out_guard.next_seq += 1;
-                        drop(out_guard);
-                        let w = writeln!(writer, "{response}").and_then(|()| writer.flush());
-                        out_guard = out.lock().expect("out lock poisoned");
-                        if let Err(e) = w {
-                            // A vanished client is not a daemon failure,
-                            // but stop writing and drain.
-                            io_result = Err(e);
-                            writer_dead = true;
-                            out_guard.ready.clear();
-                            break;
-                        }
-                    }
-                }
-                if out_guard.workers_active == 0 && out_guard.ready.is_empty() {
-                    break;
-                }
-                let (guard, _) = out_cv
-                    .wait_timeout(out_guard, Duration::from_millis(50))
-                    .expect("out lock poisoned");
-                out_guard = guard;
-            }
-        });
-        io_result
+        let notify = Arc::new(Parker::new());
+        let mut write_error = None;
+        let mut stdio = Some(Piped::spawn(
+            reader,
+            writer,
+            Arc::clone(&notify),
+            &mut write_error,
+        ));
+        self.run_fleet(&notify, false, move || stdio.take().into_iter().collect());
+        write_error.map_or(Ok(()), Err)
     }
 
     /// Serves stdio: the `--stdio` transport.
     pub fn serve_stdio(&self) -> io::Result<()> {
-        let stdin = io::stdin();
-        let stdout = io::stdout();
-        self.serve(BufReader::new(stdin), stdout.lock())
+        self.serve(io::stdin(), io::stdout().lock())
     }
 
-    /// Binds `addr` and serves TCP connections on the nonblocking
-    /// event-loop fleet until a `shutdown` request arrives on any of
-    /// them; every request framed before the shutdown drains before the
-    /// listener returns. Returns the bound local address via `on_bound`
-    /// (useful with port 0).
+    /// Binds `addr` and serves TCP connections until a `shutdown`
+    /// request arrives on any of them; every request framed before the
+    /// shutdown drains before the listener returns. Returns the bound
+    /// local address via `on_bound` (useful with port 0).
     ///
     /// # Fleet architecture
     ///
     /// One thread (this one) runs the event loop: it drains the
-    /// [`Acceptor`]'s blocking accept thread, pumps every connection's
+    /// acceptor's blocking accept thread, pumps every connection's
     /// nonblocking reads/writes, applies admission control, and routes
-    /// framed requests to a [`ShardPool`] of `threads` workers over
-    /// `shards` digest-keyed queues. Workers compute; the loop owns all
+    /// framed requests to a pool of `threads` workers over `shards`
+    /// digest-keyed queues. Workers compute; the loop owns all
     /// sockets and all ordering. Idle costs nothing: with no
     /// connections the loop parks forever (the acceptor wakes it), and
     /// with idle connections it parks on an escalating backoff capped
@@ -1216,12 +1147,13 @@ impl Server {
     /// Per-connection transcripts are byte-identical at any
     /// shard/worker count: responses enter the write buffer strictly in
     /// request order, and order-sensitive ops hold until every earlier
-    /// request on their connection has been answered (see
-    /// [`crate::conn`]). Past `conn_inflight` unanswered requests (or a
-    /// slow reader's unflushed responses), the loop stops reading the
-    /// connection and TCP pushes back. Past `max_inflight` dispatched
-    /// requests fleet-wide, new requests are refused in transcript
-    /// position with the structured `overloaded` error.
+    /// request on their connection has been answered. Past
+    /// `conn_inflight` unanswered requests (or a slow reader's unflushed
+    /// responses), the loop stops reading the connection and TCP pushes
+    /// back. Past `max_inflight` dispatched requests fleet-wide, new
+    /// requests are refused in transcript position with the structured
+    /// `overloaded` error. [`Server::serve`] runs the same loop over its
+    /// one connection.
     pub fn serve_tcp(
         &self,
         addr: &str,
@@ -1230,6 +1162,21 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         on_bound(listener.local_addr()?);
         let notify = Arc::new(Parker::new());
+        let acceptor = Acceptor::spawn(listener, Arc::clone(&notify))?;
+        self.run_fleet(&notify, true, || acceptor.drain());
+        acceptor.shutdown();
+        Ok(())
+    }
+
+    /// Runs a transport: the shard pool's workers on scoped threads and
+    /// the event loop over the connections `accept` yields on this one.
+    /// `notify` is the loop's parker, woken by whatever feeds `accept`.
+    fn run_fleet<S: Read + Write>(
+        &self,
+        notify: &Arc<Parker>,
+        listening: bool,
+        accept: impl FnMut() -> Vec<S>,
+    ) {
         let fleet = Arc::new(FleetStats::default());
         *self.fleet.lock().expect("fleet slot poisoned") = Some(Arc::clone(&fleet));
         let workers = self.options.threads.max(1);
@@ -1238,8 +1185,7 @@ impl Server {
         } else {
             self.options.shards
         };
-        let pool = ShardPool::new(shards, workers, Arc::clone(&notify), Arc::clone(&fleet));
-        let acceptor = Acceptor::spawn(listener, Arc::clone(&notify))?;
+        let pool = ShardPool::new(shards, workers, Arc::clone(notify), Arc::clone(&fleet));
         std::thread::scope(|scope| {
             let pool_ref = &pool;
             for w in 0..pool.workers() {
@@ -1247,22 +1193,23 @@ impl Server {
                     pool_ref.worker_loop(w, &|line, received| self.handle_line(line, received));
                 });
             }
-            self.event_loop(&acceptor, &pool, &notify, &fleet);
+            self.event_loop(accept, listening, &pool, notify, &fleet);
             pool.stop();
         });
-        acceptor.shutdown();
-        Ok(())
     }
 
-    /// The fleet's event loop: runs until shutdown is latched and every
-    /// framed request has been answered and flushed (or its connection
-    /// died). Single-threaded by construction — it owns every socket,
-    /// so framing, ordering, and admission need no locks.
-    fn event_loop(
+    /// The event loop: runs until shutdown is latched and every framed
+    /// request has been answered and flushed (or its connection died),
+    /// or, when not `listening` for more connections, until every
+    /// connection has been reaped. Single-threaded by construction — it
+    /// owns every connection, so framing, ordering, and admission need
+    /// no locks.
+    fn event_loop<S: Read + Write>(
         &self,
-        acceptor: &Acceptor,
+        mut accept: impl FnMut() -> Vec<S>,
+        listening: bool,
         pool: &ShardPool,
-        notify: &Arc<Parker>,
+        notify: &Parker,
         fleet: &FleetStats,
     ) {
         let limits = ConnLimits {
@@ -1270,7 +1217,7 @@ impl Server {
             ..ConnLimits::default()
         };
         let max_inflight = self.options.max_inflight.max(1) as u64;
-        let mut conns: BTreeMap<u64, Conn<TcpStream>> = BTreeMap::new();
+        let mut conns: BTreeMap<u64, Conn<S>> = BTreeMap::new();
         let mut next_conn_id = 0u64;
         let mut backoff = Backoff::new();
         let mut stopping = false;
@@ -1280,15 +1227,11 @@ impl Server {
 
             // New connections. Once shutdown is latched, late arrivals
             // are refused (dropped) rather than half-served.
-            for stream in acceptor.drain() {
+            for stream in accept() {
                 progress = true;
                 if stopping {
                     continue;
                 }
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
                 let id = next_conn_id;
                 next_conn_id += 1;
                 conns.insert(id, Conn::new(stream, id));
@@ -1318,7 +1261,7 @@ impl Server {
             // what is ready to leave.
             for conn in conns.values_mut() {
                 if !stopping {
-                    let pumped = conn.pump_read(&limits, needs_order);
+                    let pumped = conn.pump_read(&limits);
                     progress |= pumped.progressed;
                     for frame in pumped.dispatch {
                         let mut released = self.admit(conn, frame, pool, max_inflight, fleet);
@@ -1341,12 +1284,15 @@ impl Server {
                     .fetch_sub((before - conns.len()) as u64, Ordering::Relaxed);
                 progress = true;
             }
+            if !listening && conns.is_empty() {
+                // Nothing more can arrive and everything is answered.
+                break;
+            }
 
             if !stopping && self.is_stopping() {
                 // Shutdown latched by some worker. Stop reading (lines
-                // framed before this sweep still drain, matching the
-                // stdio pipeline's guarantee) and stop admitting
-                // connections.
+                // framed before this sweep still drain) and stop
+                // admitting connections.
                 stopping = true;
                 progress = true;
             }
@@ -1397,9 +1343,9 @@ impl Server {
     /// transcript position when the fleet-wide in-flight cap is hit,
     /// otherwise route it to its shard. Returns the next held frame if
     /// a synthesized response released one.
-    fn admit(
+    fn admit<S: Read + Write>(
         &self,
-        conn: &mut Conn<TcpStream>,
+        conn: &mut Conn<S>,
         frame: Frame,
         pool: &ShardPool,
         max_inflight: u64,
@@ -1505,29 +1451,27 @@ fn overloaded_response(line: &str, max_inflight: u64) -> String {
 /// [`SnapshotKey::derive`] exactly, so `analyze` and the `query`s that
 /// follow it land on the same shard.
 fn affinity_digest(line: &str) -> u64 {
-    if let Some(raw) = raw_str_field(line, "snapshot") {
-        if let Some(key) = SnapshotKey::from_hex(raw) {
-            return key.0;
-        }
+    if let Some(key) = str_field(line, "snapshot").and_then(|hex| SnapshotKey::from_hex(&hex)) {
+        return key.0;
     }
-    if let Some(raw) = raw_str_field(line, "session") {
-        return stcfa_devkit::hash::Fnv1a::digest_parts(raw.as_bytes(), &[u64::MAX]);
+    if let Some(session) = str_field(line, "session") {
+        return stcfa_devkit::hash::Fnv1a::digest_parts(session.as_bytes(), &[u64::MAX]);
     }
-    if let Some(raw) = raw_str_field(line, "source") {
-        let source = unescape_json_span(raw);
-        let policy = raw_str_field(line, "policy").unwrap_or("c1");
-        if let Some((_, disc)) = crate::proto::parse_policy(policy) {
+    if let Some(source) = str_field(line, "source") {
+        let policy = str_field(line, "policy");
+        if let Some((_, disc)) = crate::proto::parse_policy(policy.as_deref().unwrap_or("c1")) {
             return SnapshotKey::derive(&source, disc, ENGINE_SUB).0;
         }
     }
     0
 }
 
-/// Finds the raw (still-escaped) span of a string field in a JSON line:
-/// `"name"` then `:` then a string literal. Shallow by design — a
-/// matching key inside a nested string can fool it, which skews a
-/// routing hint and nothing else.
-fn raw_str_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
+/// Finds a string field in a JSON line — `"name"` then `:` then a string
+/// literal — and decodes the literal by the JSON parser's own string
+/// rule. `None` when the field is missing or its literal does not
+/// decode. Shallow by design — a matching key inside a nested string can
+/// fool it, which skews a routing hint and nothing else.
+fn str_field(line: &str, name: &str) -> Option<String> {
     let bytes = line.as_bytes();
     let pat = format!("\"{name}\"");
     let mut from = 0;
@@ -1544,74 +1488,11 @@ fn raw_str_field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
         while i < bytes.len() && (bytes[i] == b' ' || bytes[i] == b'\t') {
             i += 1;
         }
-        if i >= bytes.len() || bytes[i] != b'"' {
-            continue;
+        if i < bytes.len() && bytes[i] == b'"' {
+            return crate::json::decode_str_at(line, i);
         }
-        i += 1;
-        let start = i;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'\\' => i += 2,
-                b'"' => return Some(&line[start..i]),
-                _ => i += 1,
-            }
-        }
-        return None;
     }
     None
-}
-
-/// Unescapes a raw JSON string span (the bytes between the quotes) just
-/// enough to reproduce what the real parser would hand the analyzer —
-/// required for the affinity digest to agree with the content address
-/// the worker derives.
-fn unescape_json_span(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    let mut chars = raw.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('/') => out.push('/'),
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('r') => out.push('\r'),
-            Some('b') => out.push('\u{8}'),
-            Some('f') => out.push('\u{c}'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                match u32::from_str_radix(&hex, 16) {
-                    Ok(hi @ 0xd800..=0xdbff) => {
-                        // A surrogate pair: expect \uDCxx next.
-                        let mut rest = chars.clone();
-                        let lo = (rest.next() == Some('\\') && rest.next() == Some('u'))
-                            .then(|| {
-                                let hex: String = rest.by_ref().take(4).collect();
-                                u32::from_str_radix(&hex, 16).ok()
-                            })
-                            .flatten();
-                        match lo {
-                            Some(lo @ 0xdc00..=0xdfff) => {
-                                let c = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
-                                out.push(char::from_u32(c).unwrap_or('\u{fffd}'));
-                                chars = rest;
-                            }
-                            _ => out.push('\u{fffd}'),
-                        }
-                    }
-                    Ok(code) => out.push(char::from_u32(code).unwrap_or('\u{fffd}')),
-                    Err(_) => out.push('\u{fffd}'),
-                }
-            }
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
 }
 
 /// Decodes the NUL-prefixed error kind the build closure encodes (the
@@ -1994,175 +1875,10 @@ fn labels_json(program: &Program, labels: &[Label]) -> Json {
     ])
 }
 
-// --- pipeline plumbing ------------------------------------------------------
-
-struct Job {
-    seq: u64,
-    line: String,
-    received: Instant,
-}
-
-#[derive(Default)]
-struct PipeState {
-    pending: VecDeque<Job>,
-    input_done: bool,
-    /// Latched after a shutdown response is enqueued: the reader stops
-    /// accepting new requests, workers drain and exit.
-    stopped: bool,
-}
-
-#[derive(Default)]
-struct PipeShared {
-    state: Mutex<PipeState>,
-    work_cv: Condvar,
-}
-
-impl PipeShared {
-    /// Enqueues a line unless the pipeline has latched shutdown; returns
-    /// whether the reader should keep going.
-    fn push(&self, seq: u64, line: String, received: Instant) -> bool {
-        let mut state = self.state.lock().expect("pipe lock poisoned");
-        if state.stopped {
-            return false;
-        }
-        state.pending.push_back(Job {
-            seq,
-            line,
-            received,
-        });
-        self.work_cv.notify_one();
-        true
-    }
-
-    fn finish_input(&self) {
-        let mut state = self.state.lock().expect("pipe lock poisoned");
-        state.input_done = true;
-        self.work_cv.notify_all();
-    }
-
-    fn latch_stop(&self) {
-        let mut state = self.state.lock().expect("pipe lock poisoned");
-        state.stopped = true;
-        self.work_cv.notify_all();
-    }
-
-    /// The next job, or `None` when the pipeline is done (input ended or
-    /// shutdown latched) **and** the queue is drained.
-    fn next_job(&self) -> Option<Job> {
-        let mut state = self.state.lock().expect("pipe lock poisoned");
-        loop {
-            if let Some(job) = state.pending.pop_front() {
-                return Some(job);
-            }
-            if state.input_done || state.stopped {
-                return None;
-            }
-            let (guard, _) = self
-                .work_cv
-                .wait_timeout(state, Duration::from_millis(50))
-                .expect("pipe lock poisoned");
-            state = guard;
-        }
-    }
-}
-
-struct OutState {
-    next_seq: u64,
-    ready: BTreeMap<u64, String>,
-    workers_active: usize,
-}
-
-/// Whether a request line must execute in stream order (see
-/// [`Server::handle_line_gated`]). A conservative substring check: every
-/// `session/*` op's line contains `"session/` and every `evict` op's
-/// line contains `"evict"`, so there are no false negatives; a false
-/// positive (the marker inside a source string) merely orders one extra
-/// request, which is harmless.
-fn needs_order(line: &str) -> bool {
-    line.contains("\"session/") || line.contains("\"evict\"")
-}
-
-/// The pipeline's sequence gate: tracks which request sequence numbers
-/// have been answered and lets an order-sensitive request wait until
-/// everything before it has.
-#[derive(Default)]
-struct SeqGate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct GateState {
-    /// The first sequence number not yet completed.
-    watermark: u64,
-    /// Completed sequence numbers at or above the watermark.
-    done: BTreeSet<u64>,
-}
-
-impl SeqGate {
-    /// Blocks until every request before `seq` has completed.
-    fn wait_for_turn(&self, seq: u64) {
-        let mut state = self.state.lock().expect("seq gate poisoned");
-        while state.watermark < seq {
-            state = self.cv.wait(state).expect("seq gate poisoned");
-        }
-    }
-
-    /// Marks `seq` complete and advances the watermark past every
-    /// contiguously completed sequence number.
-    fn complete(&self, seq: u64) {
-        let mut state = self.state.lock().expect("seq gate poisoned");
-        state.done.insert(seq);
-        while state.done.contains(&state.watermark) {
-            let w = state.watermark;
-            state.done.remove(&w);
-            state.watermark += 1;
-        }
-        self.cv.notify_all();
-    }
-}
-
-/// Spawns the detached reader thread: lines in, jobs out. Detached on
-/// purpose — see [`Server::serve`]. Lines are framed the way the TCP
-/// transport frames them: invalid UTF-8 is decoded lossily (the request
-/// then fails with a structured error and the next line is served), and
-/// a line longer than [`MAX_LINE`] ends the input instead of being
-/// buffered without bound.
-fn spawn_reader<R: BufRead + Send + 'static>(mut reader: R, shared: Arc<PipeShared>) {
-    std::thread::spawn(move || {
-        let mut seq = 0u64;
-        let mut line = Vec::new();
-        loop {
-            line.clear();
-            match (&mut reader)
-                .take(MAX_LINE as u64 + 1)
-                .read_until(b'\n', &mut line)
-            {
-                Ok(0) => break,
-                Ok(_) if line.len() > MAX_LINE && !line.ends_with(b"\n") => break,
-                Ok(_) => {
-                    let received = Instant::now();
-                    let line = String::from_utf8_lossy(&line);
-                    let trimmed = line.trim();
-                    if trimmed.is_empty() {
-                        continue; // blank keep-alive lines get no response
-                    }
-                    if !shared.push(seq, trimmed.to_owned(), received) {
-                        break;
-                    }
-                    seq += 1;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-        shared.finish_input();
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::MAX_LINE;
 
     fn server() -> Server {
         Server::new(ServerOptions {
@@ -2743,6 +2459,33 @@ mod tests {
         assert_eq!(transcripts[0], transcripts[1]);
         assert_eq!(transcripts[0], transcripts[2]);
         assert_eq!(transcripts[0].lines().count(), 7);
+    }
+
+    #[test]
+    fn affinity_digest_is_the_snapshot_key_the_worker_derives() {
+        // The shard hint must decode every JSON string escape exactly as
+        // the worker's parser does, or an `analyze` and the queries after
+        // it land on different shards.
+        for policy in ["c1", "c2"] {
+            for source in [
+                r#"let val s = \"q\" in s end"#,
+                r#"fn x => x \\ y \/ z"#,
+                r#"(fn x => x)\n\t(fn y => y)"#,
+                r#"fun caf\u00e9 x = x; caf\u00e9 \ud83d\ude00"#,
+            ] {
+                let line = format!(r#"{{"op":"analyze","policy":"{policy}","source":"{source}"}}"#);
+                let request = Json::parse(&line).expect("a valid request line");
+                let (_, disc) = policy_param(&request).expect("a known policy");
+                let source = request.get("source").and_then(Json::as_str).unwrap();
+                assert_eq!(
+                    affinity_digest(&line),
+                    SnapshotKey::derive(source, disc, ENGINE_SUB).0,
+                    "{line}"
+                );
+            }
+        }
+        // A field that does not decode routes round-robin.
+        assert_eq!(affinity_digest(r#"{"op":"analyze","source":"\q"}"#), 0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The sharded worker pool behind the event-loop transport.
+//! The sharded worker pool behind the event loop.
 //!
 //! Requests carry an *affinity digest* (the snapshot content address
 //! when one is derivable, a session-id hash for `session/*` ops, zero
@@ -198,18 +198,6 @@ impl ShardPool {
         }
     }
 
-    /// Posts a completion without consuming a dispatch slot — used by
-    /// the transport for synthesized responses (admission rejections)
-    /// that never touched a shard. Exists so every response flows
-    /// through one mailbox and the transcript stays ordered.
-    pub fn post(&self, completion: Completion) {
-        self.completions
-            .lock()
-            .expect("completions poisoned")
-            .push(completion);
-        self.notify.wake();
-    }
-
     /// Drains every completion posted since the last call.
     pub fn drain_completions(&self) -> Vec<Completion> {
         std::mem::take(&mut *self.completions.lock().expect("completions poisoned"))
@@ -242,11 +230,15 @@ impl ShardPool {
                     executed = true;
                     let response = run(&task.line, task.received);
                     self.inflight.fetch_sub(1, Ordering::SeqCst);
-                    self.post(Completion {
-                        conn: task.conn,
-                        seq: task.seq,
-                        response,
-                    });
+                    self.completions
+                        .lock()
+                        .expect("completions poisoned")
+                        .push(Completion {
+                            conn: task.conn,
+                            seq: task.seq,
+                            response,
+                        });
+                    self.notify.wake();
                 }
             }
             if executed {

@@ -173,14 +173,16 @@ cargo clippy -p stcfa-precision --all-targets --offline -- -D warnings
 echo "== server: stdio smoke round-trip =="
 # A full analyze -> warm analyze -> query -> lint -> shutdown conversation
 # through the release daemon. Gates: clean exit, every response ok:true,
-# and the second analyze served from the cache.
+# the second analyze served from the cache, and stdio served as the one
+# connection of the fleet (its --summary line counts exactly one).
+smoke_err="$CI_TMP/smoke.err"
 smoke_out="$(printf '%s\n' \
   '{"id":1,"op":"analyze","source":"fun id x = x; id (fn u => u)"}' \
   '{"id":2,"op":"analyze","source":"fun id x = x; id (fn u => u)"}' \
   '{"id":3,"op":"query","kind":"label-set","source":"fun id x = x; id (fn u => u)"}' \
   '{"id":4,"op":"lint","source":"fun id x = x; id (fn u => u)"}' \
   '{"id":5,"op":"shutdown"}' \
-  | ./target/release/stcfa serve --stdio --threads 2)"
+  | ./target/release/stcfa serve --stdio --threads 2 --summary 2>"$smoke_err")"
 echo "$smoke_out"
 [ "$(printf '%s\n' "$smoke_out" | wc -l)" = "5" ] || { echo "server smoke: expected 5 responses" >&2; exit 1; }
 if printf '%s\n' "$smoke_out" | grep -q '"ok":false'; then
@@ -188,6 +190,8 @@ if printf '%s\n' "$smoke_out" | grep -q '"ok":false'; then
 fi
 printf '%s\n' "$smoke_out" | sed -n '2p' | grep -q '"cached":true' \
   || { echo "server smoke: warm analyze was not a cache hit" >&2; exit 1; }
+grep -q '^fleet summary: connections_total=1 ' "$smoke_err" \
+  || { echo "server smoke: stdio was not served as one fleet connection" >&2; cat "$smoke_err" >&2; exit 1; }
 
 echo "== server: deep-nesting smoke =="
 # Source nested far past the parser's limits is refused with a structured
@@ -344,11 +348,12 @@ echo "-- session transcripts byte-identical at threads 1/2/8"
 
 echo "== server: fleet fault-injection gate =="
 # The connection-level fault suite (mid-burst disconnect, half-written
-# lines, slow-reader backpressure, overload shedding, transcript
-# invariance across shard/thread geometry) must pass explicitly, not
-# just ride along in the tier-1 run.
+# lines, slow-reader backpressure and overload shedding on both
+# transports, transcript invariance across shard/thread geometry and
+# transport, the line cap and invalid UTF-8 answered alike on stdio and
+# TCP) must pass explicitly, not just ride along in the tier-1 run.
 cargo test -q --offline --test server -- fleet mid_burst half_written \
-  overload slow_reader persist_tier idle
+  overload slow_reader persist_tier idle same_answers_over_stdio_and_tcp
 
 echo "== server: TCP soak smoke (64 connections) =="
 # A short bursty run against the release daemon through the fleet
@@ -384,5 +389,11 @@ echo "-- soak clean: 64 connections, zero shed, p99 ${soak_p99} ns"
 
 echo "== benches compile (not run) =="
 cargo bench --no-run --offline
+
+echo "== benchmark package builds =="
+# benchmark/ is its own package on stcfa-server's public API (Json,
+# Server, SnapshotKey, SnapshotStore, proto::parse_policy,
+# soak::percentile); no other stage compiles it.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "ci.sh: all green"

@@ -52,13 +52,18 @@
 //!                      into a single demand query
 //!
 //! SERVER MODE
-//!   stcfa serve [--stdio | --addr HOST:PORT] [--threads <n>]
+//!   stcfa serve [--stdio | --addr HOST:PORT] [--threads <n>] [--shards <n>]
 //!               [--cache-capacity <bytes[k|m|g]>] [--cache-dir <path>]
-//!               [--deadline-ms <n>]
+//!               [--deadline-ms <n>] [--max-inflight <n>] [--conn-inflight <n>]
+//!               [--precision-budget <n>] [--summary]
 //!                      long-running daemon speaking the line-delimited JSON
 //!                      protocol of docs/SERVER.md, with a content-addressed
 //!                      snapshot cache; --cache-dir adds a persistent disk
-//!                      tier that survives daemon restarts (docs/PERSIST.md)
+//!                      tier that survives daemon restarts (docs/PERSIST.md).
+//!                      Stdio is one connection of the same event loop as
+//!                      TCP, so the shard, admission and backpressure flags
+//!                      mean the same on both; --summary prints one
+//!                      `fleet summary: …` line on stderr at exit
 //!   stcfa client --addr HOST:PORT [--request <json>]
 //!                      forward stdin lines (or one --request) to a daemon
 //!
@@ -951,10 +956,11 @@ fn run_session(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `stcfa serve [--stdio | --addr HOST:PORT] [--threads n]
-/// [--cache-capacity bytes] [--cache-dir path] [--deadline-ms n]`: run the
-/// analysis daemon. Defaults to the stdio transport when no `--addr` is
-/// given.
+/// `stcfa serve [--stdio | --addr HOST:PORT] [--threads n] [--shards n]
+/// [--cache-capacity bytes] [--cache-dir path] [--deadline-ms n]
+/// [--max-inflight n] [--conn-inflight n] [--precision-budget n]
+/// [--summary]`: run the analysis daemon. Defaults to the stdio transport
+/// when no `--addr` is given; both transports honour every flag.
 fn run_serve(args: &[String]) -> Result<(), CliError> {
     use stcfa::server::{fleet_summary_line, Server, ServerOptions};
 

@@ -1,7 +1,7 @@
 //! End-to-end tests of `stcfa serve` / `stcfa client`: the daemon is
 //! exercised as a child process over its real transports.
 
-use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 
 fn stcfa() -> Command {
@@ -38,6 +38,17 @@ impl Daemon {
             stdin,
             stdout,
         }
+    }
+
+    /// Pipelines `input` down stdin and reads one response per line
+    /// (see [`pipeline`]).
+    fn pipelined(&mut self, input: &str, read_delay: Duration) -> Vec<String> {
+        pipeline(
+            self.stdin.as_mut().unwrap(),
+            &mut self.stdout,
+            input,
+            read_delay,
+        )
     }
 
     /// One sequential round-trip: send the line, read the one response.
@@ -501,23 +512,7 @@ fn session_transcripts_are_byte_identical_across_thread_counts() {
     // the pipelined path, where worker scheduling could reorder effects —
     // and the transcript must still be byte-identical at every worker
     // count (session ops are sequenced by the server's order gate).
-    let mut input = String::new();
-    for (i, req) in [
-        r#""op":"session/open","session":"w","modules":[{"name":"a","source":"fun f x = x;"},{"name":"b","source":"val p = f (fn u => u);"},{"name":"c","source":"p"}]"#.to_owned(),
-        r#""op":"session/query","session":"w","kind":"label-set""#.to_owned(),
-        format!(r#""op":"analyze","source":"{SRC}""#),
-        r#""op":"session/update","session":"w","modules":[{"name":"c","source":"f p"}]"#.to_owned(),
-        r#""op":"session/query","session":"w","kind":"label-set""#.to_owned(),
-        r#""op":"session/lint","session":"w""#.to_owned(),
-        r#""op":"session/query","session":"nosuch","kind":"label-set""#.to_owned(),
-        r#""op":"session/close","session":"w""#.to_owned(),
-    ]
-    .iter()
-    .enumerate()
-    {
-        input.push_str(&format!(r#"{{"v":2,"id":{i},{req}}}"#));
-        input.push('\n');
-    }
+    let input = session_batch();
     let mut transcripts = Vec::new();
     for threads in [1usize, 2, 8] {
         let mut child = stcfa()
@@ -761,13 +756,7 @@ fn corrupt_cache_files_rebuild_cleanly_end_to_end() {
 fn batch_pipeline_preserves_request_order() {
     // Not sequential round-trips: pipe a whole batch at once and close
     // stdin. Responses must come back in request order and all be served.
-    let mut input = String::new();
-    for i in 0..32 {
-        input.push_str(&format!(
-            r#"{{"id":{i},"op":"query","kind":"label-set","source":"{SRC}"}}"#
-        ));
-        input.push('\n');
-    }
+    let input = ordered_batch();
     for threads in [1usize, 8] {
         let mut child = stcfa()
             .args(["serve", "--stdio", "--threads", &threads.to_string()])
@@ -887,12 +876,22 @@ impl Drop for TcpDaemon {
 }
 
 /// Pipelines `input` (N newline-terminated requests) down one
-/// connection, then reads exactly N response lines — pausing
-/// `read_delay` between lines to emulate a slow client reader.
+/// connection, then reads exactly N response lines (see [`pipeline`]).
 fn pipelined_transcript(d: &TcpDaemon, input: &str, read_delay: Duration) -> Vec<String> {
     let stream = d.connect();
     let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
+    pipeline(&mut writer, &mut BufReader::new(stream), input, read_delay)
+}
+
+/// Writes `input` (N newline-terminated requests) in one go, then reads
+/// exactly N response lines — pausing `read_delay` between lines to
+/// emulate a slow client reader.
+fn pipeline(
+    writer: &mut impl Write,
+    reader: &mut impl BufRead,
+    input: &str,
+    read_delay: Duration,
+) -> Vec<String> {
     writer.write_all(input.as_bytes()).unwrap();
     writer.flush().unwrap();
     let expected = input.lines().count();
@@ -910,8 +909,7 @@ fn pipelined_transcript(d: &TcpDaemon, input: &str, read_delay: Duration) -> Vec
     out
 }
 
-/// The 32-request ordered batch from the stdio pipeline test, reused
-/// over TCP.
+/// A 32-request ordered batch of inline-source queries.
 fn ordered_batch() -> String {
     let mut input = String::new();
     for i in 0..32 {
@@ -923,8 +921,8 @@ fn ordered_batch() -> String {
     input
 }
 
-/// The session e2e conversation from the stdio invariance test, reused
-/// over TCP.
+/// A v2 session conversation with an `analyze` and an unknown session
+/// mixed in.
 fn session_batch() -> String {
     let mut input = String::new();
     for (i, req) in [
@@ -949,21 +947,17 @@ fn session_batch() -> String {
 #[test]
 fn fleet_transcripts_are_byte_identical_across_shards_and_threads() {
     // The ordered 32-query batch and the session e2e conversation, each
-    // pipelined down one connection, at every shard × worker geometry.
-    // The transcripts must be byte-identical everywhere: dispatch
-    // geometry is a performance knob, never an observable.
+    // pipelined down one connection, at every shard × worker geometry and
+    // over both transports. The transcripts must be byte-identical
+    // everywhere: dispatch geometry and transport are never observable.
     let batch = ordered_batch();
     let sessions = session_batch();
     let mut batch_ref: Option<Vec<String>> = None;
     let mut session_ref: Option<Vec<String>> = None;
     for shards in [1usize, 2, 8] {
         for threads in [1usize, 2, 8] {
-            let d = TcpDaemon::spawn(&[
-                "--shards",
-                &shards.to_string(),
-                "--threads",
-                &threads.to_string(),
-            ]);
+            let (shards_arg, threads_arg) = (shards.to_string(), threads.to_string());
+            let d = TcpDaemon::spawn(&["--shards", &shards_arg, "--threads", &threads_arg]);
             let got = pipelined_transcript(&d, &batch, Duration::ZERO);
             for (i, line) in got.iter().enumerate() {
                 assert_eq!(
@@ -993,6 +987,20 @@ fn fleet_transcripts_are_byte_identical_across_shards_and_threads() {
                 ),
             }
             d.shutdown();
+
+            // The same conversations piped into `serve --stdio`.
+            let mut d = Daemon::spawn_with(threads, &["--shards", &shards_arg]);
+            assert_eq!(
+                Some(d.pipelined(&batch, Duration::ZERO)),
+                batch_ref,
+                "stdio batch diverged at --shards {shards} --threads {threads}"
+            );
+            assert_eq!(
+                Some(d.pipelined(&sessions, Duration::ZERO)),
+                session_ref,
+                "stdio session transcript diverged at --shards {shards} --threads {threads}"
+            );
+            d.shutdown();
         }
     }
 
@@ -1021,8 +1029,6 @@ fn fleet_transcripts_are_byte_identical_across_shards_and_threads() {
     }
 }
 
-/// Polls the `stats` op until `pred` holds (the event loop reaps
-/// asynchronously) — bounded, never a spin-forever.
 #[test]
 fn invalid_utf8_gets_the_same_answers_over_stdio_and_tcp() {
     // A `\xff` inside a source string: both transports decode the line
@@ -1077,6 +1083,8 @@ fn invalid_utf8_gets_the_same_answers_over_stdio_and_tcp() {
     }
 }
 
+/// Polls the `stats` op until `pred` holds (the event loop reaps
+/// asynchronously) — bounded, never a spin-forever.
 fn wait_for_stats(d: &TcpDaemon, what: &str, pred: impl Fn(&str) -> bool) -> String {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
@@ -1166,16 +1174,11 @@ fn half_written_lines_never_hang_and_complete_incrementally() {
     d.shutdown();
 }
 
-#[test]
-fn overload_sheds_requests_in_transcript_order_and_recovers() {
-    // One worker, admission cap 1: a pipelined burst of *distinct*
-    // expensive builds must shed most requests with the structured
-    // `overloaded` error — in transcript position, ids still in order —
-    // and serve normally once the pipeline drains.
-    let d = TcpDaemon::spawn(&["--threads", "1", "--max-inflight", "1"]);
+/// A pipelined burst of 24 `analyze` requests over distinct sources, so
+/// no request coalesces with another.
+fn distinct_builds() -> String {
     let mut input = String::new();
     for i in 0..24 {
-        // Distinct sources so no request coalesces with another.
         let mut source = String::from("(fn x => x)");
         for k in 0..=i {
             source = format!("(fn v{k} => v{k}) ({source})");
@@ -1185,7 +1188,14 @@ fn overload_sheds_requests_in_transcript_order_and_recovers() {
         ));
         input.push('\n');
     }
-    let transcript = pipelined_transcript(&d, &input, Duration::ZERO);
+    input
+}
+
+/// Checks the transcript of [`distinct_builds`] against one worker and
+/// an admission cap of 1: every response is in transcript position,
+/// each either served or shed with the structured `overloaded` error,
+/// and at least one of each. Returns the shed count.
+fn shed_in_transcript_order(transcript: &[String]) -> u64 {
     let mut shed = 0;
     let mut served = 0;
     for (i, line) in transcript.iter().enumerate() {
@@ -1204,6 +1214,18 @@ fn overload_sheds_requests_in_transcript_order_and_recovers() {
         shed >= 1,
         "a 24-deep pipelined burst against --max-inflight 1 shed nothing"
     );
+    shed
+}
+
+#[test]
+fn overload_sheds_requests_in_transcript_order_and_recovers() {
+    // One worker, admission cap 1: a pipelined burst of *distinct*
+    // expensive builds must shed most requests with the structured
+    // `overloaded` error — in transcript position, ids still in order —
+    // and serve normally once the pipeline drains.
+    let d = TcpDaemon::spawn(&["--threads", "1", "--max-inflight", "1"]);
+    let transcript = pipelined_transcript(&d, &distinct_builds(), Duration::ZERO);
+    let shed = shed_in_transcript_order(&transcript);
     // Shedding is observable and the daemon recovers completely.
     let stats = d.roundtrip(r#"{"op":"stats"}"#);
     let fleet = field(&stats, "fleet");
@@ -1222,12 +1244,31 @@ fn overload_sheds_requests_in_transcript_order_and_recovers() {
 }
 
 #[test]
-fn slow_reader_backpressure_delivers_everything_in_order() {
-    // conn-inflight 4 forces the daemon to stop reading the burst until
-    // answers drain; a client that only reads slowly must still get all
-    // 32 responses, in order, with nothing shed.
-    let d = TcpDaemon::spawn(&["--threads", "2", "--conn-inflight", "4"]);
-    let transcript = pipelined_transcript(&d, &ordered_batch(), Duration::from_millis(5));
+fn stdio_overload_sheds_requests_in_transcript_order_and_recovers() {
+    // The same admission cap holds on stdio, the fleet's one piped
+    // connection.
+    let mut d = Daemon::spawn_with(1, &["--max-inflight", "1"]);
+    let transcript = d.pipelined(&distinct_builds(), Duration::ZERO);
+    let shed = shed_in_transcript_order(&transcript);
+    let stats = d.roundtrip(r#"{"op":"stats"}"#);
+    let fleet = field(&stats, "fleet");
+    assert_eq!(
+        field(fleet, "overloaded_total").parse::<u64>().unwrap(),
+        shed,
+        "{stats}"
+    );
+    let ok = d.roundtrip(&analyze(SRC));
+    assert_eq!(
+        field(&ok, "ok"),
+        "true",
+        "post-overload request failed: {ok}"
+    );
+    d.shutdown();
+}
+
+/// Checks a slow reader's transcript of [`ordered_batch`]: all 32
+/// responses, in order, with nothing shed.
+fn all_served_in_order(transcript: &[String]) {
     assert_eq!(transcript.len(), 32);
     for (i, line) in transcript.iter().enumerate() {
         assert_eq!(field(line, "id"), i.to_string(), "{line}");
@@ -1237,6 +1278,29 @@ fn slow_reader_backpressure_delivers_everything_in_order() {
             "backpressure must shed nothing: {line}"
         );
     }
+}
+
+#[test]
+fn slow_reader_backpressure_delivers_everything_in_order() {
+    // conn-inflight 4 forces the daemon to stop reading the burst until
+    // answers drain; a client that only reads slowly must still get all
+    // 32 responses, in order, with nothing shed.
+    let d = TcpDaemon::spawn(&["--threads", "2", "--conn-inflight", "4"]);
+    let transcript = pipelined_transcript(&d, &ordered_batch(), Duration::from_millis(5));
+    all_served_in_order(&transcript);
+    let stats = d.roundtrip(r#"{"op":"stats"}"#);
+    let fleet = field(&stats, "fleet");
+    assert_eq!(field(fleet, "overloaded_total"), "0", "{stats}");
+    d.shutdown();
+}
+
+#[test]
+fn stdio_slow_reader_backpressure_delivers_everything_in_order() {
+    // The same cap on stdio: the daemon stops draining stdin, and the
+    // pipe pushes back instead of the input piling up in memory.
+    let mut d = Daemon::spawn_with(2, &["--conn-inflight", "4"]);
+    let transcript = d.pipelined(&ordered_batch(), Duration::from_millis(5));
+    all_served_in_order(&transcript);
     let stats = d.roundtrip(r#"{"op":"stats"}"#);
     let fleet = field(&stats, "fleet");
     assert_eq!(field(fleet, "overloaded_total"), "0", "{stats}");
@@ -1357,23 +1421,115 @@ fn cpu_ticks(pid: u32) -> u64 {
 fn idle_fleet_burns_no_cpu() {
     // The old transport woke every 20 ms to poll accept(2). The fleet
     // parks: an idle daemon — even with an idle connection open — must
-    // accumulate (almost) no CPU time.
+    // accumulate (almost) no CPU time. Stdio is a connection of the same
+    // loop: a daemon whose stdin stays open with nothing sent is idle too.
     let d = TcpDaemon::spawn(&["--threads", "2"]);
-    let pid = d.child.id();
+    let stdio = Daemon::spawn(2);
+    let pids = [("tcp", d.child.id()), ("stdio", stdio.child.id())];
     let _idle_conn = d.connect();
     // Settle (lazy init, the connection's admission), then measure.
     std::thread::sleep(Duration::from_millis(300));
-    let before = cpu_ticks(pid);
+    let before = pids.map(|(_, pid)| cpu_ticks(pid));
     std::thread::sleep(Duration::from_millis(2000));
-    let after = cpu_ticks(pid);
-    let ticks = after - before;
-    // 2 s idle at 100 Hz ticks: a spinning loop would burn ~200 ticks,
-    // a 20 ms poll a handful. Budget 10 ticks (≤ 5% of one core) so the
-    // assertion stays robust under CI noise while still catching any
-    // return of a poll loop.
-    assert!(
-        ticks <= 10,
-        "idle daemon burned {ticks} ticks over 2 s (not flat)"
-    );
+    for ((transport, pid), before) in pids.into_iter().zip(before) {
+        let ticks = cpu_ticks(pid) - before;
+        // 2 s idle at 100 Hz ticks: a spinning loop would burn ~200
+        // ticks, a 20 ms poll a handful. Budget 10 ticks (≤ 5% of one
+        // core) so the assertion stays robust under CI noise while still
+        // catching any return of a poll loop.
+        assert!(
+            ticks <= 10,
+            "idle {transport} daemon burned {ticks} ticks over 2 s (not flat)"
+        );
+    }
+    d.shutdown();
+    stdio.shutdown();
+}
+
+/// The daemon's line cap (docs/SERVER.md): a request line may carry at
+/// most this many bytes before its newline.
+const MAX_LINE: usize = 32 << 20;
+
+/// Writes `stats`, a line of exactly [`MAX_LINE`] bytes, `stats`, a line
+/// of `MAX_LINE + 1` bytes and `stats` on a thread of its own, stopping
+/// at the first failed write: the daemon stops reading at the cap.
+fn write_over_the_cap(mut w: impl Write + Send + 'static) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let piece = vec![b'x'; 1 << 20];
+        let stats = |id: u32| format!("{{\"id\":{id},\"op\":\"stats\"}}\n");
+        let mut send = || -> std::io::Result<()> {
+            w.write_all(stats(1).as_bytes())?;
+            for extra in [0, 1] {
+                for _ in 0..MAX_LINE / piece.len() {
+                    w.write_all(&piece)?;
+                }
+                w.write_all(&piece[..extra])?;
+                w.write_all(b"\n")?;
+                w.write_all(stats(2 + extra as u32).as_bytes())?;
+            }
+            w.flush()
+        };
+        let _ = send();
+    })
+}
+
+/// The three answers the line-cap conversation must get: `stats` 1, a
+/// `proto` error for the line at the cap, `stats` 2 — and nothing for
+/// what follows the line over it.
+fn assert_cap_answers(transport: &str, answers: &[String]) {
+    assert_eq!(answers.len(), 3, "{transport}: {answers:?}");
+    assert_eq!(field(&answers[0], "id"), "1", "{transport}");
+    assert_eq!(field(&answers[0], "ok"), "true", "{transport}");
+    assert_eq!(field(&answers[1], "ok"), "false", "{transport}");
+    assert_eq!(field(&answers[1], "kind"), r#""proto""#, "{transport}");
+    assert_eq!(field(&answers[2], "id"), "2", "{transport}");
+    assert_eq!(field(&answers[2], "ok"), "true", "{transport}");
+}
+
+#[test]
+fn oversized_lines_get_the_same_answers_over_stdio_and_tcp() {
+    // Over stdio the daemon answers what was framed before the line over
+    // the cap, then ends the input and exits.
+    let mut child = stcfa()
+        .args(["serve", "--stdio", "--threads", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let writer = write_over_the_cap(child.stdin.take().unwrap());
+    let mut output = String::new();
+    child
+        .stdout
+        .take()
+        .unwrap()
+        .read_to_string(&mut output)
+        .unwrap();
+    assert!(child.wait().unwrap().success());
+    writer.join().unwrap();
+    let answers: Vec<String> = output.lines().map(str::to_owned).collect();
+    assert_cap_answers("stdio", &answers);
+
+    // Over TCP the same answers arrive, then the connection closes. The
+    // daemon closes with input still unread, so the client may read a
+    // reset instead of end of stream.
+    let d = TcpDaemon::spawn(&["--threads", "2"]);
+    let stream = d.connect();
+    let sink = stream.try_clone().unwrap();
+    sink.set_write_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let writer = write_over_the_cap(sink);
+    let mut reader = BufReader::new(stream);
+    let mut answers = Vec::new();
+    let mut line = String::new();
+    while let Ok(n) = reader.read_line(&mut line) {
+        if n == 0 {
+            break;
+        }
+        answers.push(line.trim_end().to_owned());
+        line.clear();
+    }
+    writer.join().unwrap();
+    assert_cap_answers("tcp", &answers);
     d.shutdown();
 }
