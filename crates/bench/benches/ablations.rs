@@ -13,12 +13,12 @@ fn bench_congruences(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &[16usize, 64] {
         let p = funlist::program(n);
-        for (name, policy) in [
-            ("forget", DatatypePolicy::Forget),
-            ("c1", DatatypePolicy::Congruence1),
-            ("c2", DatatypePolicy::Congruence2),
+        for policy in [
+            DatatypePolicy::Forget,
+            DatatypePolicy::Congruence1,
+            DatatypePolicy::Congruence2,
         ] {
-            group.bench_with_input(BenchmarkId::new(name, n), &p, |b, p| {
+            group.bench_with_input(BenchmarkId::new(policy.name(), n), &p, |b, p| {
                 b.iter(|| {
                     black_box(
                         Analysis::run_with(

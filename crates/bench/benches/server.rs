@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use stcfa_devkit::bench::{BenchmarkId, Criterion};
 use stcfa_devkit::{criterion_group, criterion_main};
-use stcfa_server::{run_soak, Server, ServerOptions, SoakConfig, SoakReport};
+use stcfa_server::{run_soak, Json, Server, ServerOptions, SoakConfig, SoakReport};
 use stcfa_workloads::{lexgen, life};
 
 fn corpus() -> Vec<(&'static str, String)> {
@@ -24,32 +24,21 @@ fn corpus() -> Vec<(&'static str, String)> {
 }
 
 fn analyze_request(source: &str) -> String {
-    format!(r#"{{"op":"analyze","source":{}}}"#, json_escape(source))
+    Json::obj(vec![
+        ("op", Json::str("analyze")),
+        ("source", Json::str(source)),
+    ])
+    .to_line()
 }
 
 fn query_request(id: usize, source: &str) -> String {
-    format!(
-        r#"{{"id":{id},"op":"query","kind":"label-set","source":{}}}"#,
-        json_escape(source)
-    )
-}
-
-/// Minimal JSON string escaping for embedding corpus sources in requests.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    Json::obj(vec![
+        ("id", Json::num(id as u64)),
+        ("op", Json::str("query")),
+        ("kind", Json::str("label-set")),
+        ("source", Json::str(source)),
+    ])
+    .to_line()
 }
 
 fn server(threads: usize) -> Server {

@@ -57,6 +57,54 @@ pub enum DatatypePolicy {
     Exact,
 }
 
+impl DatatypePolicy {
+    /// Every policy with its wire name (the CLI's `--policy` and the
+    /// protocol's `policy` field) and its stable discriminant. The
+    /// discriminant is part of every content address and persisted
+    /// snapshot header, so renumbering invalidates them all.
+    const TABLE: [(DatatypePolicy, &'static str, u64); 4] = [
+        (DatatypePolicy::Congruence1, "c1", 0),
+        (DatatypePolicy::Congruence2, "c2", 1),
+        (DatatypePolicy::Exact, "exact", 2),
+        (DatatypePolicy::Forget, "forget", 3),
+    ];
+
+    fn row(self) -> &'static (DatatypePolicy, &'static str, u64) {
+        Self::TABLE
+            .iter()
+            .find(|row| row.0 == self)
+            .expect("every policy has a table row")
+    }
+
+    /// The wire name: `c1`, `c2`, `exact` or `forget`.
+    pub fn name(self) -> &'static str {
+        self.row().1
+    }
+
+    /// The stable discriminant: `0` for `c1`, `1` for `c2`, `2` for
+    /// `exact`, `3` for `forget`.
+    pub fn disc(self) -> u64 {
+        self.row().2
+    }
+
+    /// The policy with wire name `name`.
+    pub fn from_name(name: &str) -> Option<DatatypePolicy> {
+        Self::TABLE
+            .iter()
+            .find(|row| row.1 == name)
+            .map(|row| row.0)
+    }
+
+    /// The policy with discriminant `disc`; `None` for one this build
+    /// does not know.
+    pub fn from_disc(disc: u64) -> Option<DatatypePolicy> {
+        Self::TABLE
+            .iter()
+            .find(|row| row.2 == disc)
+            .map(|row| row.0)
+    }
+}
+
 /// The shape of one node.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum NodeKind {

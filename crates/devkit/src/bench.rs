@@ -16,13 +16,17 @@
 //! The JSON schema is one object `{"harness", "binary", "records": [...]}`
 //! where each record carries `group`, `name`, `min_ns`, `median_ns`,
 //! `mean_ns`, `samples`, and a `counters` object. Times are integer
-//! nanoseconds so downstream tooling needs no float parsing.
+//! nanoseconds so downstream tooling needs no float parsing. The file is
+//! written by [`crate::json`] in canonical compact form with one record
+//! per line ([`Json::to_rows`]).
 
 use std::fmt::Display;
 use std::fs;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+use crate::json::Json;
 
 /// One measurement: timing statistics plus work counters.
 #[derive(Clone, Debug)]
@@ -44,56 +48,18 @@ pub struct Record {
     pub counters: Vec<(String, u64)>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
+/// The report file: one header object whose `records` array holds one
+/// record per line ([`Json::to_rows`]).
 fn records_to_json(harness: &str, binary: &str, records: &[Record]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"harness\": \"{}\",\n", json_escape(harness)));
-    out.push_str(&format!("  \"binary\": \"{}\",\n", json_escape(binary)));
-    out.push_str("  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let opt = |v: &Option<u128>| match v {
-            Some(n) => n.to_string(),
-            None => "null".to_owned(),
-        };
-        let mut counters = String::new();
-        for (j, (k, v)) in r.counters.iter().enumerate() {
-            if j > 0 {
-                counters.push_str(", ");
-            }
-            counters.push_str(&format!("\"{}\": {v}", json_escape(k)));
-        }
-        out.push_str(&format!(
-            "    {{\"group\": \"{}\", \"name\": \"{}\", \"min_ns\": {}, \
-             \"median_ns\": {}, \"mean_ns\": {}, \"samples\": {}, \
-             \"counters\": {{{counters}}}}}{}\n",
-            json_escape(&r.group),
-            json_escape(&r.name),
-            opt(&r.min_ns),
-            opt(&r.median_ns),
-            opt(&r.mean_ns),
-            r.samples,
-            if i + 1 < records.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let report = Json::obj(vec![
+        ("harness", Json::str(harness)),
+        ("binary", Json::str(binary)),
+        (
+            "records",
+            Json::Arr(records.iter().map(Record::to_json).collect()),
+        ),
+    ]);
+    report.to_rows() + "\n"
 }
 
 /// Walks up from a crate's manifest dir to the workspace root (the first
@@ -402,6 +368,29 @@ impl Record {
         self.counters.push((name.to_owned(), value));
         self
     }
+
+    /// The record's JSON object: `group`, `name`, the three times
+    /// (`null` when absent), `samples` and the `counters` object.
+    fn to_json(&self) -> Json {
+        let ns = |v: Option<u128>| v.map_or(Json::Null, |n| Json::Num(n as f64));
+        Json::obj(vec![
+            ("group", Json::str(self.group.as_str())),
+            ("name", Json::str(self.name.as_str())),
+            ("min_ns", ns(self.min_ns)),
+            ("median_ns", ns(self.median_ns)),
+            ("mean_ns", ns(self.mean_ns)),
+            ("samples", Json::num(u64::from(self.samples))),
+            (
+                "counters",
+                Json::Obj(
+                    self.counters
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Json::num(*v)))
+                        .collect(),
+                ),
+            ),
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -450,7 +439,7 @@ mod tests {
             vec![("p99_ns".to_owned(), 1234), ("requests".to_owned(), 2048)]
         );
         let json = records_to_json("stcfa-devkit", "selftest", &c.records);
-        assert!(json.contains("\"p99_ns\": 1234, \"requests\": 2048"));
+        assert!(json.contains("\"counters\":{\"p99_ns\":1234,\"requests\":2048}"));
     }
 
     #[test]
@@ -460,11 +449,20 @@ mod tests {
             .counter("work", 42);
         rep.counters("E2", "only-counters", &[("nodes", 7)]);
         let json = rep.to_json("tables");
-        assert!(json.contains("\"min_ns\": 1234"));
+        assert!(json.contains("\"min_ns\":1234"));
         assert!(json.contains("\\\"name\\\"\\n"));
-        assert!(json.contains("\"work\": 42"));
-        assert!(json.contains("\"min_ns\": null"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert!(json.contains("\"work\":42"));
+        assert!(json.contains("\"min_ns\":null"));
+        // One header line, one line per record, one closing line.
+        assert_eq!(json.lines().count(), 4, "{json}");
+        assert!(
+            json.starts_with("{\"harness\":\"stcfa-devkit\",\"binary\":\"tables\",\"records\":[\n")
+        );
+        let parsed = Json::parse(&json).expect("the report is one JSON document");
+        assert_eq!(
+            parsed.get("records").and_then(Json::as_arr).map(<[_]>::len),
+            Some(2)
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Zero-dependency development kit for the workspace: the hermetic
-//! replacements for the three external crates the original test/bench
-//! substrate pulled in.
+//! replacements for the external crates the original test/bench
+//! substrate pulled in, plus the pieces every crate shares.
 //!
 //! - [`prng`] — a splitmix64-seeded xoshiro256++ generator with the small
 //!   `gen_range`/`gen_bool` API the workload generators need (replaces
@@ -13,7 +13,10 @@
 //!   EXPERIMENTS.md methodology (warmup, fastest-of-N, work counters) and
 //!   emitting machine-readable `BENCH_*.json` files;
 //! - [`hash`] — deterministic FNV-1a/64 content hashing with a splitmix64
-//!   finalizer, the address scheme of the server's snapshot store.
+//!   finalizer, the address scheme of the server's snapshot store;
+//! - [`json`] — the one JSON value type, bounded parser and canonical
+//!   writer, shared by the daemon's protocol, the CLI's JSON reports and
+//!   the bench files (replaces `serde_json`).
 //!
 //! Everything here is plain `std`; the workspace builds and tests with
 //! `CARGO_NET_OFFLINE=true`. See `docs/DEVKIT.md` for the seed-persistence
@@ -23,6 +26,7 @@
 
 pub mod bench;
 pub mod hash;
+pub mod json;
 pub mod prng;
 pub mod prop;
 

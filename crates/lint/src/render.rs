@@ -6,6 +6,8 @@
 
 use std::fmt::Write as _;
 
+use stcfa_devkit::json::Json;
+
 use crate::diag::Diagnostic;
 
 /// Renders one line per diagnostic:
@@ -32,73 +34,59 @@ pub fn render_text(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// Renders the diagnostics as a JSON array (one object per diagnostic,
-/// stable key order), terminated by a newline:
+impl Diagnostic {
+    /// The diagnostic as one JSON object, in stable key order:
+    ///
+    /// ```json
+    /// {"code":"STCFA004","severity":"warning","confidence":"proven","fixable":true,"expr":7,"span":{"line":3,"col":12,"end_line":3,"end_col":13},"message":"parameter `b` is never used"}
+    /// ```
+    ///
+    /// `span` is `null` when the program carries no source positions.
+    /// `confidence` is `"proven"` when the finding holds under full cubic
+    /// CFA (oracle-confirmed, syntactic, or certified by the degradation
+    /// detector) and `"likely"` otherwise — see
+    /// [`Confidence`](crate::diag::Confidence). `fixable` appears (always
+    /// `true`) exactly on the findings a `stcfa opt` pass can act on — see
+    /// [`RuleCode::fixable`](crate::diag::RuleCode::fixable). The daemon's
+    /// `lint` answers carry these objects, with a `module` field appended
+    /// in sessions.
+    pub fn to_json(&self) -> Json {
+        let span = match self.span {
+            None => Json::Null,
+            Some(s) => Json::obj(vec![
+                ("line", Json::num(s.start.line.into())),
+                ("col", Json::num(s.start.col.into())),
+                ("end_line", Json::num(s.end.line.into())),
+                ("end_col", Json::num(s.end.col.into())),
+            ]),
+        };
+        let mut pairs = vec![
+            ("code", Json::str(self.code.as_str())),
+            ("severity", Json::str(self.severity.as_str())),
+            ("confidence", Json::str(self.confidence.as_str())),
+        ];
+        if self.code.fixable() {
+            pairs.push(("fixable", Json::Bool(true)));
+        }
+        pairs.extend([
+            ("expr", Json::num(self.expr.index() as u64)),
+            ("span", span),
+            ("message", Json::str(self.message.as_str())),
+        ]);
+        Json::obj(pairs)
+    }
+}
+
+/// Renders the diagnostics as a JSON array of [`Diagnostic::to_json`]
+/// objects, one per line, terminated by a newline:
 ///
 /// ```json
 /// [
-///   {"code":"STCFA004","severity":"warning","confidence":"proven","fixable":true,"expr":7,"span":{"line":3,"col":12,"end_line":3,"end_col":13},"message":"parameter `b` is never used"}
+///   {"code":"STCFA004","severity":"warning",…,"message":"parameter `b` is never used"}
 /// ]
 /// ```
-///
-/// `span` is `null` when the program carries no source positions.
-/// `confidence` is `"proven"` when the finding holds under full cubic
-/// CFA (oracle-confirmed, syntactic, or certified by the degradation
-/// detector) and `"likely"` otherwise — see
-/// [`Confidence`](crate::diag::Confidence). `fixable` appears (always
-/// `true`) exactly on the findings a `stcfa opt` pass can act on — see
-/// [`RuleCode::fixable`](crate::diag::RuleCode::fixable).
 pub fn render_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        let fixable = if d.code.fixable() {
-            "\"fixable\":true,"
-        } else {
-            ""
-        };
-        let _ = write!(
-            out,
-            "  {{\"code\":\"{}\",\"severity\":\"{}\",\"confidence\":\"{}\",{}\"expr\":{},\"span\":",
-            d.code,
-            d.severity,
-            d.confidence,
-            fixable,
-            d.expr.index()
-        );
-        match d.span {
-            Some(s) => {
-                let _ = write!(
-                    out,
-                    "{{\"line\":{},\"col\":{},\"end_line\":{},\"end_col\":{}}}",
-                    s.start.line, s.start.col, s.end.line, s.end.col
-                );
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(out, ",\"message\":\"{}\"}}", escape_json(&d.message));
-    }
-    out.push_str(if diags.is_empty() { "]\n" } else { "\n]\n" });
-    out
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+    Json::Arr(diags.iter().map(Diagnostic::to_json).collect()).to_rows() + "\n"
 }
 
 #[cfg(test)]

@@ -357,7 +357,11 @@ mod tests {
                     .filter(|s| s.reason == SkipReason::HeightLimit)
                     .collect();
                 assert_eq!(dropped.len(), inline.planned, "{:?}", inline.skipped);
-                assert!(out.report.to_json().contains(r#""reason":"height-limit""#));
+                assert!(out
+                    .report
+                    .to_json()
+                    .to_line()
+                    .contains(r#""reason":"height-limit""#));
                 assert_eq!(out.program.size(), p.size());
                 assert!(height(&out.program) <= stcfa_lambda::parser::MAX_HEIGHT);
             })

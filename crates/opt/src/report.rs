@@ -3,11 +3,12 @@
 //! Every pass invocation records what it *planned*, what it actually
 //! *performed* during the rebuild, and every candidate it declined with a
 //! machine-readable reason — so a run with zero rewrites still explains
-//! itself. The JSON renderer is a pure function of the report, matching
+//! itself. The JSON object is a pure function of the report, matching
 //! the determinism discipline of the lint renderers.
 
 use std::fmt::Write as _;
 
+use stcfa_devkit::json::Json;
 use stcfa_lambda::{ExprId, Label};
 
 /// One lowering pass.
@@ -204,54 +205,41 @@ impl OptReport {
         self.passes.iter().map(|p| p.performed).sum()
     }
 
-    /// Renders the report as a single JSON object (stable key order),
-    /// terminated by a newline.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"nodes_before\":{},\"nodes_after\":{},\"labels_before\":{},\"labels_after\":{},\"rounds\":{},\"passes\":[",
-            self.nodes_before, self.nodes_after, self.labels_before, self.labels_after, self.rounds
-        );
-        for (i, p) in self.passes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"pass\":\"{}\",\"round\":{},\"planned\":{},\"performed\":{},\"skipped\":[",
-                p.pass.name(),
-                p.round,
-                p.planned,
-                p.performed
-            );
-            for (j, s) in p.skipped.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"at\":{},\"reason\":\"{}\"}}",
-                    s.at.index(),
-                    s.reason.name()
-                );
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"direct_calls\":[");
-        for (i, d) in self.direct_calls.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"app\":{},\"target\":{}}}",
-                d.app.index(),
-                d.target.index()
-            );
-        }
-        out.push_str("]}\n");
-        out
+    /// The report as one JSON object, in stable key order. `stcfa opt
+    /// --report json` prints it on one line; the daemon's `opt` op
+    /// answers with it plus `performed` (and `source` with `emit`).
+    pub fn to_json(&self) -> Json {
+        let n = |v: usize| Json::num(v as u64);
+        let passes = self.passes.iter().map(|p| {
+            let skipped = p.skipped.iter().map(|s| {
+                Json::obj(vec![
+                    ("at", n(s.at.index())),
+                    ("reason", Json::str(s.reason.name())),
+                ])
+            });
+            Json::obj(vec![
+                ("pass", Json::str(p.pass.name())),
+                ("round", n(p.round)),
+                ("planned", n(p.planned)),
+                ("performed", n(p.performed)),
+                ("skipped", Json::Arr(skipped.collect())),
+            ])
+        });
+        let direct_calls = self.direct_calls.iter().map(|d| {
+            Json::obj(vec![
+                ("app", n(d.app.index())),
+                ("target", n(d.target.index())),
+            ])
+        });
+        Json::obj(vec![
+            ("nodes_before", n(self.nodes_before)),
+            ("nodes_after", n(self.nodes_after)),
+            ("labels_before", n(self.labels_before)),
+            ("labels_after", n(self.labels_after)),
+            ("rounds", n(self.rounds)),
+            ("passes", Json::Arr(passes.collect())),
+            ("direct_calls", Json::Arr(direct_calls.collect())),
+        ])
     }
 
     /// Renders a short human-readable summary, one pass invocation per
@@ -331,7 +319,7 @@ mod tests {
                 target: Label::from_index(1),
             }],
         };
-        let json = report.to_json();
+        let json = report.to_json().to_line() + "\n";
         assert_eq!(
             json,
             "{\"nodes_before\":10,\"nodes_after\":8,\"labels_before\":2,\"labels_after\":1,\

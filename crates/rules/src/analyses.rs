@@ -11,6 +11,7 @@
 //! [`dominators_program`] stays as its specification and test oracle,
 //! the role the cubic references play for the engine.
 
+use stcfa_devkit::json::Json;
 use stcfa_graph::bitset::ones;
 use stcfa_graph::DomTree;
 use stcfa_lambda::{ExprId, ExprKind, Label};
@@ -294,6 +295,88 @@ pub fn dominated_redundant(db: &ExtDb<'_>) -> Vec<DominatedRedundant> {
     }
     out.sort_by_key(|r| r.app);
     out
+}
+
+/// A question for one of the shipped rule programs that `stcfa rule`
+/// and the daemon's `rule` op answer. Each surface validates its own
+/// parameters (with its own error messages) before building one.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RuleQuery {
+    /// The dominator list of every reachable call-graph node.
+    Dominators,
+    /// Taint from `sources` (`None`: every effectful-bodied
+    /// abstraction): the whole tainted set, or with `expr` one demand
+    /// query that walks only that occurrence's cone.
+    Taint {
+        /// Source labels, in any order and possibly repeated.
+        sources: Option<Vec<Label>>,
+        /// The one occurrence to ask about.
+        expr: Option<ExprId>,
+    },
+}
+
+/// Answers `query` as the JSON object both surfaces return:
+///
+/// ```text
+/// {"rule":"dominators","entry":E,"nodes":[{"node":N,"doms":[D,…]},…]}
+/// {"rule":"taint","sources":[L,…],"tainted":[X,…]}
+/// {"rule":"taint","sources":[L,…],"expr":X,"tainted":true}
+/// ```
+///
+/// Sources are listed sorted and deduplicated.
+pub fn rule_answer(db: &ExtDb<'_>, query: RuleQuery) -> Json {
+    let n = |v: usize| Json::num(v as u64);
+    match query {
+        RuleQuery::Dominators => {
+            let dom = dominators(db);
+            let nodes = (0..=dom.entry())
+                .filter(|&node| dom.is_reachable(node))
+                .map(|node| {
+                    let doms = dom.doms_of(node).into_iter().map(|d| n(d as usize));
+                    Json::obj(vec![("node", n(node)), ("doms", Json::Arr(doms.collect()))])
+                });
+            Json::obj(vec![
+                ("rule", Json::str("dominators")),
+                ("entry", n(dom.entry())),
+                ("nodes", Json::Arr(nodes.collect())),
+            ])
+        }
+        RuleQuery::Taint { sources, expr } => {
+            let sources = match sources {
+                Some(mut list) => {
+                    list.sort_unstable();
+                    list.dedup();
+                    list
+                }
+                None => db
+                    .program()
+                    .all_labels()
+                    .filter(|&l| db.label_is_effectful(l))
+                    .collect(),
+            };
+            let mut pairs = vec![
+                ("rule", Json::str("taint")),
+                (
+                    "sources",
+                    Json::Arr(sources.iter().map(|l| n(l.index())).collect()),
+                ),
+            ];
+            match expr {
+                Some(e) => pairs.extend([
+                    ("expr", n(e.index())),
+                    ("tainted", Json::Bool(expr_is_tainted(db, &sources, e))),
+                ]),
+                None => {
+                    let tainted = tainted_exprs(db, &sources);
+                    pairs.push((
+                        "tainted",
+                        Json::Arr(tainted.iter().map(|e| n(e.index())).collect()),
+                    ));
+                }
+            }
+            Json::obj(pairs)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -25,9 +25,11 @@
 //! [`analyses`] holds the shipped programs: taint-style source→sink
 //! reachability, STCFA007's mixed-purity analysis (whose only
 //! implementation is its rule program), and the call-graph dominator
-//! relation behind STCFA008's dominated-redundant analysis. The
-//! dominator relation is computed as the call graph's dominator tree
-//! ([`stcfa_graph::DomTree`]); its stratified program,
+//! relation behind STCFA008's dominated-redundant analysis.
+//! [`rule_answer`] renders the dominator and taint answers as the one
+//! JSON object that `stcfa rule` prints and the daemon's `rule` op
+//! returns. The dominator relation is computed as the call graph's
+//! dominator tree ([`stcfa_graph::DomTree`]); its stratified program,
 //! [`analyses::dominators_program`], is the specification that
 //! `lint --explain STCFA008` prints and the oracle the tests evaluate.
 //!
@@ -53,8 +55,8 @@ pub mod eval;
 pub mod program;
 
 pub use analyses::{
-    dominated_redundant, dominators, expr_is_tainted, mixed_purity, tainted_exprs, DomRelation,
-    DominatedRedundant,
+    dominated_redundant, dominators, expr_is_tainted, mixed_purity, rule_answer, tainted_exprs,
+    DomRelation, DominatedRedundant, RuleQuery,
 };
 pub use edb::{edb_catalog, edb_schema, ExtDb};
 pub use eval::{EvalStats, Evaluator};

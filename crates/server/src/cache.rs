@@ -45,8 +45,6 @@ use stcfa_lambda::Program;
 use stcfa_persist::{DecodedSnapshot, SnapshotImage};
 use stcfa_precision::{PrecisionScheduler, SuspicionIndex};
 
-use crate::proto::policy_from_disc;
-
 /// The content address of one analysis: source digest × configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SnapshotKey(pub u64);
@@ -198,7 +196,7 @@ impl Snapshot {
             linked,
             ..
         } = decoded;
-        let policy = policy_from_disc(policy_disc)
+        let policy = DatatypePolicy::from_disc(policy_disc)
             .ok_or_else(|| format!("unknown persisted policy discriminant {policy_disc}"))?;
         let program = if linked {
             program_from_manifest(&source)?

@@ -13,13 +13,13 @@
 //!   eviction reclaims it.
 //! - [`proto`] — the versioned, line-delimited JSON protocol: `analyze`,
 //!   `query` (label-set / call-targets / occurrences / reachability),
-//!   `lint`, `evict`, `stats`, `shutdown` (v1) plus the stateful
-//!   multi-file `session/*` ops (v2), with per-request deadlines and
-//!   structured error kinds. Open sessions pin their linked snapshot in
-//!   the cache; `evict` refuses pinned digests with a structured
-//!   `pinned-snapshot` error.
-//! - [`json`] — the zero-dependency JSON reader/writer with canonical
-//!   (byte-deterministic) output, so transcripts are identical across
+//!   `lint`, `evict`, `stats`, `shutdown` (v1) plus `rule`, `opt` and
+//!   the stateful multi-file `session/*` ops (v2), with per-request
+//!   deadlines and structured error kinds. Open sessions pin their
+//!   linked snapshot in the cache; `evict` refuses pinned digests with a
+//!   structured `pinned-snapshot` error. Messages are [`Json`] values,
+//!   read and written by `stcfa_devkit::json`, whose canonical
+//!   (byte-deterministic) output keeps transcripts identical across
 //!   worker-thread counts.
 //! - [`server`] — the daemon itself: dispatch, and one transport model
 //!   for stdio and TCP alike (the *fleet*): a zero-FFI event loop over
@@ -41,7 +41,6 @@
 
 pub mod cache;
 mod conn;
-pub mod json;
 mod poll;
 pub mod proto;
 pub mod server;
@@ -49,8 +48,8 @@ mod shard;
 pub mod soak;
 
 pub use cache::{Invalidate, LookupError, Snapshot, SnapshotKey, SnapshotStore, StoreStats};
-pub use json::Json;
 pub use proto::{Deadline, ErrorKind, RequestError, PROTOCOL_VERSION, PROTOCOL_VERSION_SESSION};
 pub use server::{fleet_summary_line, Server, ServerOptions};
 pub use shard::FleetStats;
 pub use soak::{run_soak, SoakConfig, SoakReport};
+pub use stcfa_devkit::json::Json;

@@ -12,8 +12,9 @@
 //!   `"v":2`). Any other version is rejected with a `proto` error.
 //! - `id` (optional) — any JSON value; echoed verbatim in the response.
 //! - `op` (required) — one of `analyze`, `query`, `lint`, `evict`,
-//!   `stats`, `shutdown` (v1), or `session/open`, `session/update`,
-//!   `session/query`, `session/lint`, `session/close` (v2).
+//!   `stats`, `shutdown` (v1), or `rule`, `opt`, `session/open`,
+//!   `session/update`, `session/query`, `session/lint`, `session/close`
+//!   (v2).
 //! - `deadline_ms` (optional) — per-request deadline, measured from the
 //!   moment the daemon read the line. A request that exceeds it is
 //!   answered with a structured `timeout` error; the daemon keeps
@@ -29,8 +30,8 @@
 
 use std::time::{Duration, Instant};
 
-use crate::json::Json;
 use stcfa_core::DatatypePolicy;
+use stcfa_devkit::json::Json;
 
 /// The baseline protocol version (stateless ops).
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -139,43 +140,10 @@ impl Deadline {
 }
 
 /// Maps the wire policy name to the core enum and its stable key
-/// discriminant (part of the content address — renumbering invalidates
-/// every cached digest).
+/// discriminant (part of the content address), both read from the
+/// policy table on [`DatatypePolicy`].
 pub fn parse_policy(name: &str) -> Option<(DatatypePolicy, u64)> {
-    match name {
-        "c1" => Some((DatatypePolicy::Congruence1, 0)),
-        "c2" => Some((DatatypePolicy::Congruence2, 1)),
-        "exact" => Some((DatatypePolicy::Exact, 2)),
-        "forget" => Some((DatatypePolicy::Forget, 3)),
-        _ => None,
-    }
-}
-
-/// Inverts [`parse_policy`]'s discriminant: the disk tier persists the
-/// discriminant and must map it back to rebuild an analysis under the
-/// original configuration. `None` for a discriminant this build does not
-/// know (a snapshot from a future daemon — treated as corrupt, rebuilt).
-pub fn policy_from_disc(disc: u64) -> Option<DatatypePolicy> {
-    match disc {
-        0 => Some(DatatypePolicy::Congruence1),
-        1 => Some(DatatypePolicy::Congruence2),
-        2 => Some(DatatypePolicy::Exact),
-        3 => Some(DatatypePolicy::Forget),
-        _ => None,
-    }
-}
-
-/// The stable discriminant for `policy` ([`parse_policy`]'s second
-/// component, keyed by the enum instead of the wire name). Session
-/// snapshots derive their persisted header from the workspace's policy,
-/// which arrives as the enum.
-pub fn policy_to_disc(policy: DatatypePolicy) -> u64 {
-    match policy {
-        DatatypePolicy::Congruence1 => 0,
-        DatatypePolicy::Congruence2 => 1,
-        DatatypePolicy::Exact => 2,
-        DatatypePolicy::Forget => 3,
-    }
+    DatatypePolicy::from_name(name).map(|policy| (policy, policy.disc()))
 }
 
 /// Builds the success response line for `id`, under protocol version
@@ -267,8 +235,9 @@ mod tests {
         // The persisted discriminants invert exactly.
         for name in ["c1", "c2", "exact", "forget"] {
             let (policy, disc) = parse_policy(name).unwrap();
-            assert_eq!(policy_from_disc(disc), Some(policy), "{name}");
+            assert_eq!(DatatypePolicy::from_disc(disc), Some(policy), "{name}");
+            assert_eq!((policy.name(), policy.disc()), (name, disc));
         }
-        assert_eq!(policy_from_disc(4), None);
+        assert_eq!(DatatypePolicy::from_disc(4), None);
     }
 }

@@ -42,19 +42,19 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use stcfa_core::{Analysis, AnalysisOptions, DatatypePolicy, QueryEngine};
+use stcfa_devkit::json::Json;
 use stcfa_lambda::{ExprId, Label, Program};
 use stcfa_lint::{lint_with_suspicion, Diagnostic, LintOptions};
 use stcfa_opt::{optimize_with, OptOptions, Pass, PassSet};
-use stcfa_rules::ExtDb;
+use stcfa_rules::{rule_answer, ExtDb, RuleQuery};
 use stcfa_session::{LinkError, LinkReport, Module, Workspace};
 
 use crate::cache::{Invalidate, LookupError, Snapshot, SnapshotKey, SnapshotStore};
 use crate::conn::{Conn, ConnLimits, Frame};
-use crate::json::Json;
 use crate::poll::{Acceptor, Backoff, Parker, Piped};
 use crate::proto::{
-    err_response, ok_response, parse_policy, policy_to_disc, Deadline, ErrorKind, RequestError,
-    PROTOCOL_VERSION, PROTOCOL_VERSION_SESSION,
+    err_response, ok_response, parse_policy, Deadline, ErrorKind, RequestError, PROTOCOL_VERSION,
+    PROTOCOL_VERSION_SESSION,
 };
 use crate::shard::{Completion, FleetStats, ShardPool, Task};
 
@@ -270,34 +270,23 @@ impl Server {
         };
         let deadline = Deadline::new(received, deadline_ms);
         deadline.check("request start")?;
-        if op.starts_with("session/") && version != PROTOCOL_VERSION_SESSION {
+        let v2_family = match op {
+            "rule" | "opt" => Some("protocol-2"),
+            _ if op.starts_with("session/") => Some("session"),
+            _ => None,
+        };
+        if let Some(family) = v2_family.filter(|_| version != PROTOCOL_VERSION_SESSION) {
             return Err(RequestError::new(
                 ErrorKind::Proto,
-                format!("`{op}` is a session op: it requires \"v\":2"),
+                format!("`{op}` is a {family} op: it requires \"v\":2"),
             ));
         }
         match op {
             "analyze" => self.op_analyze(request, &deadline),
             "query" => self.op_query(request, &deadline, version),
             "lint" => self.op_lint(request, &deadline),
-            "rule" => {
-                if version != PROTOCOL_VERSION_SESSION {
-                    return Err(RequestError::new(
-                        ErrorKind::Proto,
-                        "`rule` is a protocol-2 op: it requires \"v\":2",
-                    ));
-                }
-                self.op_rule(request, &deadline)
-            }
-            "opt" => {
-                if version != PROTOCOL_VERSION_SESSION {
-                    return Err(RequestError::new(
-                        ErrorKind::Proto,
-                        "`opt` is a protocol-2 op: it requires \"v\":2",
-                    ));
-                }
-                self.op_opt(request, &deadline)
-            }
+            "rule" => self.op_rule(request, &deadline),
+            "opt" => self.op_opt(request, &deadline),
             "evict" => self.op_evict(request),
             "stats" => Ok(self.op_stats()),
             "session/open" => self.op_session_open(request, &deadline),
@@ -388,13 +377,7 @@ impl Server {
             let hex = handle.as_str().ok_or_else(|| {
                 RequestError::new(ErrorKind::Proto, "`snapshot` must be a hex digest string")
             })?;
-            let key = SnapshotKey::from_hex(hex).ok_or_else(|| {
-                RequestError::new(
-                    ErrorKind::Proto,
-                    format!("`snapshot` is not a 16-digit hex digest: `{hex}`"),
-                )
-            })?;
-            return self.store.get(key).map_err(|e| match e {
+            return self.store.get(snapshot_key(hex)?).map_err(|e| match e {
                 LookupError::Unknown => RequestError::new(
                     ErrorKind::UnknownSnapshot,
                     format!("snapshot {hex} was never analyzed by this daemon"),
@@ -448,67 +431,110 @@ impl Server {
         let graded = precision_param(request, version)?;
         let snapshot = self.resolve_snapshot(request, deadline)?;
         deadline.check("before query")?;
-        let program = &snapshot.program;
-        let result = if graded {
-            self.graded_query_result(&kind, request, &snapshot, || Ok(program.root()))?
-        } else {
-            query_result(&kind, request, program, &snapshot.engine, || {
-                Ok(program.root())
-            })?
-        };
+        let root = snapshot.program.root();
+        let result = self.query_result(&kind, request, &snapshot, graded, || Ok(root))?;
         deadline.check("after query")?;
         Ok(tag_kind(kind, result))
     }
 
-    /// Answers a `"precision":true` query through the snapshot's tier
+    /// The query-kind dispatcher shared by `query` and `session/query`.
+    /// `default_expr` supplies the target when a `label-set` request
+    /// names no `expr` (the program root for v1, the session's trailing
+    /// value for v2). A `graded` (`"precision":true`) label-set or
+    /// call-targets query is answered through the snapshot's tier
     /// scheduler: the label set is the best certified refinement and the
     /// response carries its [`PrecisionInfo`] grade.
-    fn graded_query_result(
+    fn query_result(
         &self,
         kind: &str,
         request: &Json,
         snapshot: &Snapshot,
+        graded: bool,
         default_expr: impl FnOnce() -> Result<ExprId, RequestError>,
     ) -> Result<Json, RequestError> {
-        let scheduler = snapshot.scheduler(self.options.precision_budget);
-        let program = &snapshot.program;
-        let (labels, info) = match kind {
-            "label-set" => {
-                let expr = match request.get("expr") {
-                    None => default_expr()?,
-                    Some(v) => expr_param(v, program, "expr")?,
-                };
-                scheduler.labels_of(program, &snapshot.engine, expr)
-            }
-            "call-targets" => {
-                let site = expr_param(
-                    request.get("site").ok_or_else(|| {
-                        RequestError::new(ErrorKind::Proto, "`call-targets` needs `site`")
-                    })?,
-                    program,
-                    "site",
-                )?;
-                scheduler
-                    .call_targets(program, &snapshot.engine, site)
-                    .ok_or_else(|| {
-                        RequestError::new(
+        let (program, engine) = (&snapshot.program, &snapshot.engine);
+        Ok(match kind {
+            "label-set" | "call-targets" => {
+                // The occurrence asked about: a call-targets query's
+                // `site`, or a label-set query's `expr` (else the default).
+                let site = kind == "call-targets";
+                let field = if site { "site" } else { "expr" };
+                let at = match request.get(field) {
+                    Some(v) => expr_param(v, program, field)?,
+                    None if site => {
+                        return Err(RequestError::new(
                             ErrorKind::Proto,
-                            format!("expression {} is not an application site", site.index()),
-                        )
-                    })?
+                            "`call-targets` needs `site`",
+                        ))
+                    }
+                    None => default_expr()?,
+                };
+                let not_a_site = || {
+                    RequestError::new(
+                        ErrorKind::Proto,
+                        format!("expression {} is not an application site", at.index()),
+                    )
+                };
+                if graded {
+                    let scheduler = snapshot.scheduler(self.options.precision_budget);
+                    let (labels, info) = if site {
+                        scheduler
+                            .call_targets(program, engine, at)
+                            .ok_or_else(not_a_site)?
+                    } else {
+                        scheduler.labels_of(program, engine, at)
+                    };
+                    let mut result = labels_json(program, &labels);
+                    result.push("precision", precision_json(info));
+                    result
+                } else if site {
+                    let targets = engine.call_targets(program, at).ok_or_else(not_a_site)?;
+                    labels_json(program, &targets)
+                } else {
+                    labels_json(program, &engine.labels_of(at))
+                }
             }
-            other => {
+            other if graded => {
                 return Err(RequestError::new(
                     ErrorKind::Proto,
                     format!("`precision` grades label-set and call-targets queries, not `{other}`"),
                 ))
             }
-        };
-        let Json::Obj(mut pairs) = labels_json(program, &labels) else {
-            unreachable!("labels_json returns an object")
-        };
-        pairs.push(("precision".to_owned(), precision_json(info)));
-        Ok(Json::Obj(pairs))
+            "occurrences" => {
+                let label = label_param(request, program)?;
+                let exprs = engine.exprs_with_label(label);
+                Json::obj(vec![
+                    ("count", Json::num(exprs.len() as u64)),
+                    (
+                        "exprs",
+                        Json::Arr(exprs.iter().map(|e| Json::num(e.index() as u64)).collect()),
+                    ),
+                ])
+            }
+            "reachability" => {
+                let expr = expr_param(
+                    request.get("expr").ok_or_else(|| {
+                        RequestError::new(ErrorKind::Proto, "`reachability` needs `expr`")
+                    })?,
+                    program,
+                    "expr",
+                )?;
+                let label = label_param(request, program)?;
+                Json::obj(vec![(
+                    "reaches",
+                    Json::Bool(engine.label_reaches(expr, label)),
+                )])
+            }
+            other => {
+                return Err(RequestError::new(
+                    ErrorKind::Proto,
+                    format!(
+                        "unknown query kind `{other}` \
+                         (expected label-set|call-targets|occurrences|reachability)"
+                    ),
+                ))
+            }
+        })
     }
 
     fn op_lint(&self, request: &Json, deadline: &Deadline) -> Result<Json, RequestError> {
@@ -516,7 +542,7 @@ impl Server {
         deadline.check("before lint")?;
         let diags = self.lint_snapshot(&snapshot)?;
         deadline.check("after lint")?;
-        Ok(diagnostics_json(&diags, None))
+        Ok(lint_json(&diags, None))
     }
 
     /// Runs the lint engine over a snapshot, dividing the thread budget
@@ -570,74 +596,12 @@ impl Server {
             .try_analysis()
             .map_err(|e| RequestError::new(ErrorKind::Analysis, e.clone()))?;
         let program = &snapshot.program;
-        let db = ExtDb::new(program, analysis, &snapshot.engine);
-        let result = match name.as_str() {
-            "dominators" => {
-                let dom = stcfa_rules::dominators(&db);
-                let mut nodes = Vec::new();
-                for n in 0..=dom.entry() {
-                    if dom.is_reachable(n) {
-                        let doms = dom
-                            .doms_of(n)
-                            .iter()
-                            .map(|&d| Json::num(d as u64))
-                            .collect();
-                        nodes.push(Json::obj(vec![
-                            ("node", Json::num(n as u64)),
-                            ("doms", Json::Arr(doms)),
-                        ]));
-                    }
-                }
-                Json::obj(vec![
-                    ("rule", Json::str("dominators")),
-                    ("entry", Json::num(dom.entry() as u64)),
-                    ("nodes", Json::Arr(nodes)),
-                ])
-            }
-            "taint" => {
-                let sources = taint_sources(request, program, &db)?;
-                let src_json = Json::Arr(
-                    sources
-                        .iter()
-                        .map(|l| Json::num(l.index() as u64))
-                        .collect(),
-                );
-                match request.get("expr") {
-                    Some(v) => {
-                        let idx = v
-                            .as_u64()
-                            .filter(|&n| (n as usize) < program.size())
-                            .ok_or_else(|| {
-                                RequestError::new(
-                                    ErrorKind::Proto,
-                                    format!(
-                                        "`expr` must be an occurrence index below {}",
-                                        program.size()
-                                    ),
-                                )
-                            })?;
-                        let e = ExprId::from_index(idx as usize);
-                        let tainted = stcfa_rules::expr_is_tainted(&db, &sources, e);
-                        Json::obj(vec![
-                            ("rule", Json::str("taint")),
-                            ("sources", src_json),
-                            ("expr", Json::num(idx)),
-                            ("tainted", Json::Bool(tainted)),
-                        ])
-                    }
-                    None => {
-                        let tainted = stcfa_rules::tainted_exprs(&db, &sources)
-                            .iter()
-                            .map(|e| Json::num(e.index() as u64))
-                            .collect();
-                        Json::obj(vec![
-                            ("rule", Json::str("taint")),
-                            ("sources", src_json),
-                            ("tainted", Json::Arr(tainted)),
-                        ])
-                    }
-                }
-            }
+        let query = match name.as_str() {
+            "dominators" => RuleQuery::Dominators,
+            "taint" => RuleQuery::Taint {
+                sources: taint_sources(request, program)?,
+                expr: taint_expr(request, program)?,
+            },
             other => {
                 return Err(RequestError::new(
                     ErrorKind::Proto,
@@ -645,6 +609,7 @@ impl Server {
                 ))
             }
         };
+        let mut result = rule_answer(&ExtDb::new(program, analysis, &snapshot.engine), query);
         deadline.check("after rule")?;
         // Opt-in grade for the whole derivation: rules read the engine's
         // label sets as their EDB, so if no component of this snapshot
@@ -657,11 +622,8 @@ impl Server {
             } else {
                 stcfa_precision::PrecisionClass::Approx
             };
-            let Json::Obj(mut pairs) = result else {
-                unreachable!("rule results are objects")
-            };
-            pairs.push((
-                "precision".to_owned(),
+            result.push(
+                "precision",
                 Json::obj(vec![
                     ("class", Json::str(class.as_str())),
                     ("tier", Json::num(0)),
@@ -670,8 +632,7 @@ impl Server {
                         Json::num(snapshot.suspicion.suspicious_comps() as u64),
                     ),
                 ]),
-            ));
-            return Ok(Json::Obj(pairs));
+            );
         }
         Ok(result)
     }
@@ -679,9 +640,9 @@ impl Server {
     /// `opt` (protocol 2): runs the flow-directed lowering pipeline
     /// (docs/OPT.md) against a snapshot and returns the decision report,
     /// with `"emit":true` adding the optimized program's source. Round 1
-    /// reuses the snapshot's frozen engine; the result object is the
-    /// CLI's `--report json` object, parsed — the two surfaces cannot
-    /// drift apart.
+    /// reuses the snapshot's frozen engine; the result object is
+    /// [`OptReport::to_json`](stcfa_opt::OptReport::to_json), the object
+    /// the CLI's `--report json` prints, plus `performed`.
     fn op_opt(&self, request: &Json, deadline: &Deadline) -> Result<Json, RequestError> {
         let mut options = OptOptions::default();
         if let Some(passes) = request.get("passes") {
@@ -724,17 +685,12 @@ impl Server {
         let out = optimize_with(&snapshot.program, &snapshot.engine, &options)
             .map_err(|e| RequestError::new(ErrorKind::Analysis, e.to_string()))?;
         deadline.check("after opt")?;
-        let Ok(Json::Obj(mut result)) = Json::parse(out.report.to_json().trim_end()) else {
-            unreachable!("OptReport::to_json emits one JSON object")
-        };
-        result.push((
-            "performed".to_owned(),
-            Json::num(out.report.performed_total() as u64),
-        ));
+        let mut result = out.report.to_json();
+        result.push("performed", Json::num(out.report.performed_total() as u64));
         if emit {
-            result.push(("source".to_owned(), Json::str(out.program.to_source())));
+            result.push("source", Json::str(out.program.to_source()));
         }
-        Ok(Json::Obj(result))
+        Ok(result)
     }
 
     fn op_evict(&self, request: &Json) -> Result<Json, RequestError> {
@@ -742,13 +698,7 @@ impl Server {
             .get("snapshot")
             .and_then(Json::as_str)
             .ok_or_else(|| RequestError::new(ErrorKind::Proto, "`evict` needs `snapshot`"))?;
-        let key = SnapshotKey::from_hex(hex).ok_or_else(|| {
-            RequestError::new(
-                ErrorKind::Proto,
-                format!("`snapshot` is not a 16-digit hex digest: `{hex}`"),
-            )
-        })?;
-        let evicted = match self.store.invalidate(key) {
+        let evicted = match self.store.invalidate(snapshot_key(hex)?) {
             Invalidate::Evicted => true,
             Invalidate::Absent => false,
             Invalidate::Pinned => {
@@ -857,7 +807,7 @@ impl Server {
                         manifest.to_owned(),
                         started.elapsed().as_nanos() as u64,
                         policy,
-                        policy_to_disc(policy),
+                        policy.disc(),
                     ))
                 })
                 .map_err(|e| RequestError::new(ErrorKind::Analysis, e))?;
@@ -1047,15 +997,7 @@ impl Server {
                 })?;
                 labels_json(program, &engine.labels_of_binder(var))
             }
-            None if graded => self.graded_query_result(&kind, request, &snapshot, || {
-                report.default_value().ok_or_else(|| {
-                    RequestError::new(
-                        ErrorKind::Proto,
-                        "session has no trailing value expression; pass `expr` or `name`",
-                    )
-                })
-            })?,
-            None => query_result(&kind, request, program, engine, || {
+            None => self.query_result(&kind, request, &snapshot, graded, || {
                 report.default_value().ok_or_else(|| {
                     RequestError::new(
                         ErrorKind::Proto,
@@ -1078,7 +1020,7 @@ impl Server {
         deadline.check("before lint")?;
         let diags = self.lint_snapshot(&snapshot)?;
         deadline.check("after lint")?;
-        Ok(diagnostics_json(&diags, Some(&report)))
+        Ok(lint_json(&diags, Some(&report)))
     }
 
     fn op_session_close(&self, request: &Json) -> Result<Json, RequestError> {
@@ -1489,7 +1431,7 @@ fn str_field(line: &str, name: &str) -> Option<String> {
             i += 1;
         }
         if i < bytes.len() && bytes[i] == b'"' {
-            return crate::json::decode_str_at(line, i);
+            return stcfa_devkit::json::decode_str_at(line, i);
         }
     }
     None
@@ -1654,78 +1596,6 @@ fn link_json(id: &str, key: SnapshotKey, cached: bool, report: &LinkReport) -> J
     ])
 }
 
-/// The query-kind dispatcher shared by `query` and `session/query`.
-/// `default_expr` supplies the target when a `label-set` request names
-/// no `expr` (the program root for v1, the session's trailing value for
-/// v2).
-fn query_result(
-    kind: &str,
-    request: &Json,
-    program: &Program,
-    engine: &QueryEngine,
-    default_expr: impl FnOnce() -> Result<ExprId, RequestError>,
-) -> Result<Json, RequestError> {
-    Ok(match kind {
-        "label-set" => {
-            let expr = match request.get("expr") {
-                None => default_expr()?,
-                Some(v) => expr_param(v, program, "expr")?,
-            };
-            labels_json(program, &engine.labels_of(expr))
-        }
-        "call-targets" => {
-            let site = expr_param(
-                request.get("site").ok_or_else(|| {
-                    RequestError::new(ErrorKind::Proto, "`call-targets` needs `site`")
-                })?,
-                program,
-                "site",
-            )?;
-            let targets = engine.call_targets(program, site).ok_or_else(|| {
-                RequestError::new(
-                    ErrorKind::Proto,
-                    format!("expression {} is not an application site", site.index()),
-                )
-            })?;
-            labels_json(program, &targets)
-        }
-        "occurrences" => {
-            let label = label_param(request, program)?;
-            let exprs = engine.exprs_with_label(label);
-            Json::obj(vec![
-                ("count", Json::num(exprs.len() as u64)),
-                (
-                    "exprs",
-                    Json::Arr(exprs.iter().map(|e| Json::num(e.index() as u64)).collect()),
-                ),
-            ])
-        }
-        "reachability" => {
-            let expr = expr_param(
-                request.get("expr").ok_or_else(|| {
-                    RequestError::new(ErrorKind::Proto, "`reachability` needs `expr`")
-                })?,
-                program,
-                "expr",
-            )?;
-            let label = label_param(request, program)?;
-            Json::obj(vec![(
-                "reaches",
-                Json::Bool(engine.label_reaches(expr, label)),
-            )])
-        }
-        other => {
-            return Err(RequestError::new(
-                ErrorKind::Proto,
-                format!(
-                    "unknown query kind `{other}` \
-                     (expected label-set|call-targets|occurrences|reachability)"
-                ),
-            ))
-        }
-    })
-}
-
 /// Prepends the echoed query kind to a result object.
 fn tag_kind(kind: String, result: Json) -> Json {
     let Json::Obj(mut pairs) = result else {
@@ -1735,42 +1605,21 @@ fn tag_kind(kind: String, result: Json) -> Json {
     Json::Obj(pairs)
 }
 
-/// Renders lint diagnostics; with a link report each diagnostic is
-/// additionally attributed to the module owning its expression.
-fn diagnostics_json(diags: &[Diagnostic], report: Option<&LinkReport>) -> Json {
+/// The `lint` / `session/lint` result: one [`Diagnostic::to_json`]
+/// object per diagnostic, to which a session appends the `module` that
+/// owns the diagnostic's expression.
+fn lint_json(diags: &[Diagnostic], report: Option<&LinkReport>) -> Json {
     let items: Vec<Json> = diags
         .iter()
         .map(|d| {
-            let span = match d.span {
-                None => Json::Null,
-                Some(s) => Json::obj(vec![
-                    ("line", Json::num(s.start.line as u64)),
-                    ("col", Json::num(s.start.col as u64)),
-                    ("end_line", Json::num(s.end.line as u64)),
-                    ("end_col", Json::num(s.end.col as u64)),
-                ]),
-            };
-            let mut pairs = vec![
-                ("code", Json::str(d.code.as_str())),
-                ("severity", Json::str(d.severity.as_str())),
-                ("confidence", Json::str(d.confidence.as_str())),
-            ];
-            if d.code.fixable() {
-                pairs.push(("fixable", Json::Bool(true)));
-            }
-            pairs.extend([
-                ("expr", Json::num(d.expr.index() as u64)),
-                ("span", span),
-                ("message", Json::str(d.message.clone())),
-            ]);
+            let mut item = d.to_json();
             if let Some(report) = report {
-                let module = match report.module_of_expr(d.expr) {
-                    Some(name) => Json::str(name),
-                    None => Json::Null,
-                };
-                pairs.push(("module", module));
+                item.push(
+                    "module",
+                    report.module_of_expr(d.expr).map_or(Json::Null, Json::str),
+                );
             }
-            Json::obj(pairs)
+            item
         })
         .collect();
     Json::obj(vec![
@@ -1780,44 +1629,64 @@ fn diagnostics_json(diags: &[Diagnostic], report: Option<&LinkReport>) -> Json {
 }
 
 /// Resolves the `sources` parameter of the taint rule: an explicit
-/// array of label indices, or (by default) every effectful-bodied
-/// abstraction in the program.
-fn taint_sources(
-    request: &Json,
-    program: &Program,
-    db: &ExtDb<'_>,
-) -> Result<Vec<Label>, RequestError> {
-    match request.get("sources") {
-        Some(Json::Arr(items)) => {
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                let idx = item
-                    .as_u64()
-                    .filter(|&n| (n as usize) < program.label_count())
-                    .ok_or_else(|| {
-                        RequestError::new(
-                            ErrorKind::Proto,
-                            format!(
-                                "`sources` entries must be label indices below {}",
-                                program.label_count()
-                            ),
-                        )
-                    })?;
-                out.push(Label::from_index(idx as usize));
-            }
-            out.sort_unstable();
-            out.dedup();
-            Ok(out)
-        }
-        Some(_) => Err(RequestError::new(
+/// array of label indices, or `None` for the default (every
+/// effectful-bodied abstraction).
+fn taint_sources(request: &Json, program: &Program) -> Result<Option<Vec<Label>>, RequestError> {
+    let Some(sources) = request.get("sources") else {
+        return Ok(None);
+    };
+    let items = sources.as_arr().ok_or_else(|| {
+        RequestError::new(
             ErrorKind::Proto,
             "`sources` must be an array of label indices",
-        )),
-        None => Ok(program
-            .all_labels()
-            .filter(|&l| db.label_is_effectful(l))
-            .collect()),
-    }
+        )
+    })?;
+    let labels = items.iter().map(|item| {
+        item.as_u64()
+            .filter(|&n| (n as usize) < program.label_count())
+            .map(|n| Label::from_index(n as usize))
+            .ok_or_else(|| {
+                RequestError::new(
+                    ErrorKind::Proto,
+                    format!(
+                        "`sources` entries must be label indices below {}",
+                        program.label_count()
+                    ),
+                )
+            })
+    });
+    labels.collect::<Result<_, _>>().map(Some)
+}
+
+/// Resolves the taint rule's optional `expr`: the one occurrence a
+/// demand query asks about.
+fn taint_expr(request: &Json, program: &Program) -> Result<Option<ExprId>, RequestError> {
+    let Some(v) = request.get("expr") else {
+        return Ok(None);
+    };
+    let idx = v
+        .as_u64()
+        .filter(|&n| (n as usize) < program.size())
+        .ok_or_else(|| {
+            RequestError::new(
+                ErrorKind::Proto,
+                format!(
+                    "`expr` must be an occurrence index below {}",
+                    program.size()
+                ),
+            )
+        })?;
+    Ok(Some(ExprId::from_index(idx as usize)))
+}
+
+/// Parses a `snapshot` digest string.
+fn snapshot_key(hex: &str) -> Result<SnapshotKey, RequestError> {
+    SnapshotKey::from_hex(hex).ok_or_else(|| {
+        RequestError::new(
+            ErrorKind::Proto,
+            format!("`snapshot` is not a 16-digit hex digest: `{hex}`"),
+        )
+    })
 }
 
 /// Validates an expression-index parameter against the program.

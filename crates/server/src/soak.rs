@@ -17,7 +17,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use crate::json::Json;
+use stcfa_devkit::json::Json;
 
 /// Soak shape: how many connections, how hard each one pushes.
 #[derive(Clone, Debug)]

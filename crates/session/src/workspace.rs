@@ -34,7 +34,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use stcfa_core::analysis::AnalysisError;
 use stcfa_core::incremental::{AnalysisMark, IncrementalAnalysis, StaleSnapshot};
-use stcfa_core::{Analysis, AnalysisOptions, DatatypePolicy, QueryEngine};
+use stcfa_core::{Analysis, AnalysisOptions, QueryEngine};
 use stcfa_devkit::hash::Fnv1a;
 use stcfa_lambda::parser::ParseError;
 use stcfa_lambda::session::{SessionMark, SessionProgram};
@@ -239,7 +239,7 @@ impl Workspace {
     /// module name and content digest up to and including module `i`.
     fn chain_digests(&self) -> Vec<u64> {
         let mut h = Fnv1a::new();
-        h.write_u64(policy_disc(self.options.policy));
+        h.write_u64(self.options.policy.disc());
         h.write_u64(self.options.max_nodes.map(|n| n as u64 + 1).unwrap_or(0));
         self.modules
             .iter()
@@ -410,7 +410,7 @@ impl Workspace {
     /// link order, and the derived import topology.
     fn session_digest(&self, modules: &[ModuleReport]) -> u64 {
         let mut h = Fnv1a::new();
-        h.write_u64(policy_disc(self.options.policy));
+        h.write_u64(self.options.policy.disc());
         h.write_u64(self.options.max_nodes.map(|n| n as u64 + 1).unwrap_or(0));
         h.write_u64(modules.len() as u64);
         for m in modules {
@@ -526,16 +526,5 @@ impl LinkedSnapshot {
     /// Decomposes the snapshot into its parts (for cache storage).
     pub fn into_parts(self) -> (Program, Analysis, QueryEngine, LinkReport) {
         (self.program, self.analysis, self.engine, self.report)
-    }
-}
-
-/// Stable discriminant of a datatype policy for digest mixing (matches
-/// the server's wire policy numbering).
-fn policy_disc(policy: DatatypePolicy) -> u64 {
-    match policy {
-        DatatypePolicy::Congruence1 => 0,
-        DatatypePolicy::Congruence2 => 1,
-        DatatypePolicy::Exact => 2,
-        DatatypePolicy::Forget => 3,
     }
 }

@@ -97,6 +97,24 @@ if [ "$DOMINATORS_DIGEST_GOT" != "$DOMINATORS_DIGEST_WANT" ]; then
 fi
 echo "-- corpus dominators digest ok ($DOMINATORS_DIGEST_GOT)"
 
+echo "== rules: corpus taint answers are pinned =="
+# `stcfa rule --name taint` over the whole corpus, from the default
+# sources (every effectful-bodied abstraction). The CLI prints the answer
+# object the daemon's `rule` op returns (tests/cli.rs checks that the two
+# agree), so this pins both surfaces' bytes.
+TAINT_DIGEST_WANT="3883165449"
+taint_report="$(for f in corpus/*.ml; do
+  echo "== $f"
+  ./target/release/stcfa rule "$f" --name taint
+done)"
+TAINT_DIGEST_GOT="$(printf '%s\n' "$taint_report" | cksum | cut -d' ' -f1)"
+if [ "$TAINT_DIGEST_GOT" != "$TAINT_DIGEST_WANT" ]; then
+  echo "taint digest drifted: want $TAINT_DIGEST_WANT got $TAINT_DIGEST_GOT" >&2
+  printf '%s\n' "$taint_report" >&2
+  exit 1
+fi
+echo "-- corpus taint digest ok ($TAINT_DIGEST_GOT)"
+
 echo "== rules: clippy on the rule crate (warnings are errors) =="
 cargo clippy -p stcfa-rules --all-targets --offline -- -D warnings
 
@@ -109,6 +127,24 @@ for t in 1 2 8; do
   echo "-- STCFA_QUERY_THREADS=$t"
   STCFA_QUERY_THREADS=$t cargo test -q --offline --test opt_differential
 done
+
+echo "== opt: corpus reports are pinned =="
+# `stcfa opt --report json` over the whole corpus under the default
+# pipeline: every pass invocation, skip reason and direct call. The
+# daemon's `opt` op answers with the same object plus `performed`
+# (tests/cli.rs checks that the two agree).
+OPT_DIGEST_WANT="3895781332"
+opt_report="$(for f in corpus/*.ml; do
+  echo "== $f"
+  ./target/release/stcfa opt "$f" --report json --threads 1
+done)"
+OPT_DIGEST_GOT="$(printf '%s\n' "$opt_report" | cksum | cut -d' ' -f1)"
+if [ "$OPT_DIGEST_GOT" != "$OPT_DIGEST_WANT" ]; then
+  echo "opt digest drifted: want $OPT_DIGEST_WANT got $OPT_DIGEST_GOT" >&2
+  printf '%s\n' "$opt_report" >&2
+  exit 1
+fi
+echo "-- corpus opt digest ok ($OPT_DIGEST_GOT)"
 
 echo "== opt: pretty-printer round-trip gate =="
 # `--emit` output must re-parse to the same arena (size, label count,

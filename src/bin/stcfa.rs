@@ -321,13 +321,9 @@ where
 
 /// The shared `--policy` flag.
 fn parse_policy_flag(value: Option<&str>) -> Result<DatatypePolicy, CliError> {
-    match value {
-        Some("c1") => Ok(DatatypePolicy::Congruence1),
-        Some("c2") => Ok(DatatypePolicy::Congruence2),
-        Some("exact") => Ok(DatatypePolicy::Exact),
-        Some("forget") => Ok(DatatypePolicy::Forget),
-        other => Err(CliError::BadValue(format!("unknown policy {other:?}"))),
-    }
+    value
+        .and_then(DatatypePolicy::from_name)
+        .ok_or_else(|| CliError::BadValue(format!("unknown policy {value:?}")))
 }
 
 /// Parses a byte count with an optional `k`/`m`/`g` (binary) suffix, e.g.
@@ -580,7 +576,7 @@ fn run_opt(args: &[String]) -> Result<(), CliError> {
     };
     let out = optimize(&program, &options).map_err(|e| e.to_string())?;
     let rendered = if json {
-        out.report.to_json()
+        out.report.to_json().to_line() + "\n"
     } else {
         out.report.to_text()
     };
@@ -598,7 +594,7 @@ fn run_opt(args: &[String]) -> Result<(), CliError> {
 /// frozen engine and print the JSON answer — the CLI twin of the
 /// protocol-2 `rule` op (docs/RULES.md).
 fn run_rule(args: &[String]) -> Result<(), CliError> {
-    use stcfa::rules::{dominators, expr_is_tainted, tainted_exprs, ExtDb};
+    use stcfa::rules::{rule_answer, ExtDb, RuleQuery};
 
     let mut path = None;
     let mut name = None;
@@ -650,70 +646,30 @@ fn run_rule(args: &[String]) -> Result<(), CliError> {
     let analysis = Analysis::run_with(&program, AnalysisOptions { policy, max_nodes })
         .map_err(|e| e.to_string())?;
     let engine = QueryEngine::freeze(&analysis);
-    let db = ExtDb::new(&program, &analysis, &engine);
-    let join = |it: &mut dyn Iterator<Item = usize>| -> String {
-        it.map(|n| n.to_string()).collect::<Vec<_>>().join(",")
-    };
-    match name.as_str() {
-        "dominators" => {
-            let dom = dominators(&db);
-            let mut nodes = Vec::new();
-            for n in 0..=dom.entry() {
-                if dom.is_reachable(n) {
-                    let doms = join(&mut dom.doms_of(n).iter().map(|&d| d as usize));
-                    nodes.push(format!("{{\"node\":{n},\"doms\":[{doms}]}}"));
-                }
-            }
-            println!(
-                "{{\"rule\":\"dominators\",\"entry\":{},\"nodes\":[{}]}}",
-                dom.entry(),
-                nodes.join(",")
-            );
-        }
+    let query = match name.as_str() {
+        "dominators" => RuleQuery::Dominators,
         "taint" => {
-            let labels: Vec<Label> = match sources {
-                Some(list) => {
-                    let mut out = Vec::with_capacity(list.len());
-                    for l in list {
-                        if l >= program.label_count() {
-                            return Err(CliError::BadValue(format!(
-                                "--sources: label {l} is out of range (program has {})",
-                                program.label_count()
-                            )));
-                        }
-                        out.push(Label::from_index(l));
-                    }
-                    out.sort_unstable();
-                    out.dedup();
-                    out
+            let label = |l: usize| {
+                if l >= program.label_count() {
+                    return Err(CliError::BadValue(format!(
+                        "--sources: label {l} is out of range (program has {})",
+                        program.label_count()
+                    )));
                 }
-                None => {
-                    // Default: every effectful-bodied abstraction.
-                    program
-                        .all_labels()
-                        .filter(|&l| db.label_is_effectful(l))
-                        .collect()
-                }
+                Ok(Label::from_index(l))
             };
-            let srcs = join(&mut labels.iter().map(|l| l.index()));
-            match expr {
-                Some(n) => {
-                    if n >= program.size() {
-                        return Err(CliError::BadValue(format!(
-                            "--expr: {n} is out of range (program has {} occurrences)",
-                            program.size()
-                        )));
-                    }
-                    let tainted = expr_is_tainted(&db, &labels, ExprId::from_index(n));
-                    println!(
-                        "{{\"rule\":\"taint\",\"sources\":[{srcs}],\"expr\":{n},\"tainted\":{tainted}}}"
-                    );
-                }
-                None => {
-                    let tainted = tainted_exprs(&db, &labels);
-                    let list = join(&mut tainted.iter().map(|e| e.index()));
-                    println!("{{\"rule\":\"taint\",\"sources\":[{srcs}],\"tainted\":[{list}]}}");
-                }
+            let sources = sources
+                .map(|list| list.into_iter().map(label).collect::<Result<_, _>>())
+                .transpose()?;
+            if let Some(n) = expr.filter(|&n| n >= program.size()) {
+                return Err(CliError::BadValue(format!(
+                    "--expr: {n} is out of range (program has {} occurrences)",
+                    program.size()
+                )));
+            }
+            RuleQuery::Taint {
+                sources,
+                expr: expr.map(ExprId::from_index),
             }
         }
         other => {
@@ -721,7 +677,9 @@ fn run_rule(args: &[String]) -> Result<(), CliError> {
                 "unknown rule `{other}` (expected dominators|taint)"
             )))
         }
-    }
+    };
+    let db = ExtDb::new(&program, &analysis, &engine);
+    println!("{}", rule_answer(&db, query).to_line());
     Ok(())
 }
 
@@ -818,12 +776,6 @@ fn run_session(args: &[String]) -> Result<(), CliError> {
         // The protocol-v2 conversation equivalent to this invocation,
         // one request per line (the ci.sh session smoke pipes this into
         // `stcfa serve --stdio` at several thread counts).
-        let policy_name = match policy {
-            DatatypePolicy::Congruence1 => "c1",
-            DatatypePolicy::Congruence2 => "c2",
-            DatatypePolicy::Exact => "exact",
-            DatatypePolicy::Forget => "forget",
-        };
         let module_objs = |mods: &[(String, String)]| {
             Json::Arr(
                 mods.iter()
@@ -847,16 +799,13 @@ fn run_session(args: &[String]) -> Result<(), CliError> {
                 pairs.push(("session", Json::str("cli")));
             }
             pairs.extend(extra);
-            println!(
-                "{}",
-                Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect(),).to_line()
-            );
+            println!("{}", Json::obj(pairs).to_line());
             id += 1;
         };
         emit(
             "session/open",
             vec![
-                ("policy", Json::str(policy_name)),
+                ("policy", Json::str(policy.name())),
                 ("modules", module_objs(&modules)),
             ],
         );

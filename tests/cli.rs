@@ -421,3 +421,66 @@ fn rule_dominators_and_taint_answer_json() {
         .unwrap();
     assert_eq!(out.status.code(), Some(3));
 }
+
+/// Each CLI JSON report and its daemon op are one renderer: over the
+/// corpus, the daemon's `lint` diagnostics, its `opt` result minus
+/// `performed`, and its `rule` answers equal what `stcfa lint --format
+/// json`, `stcfa opt --report json` and `stcfa rule` print.
+#[test]
+fn cli_and_daemon_agree_over_the_corpus() {
+    use stcfa::server::{Json, Server, ServerOptions};
+
+    let server = Server::new(ServerOptions {
+        threads: 1,
+        ..Default::default()
+    });
+    let ask = |request: Vec<(&str, Json)>| -> Json {
+        let line = server.handle_line(&Json::obj(request).to_line(), std::time::Instant::now());
+        let response = Json::parse(&line).unwrap();
+        assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{line}");
+        response.get("result").unwrap().clone()
+    };
+    let cli = |args: &[&str]| -> Json {
+        let out = stcfa().args(args).output().unwrap();
+        assert!(out.status.success(), "stcfa {args:?} failed");
+        Json::parse(&String::from_utf8(out.stdout).unwrap()).unwrap()
+    };
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    let mut files = 0;
+    let paths = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+    for path in paths.filter(|p| p.extension().is_some_and(|e| e == "ml")) {
+        files += 1;
+        let file = path.to_str().unwrap();
+        let source = Json::str(std::fs::read_to_string(&path).unwrap());
+
+        let lint = ask(vec![("op", Json::str("lint")), ("source", source.clone())]);
+        let printed = cli(&["lint", file, "--format", "json", "--threads", "1"]);
+        assert_eq!(lint.get("diagnostics"), Some(&printed), "{file}: lint");
+
+        let Json::Obj(mut opt) = ask(vec![
+            ("v", Json::num(2)),
+            ("op", Json::str("opt")),
+            ("source", source.clone()),
+        ]) else {
+            panic!("{file}: opt result is not an object")
+        };
+        opt.retain(|(key, _)| key != "performed");
+        let printed = cli(&["opt", file, "--report", "json", "--threads", "1"]);
+        assert_eq!(Json::Obj(opt), printed, "{file}: opt");
+
+        for name in ["dominators", "taint"] {
+            let answer = ask(vec![
+                ("v", Json::num(2)),
+                ("op", Json::str("rule")),
+                ("name", Json::str(name)),
+                ("source", source.clone()),
+            ]);
+            assert_eq!(
+                answer,
+                cli(&["rule", file, "--name", name]),
+                "{file}: {name}"
+            );
+        }
+    }
+    assert!(files >= 5, "corpus should not shrink silently");
+}
