@@ -45,7 +45,6 @@ fn inputs() -> Vec<(String, Program)> {
 fn options(passes: PassSet) -> OptOptions {
     OptOptions {
         passes,
-        threads: 1,
         ..OptOptions::default()
     }
 }

@@ -2,7 +2,7 @@
 //! standard algorithm vs subtransitive graph, at two program sizes (the
 //! scaling *ratio* is the result; absolute numbers depend on the host) —
 //! plus the frozen [`QueryEngine`] variants: the same queries off the
-//! SCC-condensed bit-parallel summary, and batches at 1/2/8 workers.
+//! SCC-condensed bit-parallel summary, and one positional batch.
 
 use stcfa_cfa0::Cfa0;
 use stcfa_core::{Analysis, Query, QueryEngine};
@@ -70,15 +70,13 @@ fn bench_queries(c: &mut Criterion) {
             b.iter(|| black_box(q.all_label_sets()))
         });
 
-        // The same per-expression query list, sharded across workers.
+        // The same per-expression query list, as one batch.
         let queries: Vec<Query> = p.exprs().map(Query::LabelsOf).collect();
-        for &threads in &[1usize, 2, 8] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("engine_batch_t{threads}"), n),
-                &(&q, &queries),
-                |b, (q, queries)| b.iter(|| black_box(q.batch(queries, threads))),
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("engine_batch", n),
+            &(&q, &queries),
+            |b, (q, queries)| b.iter(|| black_box(q.batch(queries))),
+        );
     }
     group.finish();
 }

@@ -59,7 +59,7 @@ fn bench_rules(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("lint_hand_fused", &name),
             &(&p, &a, &q),
-            |b, (p, a, q)| b.iter(|| black_box(lint(p, a, q, &LintOptions { threads: 1 }))),
+            |b, (p, a, q)| b.iter(|| black_box(lint(p, a, q, &LintOptions::default()))),
         );
 
         // 2. Dominators: cold pays ExtDb + call-graph derivation, warm

@@ -19,9 +19,10 @@
 //! through a **memoized per-component cache**: only the components
 //! reachable from the queried node are summarized, and never twice.
 //!
-//! [`QueryEngine::batch`] shards a query list across
-//! `std::thread::scope` workers over the shared immutable snapshot; the
-//! answer vector is in input order, byte-identical at every worker count.
+//! [`QueryEngine::batch`] completes the sweep (and, if needed, the
+//! inverse index) and then answers a query list in input order on the
+//! calling thread: every answer is a table read by then, cheaper than a
+//! thread spawn (docs/QUERYENG.md, "Batches and threading").
 //!
 //! The engine is a *snapshot*: it does not follow later growth of an
 //! incremental session. Snapshots taken through
@@ -762,19 +763,14 @@ impl QueryEngine {
 
     /// Known-call evidence for the optimizer backend: every application
     /// site whose engine target set is a *singleton*, with that sole
-    /// target. Answered as one positional batch at `threads` workers, so
-    /// the result is deterministic (site order) at any thread count.
-    pub fn singleton_call_targets(
-        &self,
-        program: &Program,
-        threads: usize,
-    ) -> Vec<(ExprId, Label)> {
+    /// target, in site order (answered as one positional batch).
+    pub fn singleton_call_targets(&self, program: &Program) -> Vec<(ExprId, Label)> {
         let apps = program.app_sites();
         let queries: Vec<Query> = apps
             .iter()
             .filter_map(|&a| Query::call_targets(program, a))
             .collect();
-        let answers = self.batch(&queries, threads.max(1));
+        let answers = self.batch(&queries);
         apps.iter()
             .zip(&answers)
             .filter_map(|(&app, answer)| match answer {
@@ -802,22 +798,6 @@ impl QueryEngine {
 
     // --- batch --------------------------------------------------------------
 
-    /// The worker count [`QueryEngine::batch_default`] uses: the
-    /// `STCFA_QUERY_THREADS` environment variable if set, else the host's
-    /// available parallelism capped at 8.
-    pub fn default_threads() -> usize {
-        std::env::var("STCFA_QUERY_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get().min(8)))
-    }
-
-    /// [`QueryEngine::batch`] at [`QueryEngine::default_threads`].
-    pub fn batch_default(&self, queries: &[Query]) -> Vec<Answer> {
-        self.batch(queries, Self::default_threads())
-    }
-
     fn answer(&self, q: &Query) -> Answer {
         match *q {
             Query::LabelsOf(e) => Answer::Labels(self.labels_of(e)),
@@ -827,14 +807,11 @@ impl QueryEngine {
         }
     }
 
-    /// Answers `queries` with up to `threads` workers sharing the snapshot
-    /// through `std::thread::scope` (no new dependencies). Answers come
-    /// back in input order and are **byte-identical at every worker
-    /// count**: the full sweep (and, if needed, the inverse index) is
-    /// completed up front, after which every answer is a pure read.
-    pub fn batch(&self, queries: &[Query], threads: usize) -> Vec<Answer> {
+    /// Answers `queries` in input order. The full sweep (and, if needed,
+    /// the inverse index) is completed up front, after which every answer
+    /// is a pure read of the frozen tables.
+    pub fn batch(&self, queries: &[Query]) -> Vec<Answer> {
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        // Make the shared state read-only before sharding.
         self.summaries();
         if queries
             .iter()
@@ -842,24 +819,7 @@ impl QueryEngine {
         {
             self.inverse_index();
         }
-        let threads = threads.clamp(1, queries.len().max(1));
-        if threads == 1 {
-            return queries.iter().map(|q| self.answer(q)).collect();
-        }
-        let chunk = queries.len().div_ceil(threads);
-        let mut out = Vec::with_capacity(queries.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = queries
-                .chunks(chunk)
-                .map(|qs| {
-                    scope.spawn(move || qs.iter().map(|q| self.answer(q)).collect::<Vec<_>>())
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("batch worker panicked"));
-            }
-        });
-        out
+        queries.iter().map(|q| self.answer(q)).collect()
     }
 
     // --- counters -----------------------------------------------------------
@@ -972,11 +932,12 @@ mod tests {
             p.exprs()
                 .flat_map(|e| p.all_labels().map(move |l| Query::Member(e, l))),
         );
-        let one = q.batch(&queries, 1);
-        for t in [2, 3, 8, 64] {
-            assert_eq!(q.batch(&queries, t), one, "thread count {t}");
+        let answers = q.batch(&queries);
+        assert_eq!(answers.len(), queries.len());
+        for (query, answer) in queries.iter().zip(&answers) {
+            assert_eq!(answer, &q.answer(query), "{query:?}");
         }
-        assert!(q.query_stats().batches >= 5);
+        assert_eq!(q.query_stats().batches, 1);
     }
 
     fn owned_parts(q: &QueryEngine) -> EngineParts {

@@ -40,15 +40,14 @@ pub struct AppEvidence {
 }
 
 /// Classifies every application site by its engine `call_targets` answer,
-/// batched at `threads` workers (answers are positional, so the split is
-/// deterministic at any thread count).
-pub fn app_evidence(program: &Program, engine: &QueryEngine, threads: usize) -> AppEvidence {
+/// in site order (one positional batch).
+pub fn app_evidence(program: &Program, engine: &QueryEngine) -> AppEvidence {
     let apps = program.app_sites();
     let queries: Vec<Query> = apps
         .iter()
         .map(|&a| Query::call_targets(program, a).expect("app site"))
         .collect();
-    let answers = engine.batch(&queries, threads.max(1));
+    let answers = engine.batch(&queries);
     let mut out = AppEvidence::default();
     for (&app, answer) in apps.iter().zip(&answers) {
         let Answer::Labels(labels) = answer else {
@@ -146,7 +145,7 @@ mod tests {
     #[test]
     fn flow_dead_candidates_survive_oracle() {
         let (p, engine) = setup("let val f = #1 (1, 2) in f 3 end");
-        let ev = app_evidence(&p, &engine, 1);
+        let ev = app_evidence(&p, &engine);
         assert_eq!(ev.stuck, Vec::<ExprId>::new());
         assert_eq!(ev.flow_dead.len(), 1);
         let cfa = Cfa0::analyze(&p);
@@ -156,7 +155,7 @@ mod tests {
     #[test]
     fn stuck_sites_are_split_out() {
         let (p, engine) = setup("(1, 2) 3");
-        let ev = app_evidence(&p, &engine, 1);
+        let ev = app_evidence(&p, &engine);
         assert_eq!(ev.stuck.len(), 1);
         assert!(ev.flow_dead.is_empty());
     }

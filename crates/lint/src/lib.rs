@@ -22,9 +22,9 @@
 //! | `STCFA007` | warning | mixed-purity call (both an effectful and a pure abstraction reach the operator; oracle-confirmed) |
 //! | `STCFA008` | info    | dominated-redundant application (another call of the same sole target dominates this one) |
 //!
-//! Output is deterministic and input-ordered at any
-//! `STCFA_QUERY_THREADS` setting: diagnostics are sorted by occurrence id
-//! then rule code, and every engine query is answered positionally.
+//! Output is deterministic and input-ordered: diagnostics are sorted by
+//! occurrence id then rule code, and every engine query is answered
+//! positionally on the calling thread.
 //!
 //! `STCFA007/008` are declarative rule programs evaluated by the
 //! [`stcfa_rules`] engine; [`explain`](explain()) prints the program

@@ -1,8 +1,7 @@
 //! Diagnostic renderers: human-readable text and machine-readable JSON.
 //!
 //! Both renderers are pure functions of the diagnostic list, so output is
-//! byte-identical whenever the diagnostics are — the determinism tests
-//! compare rendered bytes across thread counts.
+//! byte-identical whenever the diagnostics are.
 
 use std::fmt::Write as _;
 

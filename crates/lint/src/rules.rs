@@ -20,22 +20,15 @@ use stcfa_rules::{dominated_redundant, mixed_purity, ExtDb};
 use crate::diag::{Diagnostic, RuleCode};
 use crate::evidence;
 
-/// Knobs for one lint run.
-#[derive(Clone, Debug)]
+/// Knobs for one lint run. It has none today.
+#[derive(Clone, Debug, Default)]
 pub struct LintOptions {
-    /// Worker threads for the batched engine queries. Defaults to
-    /// [`QueryEngine::default_threads`] (the `STCFA_QUERY_THREADS`
-    /// environment variable, else available parallelism). Output is
-    /// byte-identical at any setting.
+    /// Unread: engine batches run on the calling thread. Kept only
+    /// because the repository benchmark (`benchmark/`) builds this
+    /// struct literally; it goes with the next change to the benchmark
+    /// (ROADMAP item 7).
+    #[deprecated(note = "unread: engine batches run on the calling thread")]
     pub threads: usize,
-}
-
-impl Default for LintOptions {
-    fn default() -> LintOptions {
-        LintOptions {
-            threads: QueryEngine::default_threads(),
-        }
-    }
 }
 
 /// A short source location for cross-references inside messages.
@@ -47,8 +40,7 @@ fn place(program: &Program, e: ExprId) -> String {
 }
 
 /// Runs every rule and returns the diagnostics sorted by occurrence id,
-/// then rule code — deterministic for a given program regardless of
-/// thread count.
+/// then rule code — deterministic for a given program.
 ///
 /// `engine` must be frozen from `analysis` (the effects colouring walks
 /// the analysis graph directly; everything else goes through the
@@ -77,17 +69,15 @@ pub fn lint_with_suspicion(
     analysis: &Analysis,
     engine: &QueryEngine,
     suspicion: &SuspicionIndex,
-    opts: &LintOptions,
+    _opts: &LintOptions,
 ) -> Vec<Diagnostic> {
     engine.prepare();
     let mut out: Vec<Diagnostic> = Vec::new();
-    let threads = opts.threads.max(1);
 
     // --- STCFA001 / STCFA006: applications whose operator has an empty
-    // label set, split by the shared evidence module (one batch, so the
-    // configured thread count is actually exercised; answers are
-    // positional, so order is stable).
-    let apps = evidence::app_evidence(program, engine, threads);
+    // label set, split by the shared evidence module (one positional
+    // batch, so order is stable).
+    let apps = evidence::app_evidence(program, engine);
     for app in apps.stuck {
         out.push(Diagnostic::at(
             RuleCode::StuckApplication,
@@ -403,11 +393,7 @@ mod tests {
         let p = Program::parse(src).unwrap();
         let a = Analysis::run(&p).expect("analysis");
         let engine = QueryEngine::freeze(&a);
-        let base = lint(&p, &a, &engine, &LintOptions { threads: 1 });
-        for threads in [2, 8] {
-            let d = lint(&p, &a, &engine, &LintOptions { threads });
-            assert_eq!(base, d, "thread count {threads} changed diagnostics");
-        }
+        let base = lint(&p, &a, &engine, &LintOptions::default());
         let mut sorted = base.clone();
         sorted.sort_by_key(|x| (x.expr.index(), x.code));
         assert_eq!(base, sorted, "output must be input-ordered");

@@ -22,6 +22,9 @@
 //! decision — applied or declined, with reason — lands in the
 //! [`OptReport`].
 //!
+//! The cubic oracles ([`Cfa0`] per program version, [`LiveCfa0`] per
+//! dead-app plan) are built only when a planner has a candidate to check.
+//!
 //! Static soundness arguments live with each planner in [`plan`]; the
 //! [`oracle`] module re-checks them dynamically by running the original
 //! and optimized programs under the CBV evaluator and comparing outcomes.
@@ -37,6 +40,7 @@ use stcfa_lambda::Program;
 
 pub use report::{DirectCall, OptReport, Pass, PassReport, PassSet, Skip, SkipReason};
 
+use std::cell::OnceCell;
 use std::error::Error;
 use std::fmt;
 
@@ -51,11 +55,15 @@ pub struct OptOptions {
     /// Per-pass, per-round rewrite budget. Candidates past the budget
     /// are skipped (and typically picked up next round).
     pub budget: usize,
-    /// Worker threads for the engine's batched evidence queries.
+    /// Unread: engine batches run on the calling thread. Kept only
+    /// because the repository benchmark (`benchmark/`) sets it; it goes
+    /// with the next change to the benchmark (ROADMAP item 7).
+    #[deprecated(note = "unread: engine batches run on the calling thread")]
     pub threads: usize,
 }
 
 impl Default for OptOptions {
+    #[allow(deprecated)] // the struct literal must name the kept field
     fn default() -> Self {
         OptOptions {
             passes: PassSet::all(),
@@ -113,7 +121,6 @@ pub fn optimize_with(
     engine: &QueryEngine,
     options: &OptOptions,
 ) -> Result<Optimized, OptError> {
-    let threads = options.threads.max(1);
     let mut report = OptReport {
         nodes_before: program.size(),
         nodes_after: program.size(),
@@ -126,7 +133,7 @@ pub fn optimize_with(
     let mut current = program.clone();
     // The caller's engine serves round 1; every rebuild re-freezes.
     let mut owned_engine: Option<QueryEngine> = None;
-    let mut cfa: Option<Cfa0> = None;
+    let mut cfa: OnceCell<Cfa0> = OnceCell::new();
 
     let rewriting = [Pass::DeadApp, Pass::InlineOnce, Pass::PruneParams];
     let any_rewriting = rewriting.iter().any(|&p| options.passes.contains(p));
@@ -139,15 +146,15 @@ pub fn optimize_with(
                     continue;
                 }
                 let engine = owned_engine.as_ref().unwrap_or(engine);
-                let oracle = cfa.get_or_insert_with(|| Cfa0::analyze(&current));
+                let oracle = || cfa.get_or_init(|| Cfa0::analyze(&current));
+                let live = || LiveCfa0::analyze(&current);
                 let pp = match pass {
                     Pass::DeadApp => {
-                        let live = LiveCfa0::analyze(&current);
-                        plan::dead_apps(&current, engine, oracle, &live, threads, options.budget)
+                        plan::dead_apps(&current, engine, oracle, live, options.budget)
                     }
                     Pass::InlineOnce => plan::inline_once(&current, engine, oracle, options.budget),
                     Pass::PruneParams => {
-                        plan::prune_params(&current, engine, oracle, threads, options.budget)
+                        plan::prune_params(&current, engine, oracle, options.budget)
                     }
                     Pass::DirectCalls => unreachable!("not a rewriting pass"),
                 };
@@ -162,7 +169,7 @@ pub fn optimize_with(
                             let analysis = Analysis::run(&current)
                                 .map_err(|e| OptError::Analysis(e.to_string()))?;
                             owned_engine = Some(QueryEngine::freeze(&analysis));
-                            cfa = None;
+                            cfa = OnceCell::new();
                         }
                         // The rebuild would nest past the parser's limit
                         // and is dropped whole: every planned rewrite is
@@ -190,8 +197,8 @@ pub fn optimize_with(
 
     if options.passes.contains(Pass::DirectCalls) {
         let engine = owned_engine.as_ref().unwrap_or(engine);
-        let cfa = cfa.get_or_insert_with(|| Cfa0::analyze(&current));
-        report.direct_calls = plan::direct_calls(&current, engine, cfa, threads);
+        let oracle = || cfa.get_or_init(|| Cfa0::analyze(&current));
+        report.direct_calls = plan::direct_calls(&current, engine, oracle);
     }
 
     report.nodes_after = current.size();

@@ -6,6 +6,9 @@
 //! the pass's own soundness gates (reachability for elision, the direct
 //! sole-occurrence binding restriction for inlining, value-form arguments
 //! for pruning), and every gate refusal is recorded as a [`Skip`].
+//!
+//! The cubic oracles come in as builders (`cfa`, `live`), called only at
+//! a candidate that has passed every gate before the oracle check.
 
 use std::collections::HashMap;
 
@@ -39,22 +42,28 @@ impl PassPlan {
 /// never evaluated — a reachable flow-dead application still raises a
 /// dynamic type error (or diverges in its operator) at runtime, so
 /// deleting it would change behaviour.
-pub fn dead_apps(
+pub fn dead_apps<'o>(
     program: &Program,
     engine: &QueryEngine,
-    cfa: &Cfa0,
-    live: &LiveCfa0,
-    threads: usize,
+    cfa: impl Fn() -> &'o Cfa0,
+    live: impl FnOnce() -> LiveCfa0,
     budget: usize,
 ) -> PassPlan {
     let mut out = PassPlan::default();
-    let ev = evidence::app_evidence(program, engine, threads);
-    let confirmed = evidence::confirm_flow_dead(program, cfa, &ev.flow_dead);
+    let ev = evidence::app_evidence(program, engine);
+    if ev.flow_dead.is_empty() {
+        return out;
+    }
+    let confirmed = evidence::confirm_flow_dead(program, cfa(), &ev.flow_dead);
     for c in &ev.flow_dead {
         if !confirmed.contains(c) {
             out.skip(c.app, SkipReason::OracleDisputed);
         }
     }
+    if confirmed.is_empty() {
+        return out;
+    }
+    let live = live();
     for c in confirmed {
         if live.is_live(c.app) {
             out.skip(c.app, SkipReason::MayEvaluate);
@@ -84,7 +93,12 @@ pub fn dead_apps(
 /// Anything subtler (the operator is a projection, a conditional, a
 /// re-bound variable…) is skipped: flow evidence alone cannot justify
 /// moving the body when closures cross activations.
-pub fn inline_once(program: &Program, engine: &QueryEngine, cfa: &Cfa0, budget: usize) -> PassPlan {
+pub fn inline_once<'o>(
+    program: &Program,
+    engine: &QueryEngine,
+    cfa: impl Fn() -> &'o Cfa0,
+    budget: usize,
+) -> PassPlan {
     let mut out = PassPlan::default();
     let ev = evidence::called_once_evidence(program, &CalledOnce::via_engine(program, engine));
     if ev.is_empty() {
@@ -118,7 +132,7 @@ pub fn inline_once(program: &Program, engine: &QueryEngine, cfa: &Cfa0, budget: 
             ExprKind::Lam {
                 label: operator, ..
             } if *operator == label => {
-                if cfa.call_targets(program, site) == Some(vec![label]) {
+                if cfa().call_targets(program, site) == Some(vec![label]) {
                     out.plan.insert(site, Action::InlineRedex);
                 } else {
                     out.skip(site, SkipReason::OracleDisputed);
@@ -128,7 +142,7 @@ pub fn inline_once(program: &Program, engine: &QueryEngine, cfa: &Cfa0, budget: 
                 Some(&(binding, bound)) if bound == lam => {
                     if engine.occurrence_count(*v) != 1 {
                         out.skip(site, SkipReason::MultipleUses);
-                    } else if cfa.labels(program, *func) != vec![label] {
+                    } else if cfa().labels(program, *func) != vec![label] {
                         out.skip(site, SkipReason::OracleDisputed);
                     } else if out.plan.insert(site, Action::InlineBound { lam }) {
                         out.plan.insert(binding, Action::DropBinding);
@@ -154,11 +168,10 @@ pub fn inline_once(program: &Program, engine: &QueryEngine, cfa: &Cfa0, budget: 
 ///   divergence; and
 /// - the argument is not already `()` (otherwise the pass would claim
 ///   progress forever).
-pub fn prune_params(
+pub fn prune_params<'o>(
     program: &Program,
     engine: &QueryEngine,
-    cfa: &Cfa0,
-    threads: usize,
+    cfa: impl Fn() -> &'o Cfa0,
     budget: usize,
 ) -> PassPlan {
     let mut out = PassPlan::default();
@@ -175,7 +188,7 @@ pub fn prune_params(
         .iter()
         .map(|&a| Query::call_targets(program, a).expect("app site"))
         .collect();
-    let answers = engine.batch(&queries, threads.max(1));
+    let answers = engine.batch(&queries);
     for (&app, answer) in apps.iter().zip(&answers) {
         let Answer::Labels(targets) = answer else {
             unreachable!("LabelsOf answers Labels")
@@ -189,7 +202,7 @@ pub fn prune_params(
         match program.kind(*arg) {
             ExprKind::Lit(Literal::Unit) => out.skip(app, SkipReason::ArgAlreadyUnit),
             ExprKind::Var(_) | ExprKind::Lit(_) | ExprKind::Lam { .. } => {
-                let oracle_agrees = match cfa.call_targets(program, app) {
+                let oracle_agrees = match cfa().call_targets(program, app) {
                     Some(ts) => !ts.is_empty() && ts.iter().all(useless_label),
                     None => false,
                 };
@@ -211,16 +224,15 @@ pub fn prune_params(
 /// target set is a singleton the cubic oracle agrees on. No rewrite —
 /// this is the classic CFA client (turning indirect calls direct) as
 /// metadata a code generator could consume.
-pub fn direct_calls(
+pub fn direct_calls<'o>(
     program: &Program,
     engine: &QueryEngine,
-    cfa: &Cfa0,
-    threads: usize,
+    cfa: impl Fn() -> &'o Cfa0,
 ) -> Vec<crate::report::DirectCall> {
     engine
-        .singleton_call_targets(program, threads)
+        .singleton_call_targets(program)
         .into_iter()
-        .filter(|&(app, target)| cfa.call_targets(program, app) == Some(vec![target]))
+        .filter(|&(app, target)| cfa().call_targets(program, app) == Some(vec![target]))
         .map(|(app, target)| crate::report::DirectCall { app, target })
         .collect()
 }
@@ -228,7 +240,7 @@ pub fn direct_calls(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stcfa_core::Analysis;
+    use stcfa_core::{Analysis, AnalysisOptions, DatatypePolicy};
 
     fn setup(src: &str) -> (Program, QueryEngine, Cfa0) {
         let p = Program::parse(src).expect("parses");
@@ -238,11 +250,18 @@ mod tests {
         (p, e, cfa)
     }
 
+    fn unforced() -> &'static Cfa0 {
+        panic!("the planner forced the cubic oracle")
+    }
+
+    fn unbuilt() -> LiveCfa0 {
+        panic!("the planner built the liveness analysis")
+    }
+
     #[test]
     fn reachable_flow_dead_app_is_not_elided() {
         let (p, e, cfa) = setup("let val f = #1 (1, 2) in f 3 end");
-        let live = LiveCfa0::analyze(&p);
-        let pp = dead_apps(&p, &e, &cfa, &live, 1, usize::MAX);
+        let pp = dead_apps(&p, &e, || &cfa, || LiveCfa0::analyze(&p), usize::MAX);
         assert!(pp.plan.is_empty());
         assert_eq!(pp.skipped.len(), 1);
         assert_eq!(pp.skipped[0].reason, SkipReason::MayEvaluate);
@@ -251,16 +270,15 @@ mod tests {
     #[test]
     fn unreachable_flow_dead_app_is_planned() {
         let (p, e, cfa) = setup("let val dead = fn d => (#1 (1, 2)) 3 in 42 end");
-        let live = LiveCfa0::analyze(&p);
-        let pp = dead_apps(&p, &e, &cfa, &live, 1, usize::MAX);
+        let pp = dead_apps(&p, &e, || &cfa, || LiveCfa0::analyze(&p), usize::MAX);
         assert_eq!(pp.plan.rewrites(), 1);
         assert!(pp.skipped.is_empty());
     }
 
     #[test]
     fn rebound_operator_is_not_inlined() {
-        let (p, e, cfa) = setup("let val f = fn x => x in let val g = f in g 1 end end");
-        let pp = inline_once(&p, &e, &cfa, usize::MAX);
+        let (p, e, _) = setup("let val f = fn x => x in let val g = f in g 1 end end");
+        let pp = inline_once(&p, &e, unforced, usize::MAX);
         assert!(pp.plan.is_empty());
         assert!(pp
             .skipped
@@ -272,8 +290,8 @@ mod tests {
     fn escaping_function_is_not_inlined() {
         // `f` is called once but also escapes into the record, so the
         // binding cannot be dropped.
-        let (p, e, cfa) = setup("let val f = fn x => x in (f, f 1) end");
-        let pp = inline_once(&p, &e, &cfa, usize::MAX);
+        let (p, e, _) = setup("let val f = fn x => x in (f, f 1) end");
+        let pp = inline_once(&p, &e, unforced, usize::MAX);
         assert!(pp.plan.is_empty());
         assert!(pp
             .skipped
@@ -284,15 +302,15 @@ mod tests {
     #[test]
     fn budget_limits_planned_rewrites() {
         let (p, e, cfa) = setup("fun konst a b = a; konst 1 2");
-        let pp = prune_params(&p, &e, &cfa, 1, 0);
+        let pp = prune_params(&p, &e, || &cfa, 0);
         assert!(pp.plan.is_empty());
         assert!(pp.skipped.iter().any(|s| s.reason == SkipReason::Budget));
     }
 
     #[test]
     fn effectful_argument_is_not_pruned() {
-        let (p, e, cfa) = setup("fun konst a b = a; konst 1 (print 9)");
-        let pp = prune_params(&p, &e, &cfa, 1, usize::MAX);
+        let (p, e, _) = setup("fun konst a b = a; konst 1 (print 9)");
+        let pp = prune_params(&p, &e, unforced, usize::MAX);
         assert!(pp.plan.is_empty());
         assert!(pp
             .skipped
@@ -303,7 +321,50 @@ mod tests {
     #[test]
     fn direct_calls_are_confirmed_singletons() {
         let (p, e, cfa) = setup("fun id x = x; val a = id 1; val b = id 2; b");
-        let facts = direct_calls(&p, &e, &cfa, 1);
+        let facts = direct_calls(&p, &e, || &cfa);
         assert_eq!(facts.len(), 2);
+    }
+
+    #[test]
+    fn planners_without_candidates_run_no_cubic_analysis() {
+        // Every site calls one of two targets, both of which read their
+        // parameter: no pass has a candidate here.
+        let (p, e, _) = setup(
+            "let val f = if true then fn x => x + 1 else fn y => y * 2 \
+             in (f 1) + (f 2) end",
+        );
+        for pp in [
+            dead_apps(&p, &e, unforced, unbuilt, usize::MAX),
+            inline_once(&p, &e, unforced, usize::MAX),
+            prune_params(&p, &e, unforced, usize::MAX),
+        ] {
+            assert!(pp.plan.is_empty() && pp.skipped.is_empty(), "{pp:?}");
+        }
+        assert!(direct_calls(&p, &e, unforced).is_empty());
+    }
+
+    #[test]
+    fn disputed_flow_dead_candidates_build_no_liveness() {
+        // Under `Forget` the case binder stands for every abstraction, so
+        // the engine finds nothing under `#1 r`; the cubic oracle sees the
+        // stored function and disputes the candidate.
+        let p = Program::parse(
+            "datatype box = B of ((int -> int) * int); \
+             case B((fn y => y, 1)) of B(r) => (#1 r) 3",
+        )
+        .expect("parses");
+        let options = AnalysisOptions {
+            policy: DatatypePolicy::Forget,
+            max_nodes: None,
+        };
+        let e = QueryEngine::freeze(&Analysis::run_with(&p, options).expect("analyzes"));
+        let cfa = Cfa0::analyze(&p);
+        let pp = dead_apps(&p, &e, || &cfa, unbuilt, usize::MAX);
+        assert!(pp.plan.is_empty());
+        assert!(!pp.skipped.is_empty());
+        assert!(pp
+            .skipped
+            .iter()
+            .all(|s| s.reason == SkipReason::OracleDisputed));
     }
 }

@@ -61,7 +61,8 @@ use crate::shard::{Completion, FleetStats, ShardPool, Task};
 /// Configuration for one daemon.
 #[derive(Clone, Debug)]
 pub struct ServerOptions {
-    /// Request worker threads (also the lint engine's batch width).
+    /// Request worker threads. Defaults to the host's available
+    /// parallelism, capped at 8.
     pub threads: usize,
     /// Snapshot-store capacity in accounted bytes.
     pub cache_capacity: usize,
@@ -96,7 +97,7 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> ServerOptions {
         ServerOptions {
-            threads: QueryEngine::default_threads(),
+            threads: std::thread::available_parallelism().map_or(1, |p| p.get().min(8)),
             cache_capacity: 256 << 20,
             default_deadline_ms: None,
             cache_dir: None,
@@ -545,9 +546,7 @@ impl Server {
         Ok(lint_json(&diags, None))
     }
 
-    /// Runs the lint engine over a snapshot, dividing the thread budget
-    /// across the workers currently serving requests: a burst of
-    /// concurrent lints must not fan out to ~threads² OS threads.
+    /// Runs the lint engine over a snapshot on the calling worker.
     ///
     /// Disk-warmed snapshots rebuild their analysis lazily here; a
     /// rebuild failure (which cannot happen for a snapshot that was built
@@ -563,15 +562,12 @@ impl Server {
         let analysis = snapshot
             .try_analysis()
             .map_err(|e| RequestError::new(ErrorKind::Analysis, e.clone()))?;
-        let active = (self.in_flight.load(Ordering::SeqCst) as usize).max(1);
         Ok(lint_with_suspicion(
             &snapshot.program,
             analysis,
             &snapshot.engine,
             &snapshot.suspicion,
-            &LintOptions {
-                threads: (self.options.threads / active).max(1),
-            },
+            &LintOptions::default(),
         ))
     }
 
@@ -680,8 +676,6 @@ impl Server {
         let emit = matches!(request.get("emit"), Some(Json::Bool(true)));
         let snapshot = self.resolve_snapshot(request, deadline)?;
         deadline.check("before opt")?;
-        let active = (self.in_flight.load(Ordering::SeqCst) as usize).max(1);
-        options.threads = (self.options.threads / active).max(1);
         let out = optimize_with(&snapshot.program, &snapshot.engine, &options)
             .map_err(|e| RequestError::new(ErrorKind::Analysis, e.to_string()))?;
         deadline.check("after opt")?;

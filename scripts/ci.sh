@@ -26,13 +26,8 @@ cargo test -q --offline
 echo "== tier-1: clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== tier-1: query-engine batch at several worker counts =="
-# batch_default reads STCFA_QUERY_THREADS; every count must be
-# byte-identical to single-threaded (the suite asserts it).
-for t in 1 2 8; do
-  echo "-- STCFA_QUERY_THREADS=$t"
-  STCFA_QUERY_THREADS=$t cargo test -q --offline --test query_engine
-done
+echo "== tier-1: query-engine properties =="
+cargo test -q --offline --test query_engine
 
 echo "== lint: machine-readable corpus report is stable =="
 # `stcfa lint --format json` over the whole corpus, digested. The digest is
@@ -41,7 +36,7 @@ echo "== lint: machine-readable corpus report is stable =="
 LINT_DIGEST_WANT="1591454845"
 lint_report="$(for f in corpus/*.ml; do
   echo "== $f"
-  ./target/release/stcfa lint "$f" --format json --threads 1
+  ./target/release/stcfa lint "$f" --format json
 done)"
 LINT_DIGEST_GOT="$(printf '%s\n' "$lint_report" | cksum | cut -d' ' -f1)"
 if [ "$LINT_DIGEST_GOT" != "$LINT_DIGEST_WANT" ]; then
@@ -66,7 +61,7 @@ echo "== rules: corpus STCFA007/008 findings are pinned =="
 RULES_DIGEST_WANT="2082882043"
 rules_report="$(for f in corpus/*.ml; do
   echo "== $f"
-  ./target/release/stcfa lint "$f" --format json --threads 1 \
+  ./target/release/stcfa lint "$f" --format json \
     | grep -E '"code":"STCFA00[78]"' || true
 done)"
 RULES_DIGEST_GOT="$(printf '%s\n' "$rules_report" | cksum | cut -d' ' -f1)"
@@ -118,15 +113,11 @@ echo "-- corpus taint digest ok ($TAINT_DIGEST_GOT)"
 echo "== rules: clippy on the rule crate (warnings are errors) =="
 cargo clippy -p stcfa-rules --all-targets --offline -- -D warnings
 
-echo "== opt: corpus differential gate at several worker counts =="
+echo "== opt: corpus differential gate =="
 # The optimizer must agree with the CBV evaluator on every corpus program
 # under all 16 pass combinations, never grow a program, and never create
-# warning-severity findings — at every thread count, since evidence
-# batching must not change any rewrite decision.
-for t in 1 2 8; do
-  echo "-- STCFA_QUERY_THREADS=$t"
-  STCFA_QUERY_THREADS=$t cargo test -q --offline --test opt_differential
-done
+# warning-severity findings.
+cargo test -q --offline --test opt_differential
 
 echo "== opt: corpus reports are pinned =="
 # `stcfa opt --report json` over the whole corpus under the default
@@ -136,7 +127,7 @@ echo "== opt: corpus reports are pinned =="
 OPT_DIGEST_WANT="3895781332"
 opt_report="$(for f in corpus/*.ml; do
   echo "== $f"
-  ./target/release/stcfa opt "$f" --report json --threads 1
+  ./target/release/stcfa opt "$f" --report json
 done)"
 OPT_DIGEST_GOT="$(printf '%s\n' "$opt_report" | cksum | cut -d' ' -f1)"
 if [ "$OPT_DIGEST_GOT" != "$OPT_DIGEST_WANT" ]; then
@@ -165,43 +156,29 @@ opt_after="$(printf '%s' "$opt_json" | sed -n 's/.*"nodes_after":\([0-9]*\).*/\1
   || { echo "opt smoke: --emit failed" >&2; exit 1; }
 echo "-- opt smoke ok ($opt_before -> $opt_after nodes)"
 
-echo "== precision: differential gate at several worker counts =="
+echo "== precision: differential gate =="
 # Every graded answer must be monotone against Tier 0, sound against the
 # cubic oracle, exact-when-claimed, and byte-identically transcribed by
-# two independent scheduler builds — at 1/2/8 threads, since the batch
-# engine underneath must not change an escalation decision.
-for t in 1 2 8; do
-  echo "-- STCFA_QUERY_THREADS=$t"
-  STCFA_QUERY_THREADS=$t cargo test -q --offline --test precision_differential
-done
+# two independent scheduler builds.
+cargo test -q --offline --test precision_differential
 
 echo "== precision: corpus --precision labels are pinned =="
 # `stcfa <file> --call-sites --precision` over the whole corpus: grade,
 # tier and suspicion per site. Pinned as a digest (like the lint report)
-# and diffed across thread counts so a nondeterministic escalation or a
-# drifted detector score is caught before the protocol surface ships it.
+# so a drifted detector score or escalation decision is caught before
+# the protocol surface ships it.
 PRECISION_DIGEST_WANT="4167118286"
-precision_ref=""
-for t in 1 2 8; do
-  out="$(for f in corpus/*.ml; do
-    echo "== $f"
-    STCFA_QUERY_THREADS=$t ./target/release/stcfa "$f" --call-sites --precision
-  done)"
-  if [ -z "$precision_ref" ]; then
-    precision_ref="$out"
-  elif [ "$out" != "$precision_ref" ]; then
-    echo "precision: --precision output differs between STCFA_QUERY_THREADS=1 and $t" >&2
-    diff <(printf '%s\n' "$precision_ref") <(printf '%s\n' "$out") >&2 || true
-    exit 1
-  fi
-done
-PRECISION_DIGEST_GOT="$(printf '%s\n' "$precision_ref" | cksum | cut -d' ' -f1)"
+precision_report="$(for f in corpus/*.ml; do
+  echo "== $f"
+  ./target/release/stcfa "$f" --call-sites --precision
+done)"
+PRECISION_DIGEST_GOT="$(printf '%s\n' "$precision_report" | cksum | cut -d' ' -f1)"
 if [ "$PRECISION_DIGEST_GOT" != "$PRECISION_DIGEST_WANT" ]; then
   echo "precision digest drifted: want $PRECISION_DIGEST_WANT got $PRECISION_DIGEST_GOT" >&2
-  printf '%s\n' "$precision_ref" >&2
+  printf '%s\n' "$precision_report" >&2
   exit 1
 fi
-echo "-- corpus precision digest ok ($PRECISION_DIGEST_GOT, identical at threads 1/2/8)"
+echo "-- corpus precision digest ok ($PRECISION_DIGEST_GOT)"
 
 echo "== precision: clippy on the scheduler crate (warnings are errors) =="
 cargo clippy -p stcfa-precision --all-targets --offline -- -D warnings

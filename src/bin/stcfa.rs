@@ -28,7 +28,7 @@
 //!                      submit multi-line input), analyzing incrementally
 //!
 //! LINT MODE
-//!   stcfa lint <FILE|-> [--format text|json] [--threads <n>]
+//!   stcfa lint <FILE|-> [--format text|json]
 //!                      flow-powered diagnostics (STCFA001–STCFA008) over
 //!                      the frozen query engine; see docs/LINT.md
 //!   stcfa lint --explain <CODE>
@@ -37,7 +37,7 @@
 //!
 //! OPT MODE
 //!   stcfa opt <FILE|-> [--passes name,...] [--emit] [--report text|json]
-//!             [--max-rounds <n>] [--budget <n>] [--threads <n>]
+//!             [--max-rounds <n>] [--budget <n>]
 //!                      flow-directed lowering over the frozen query
 //!                      engine: dead-app elision, called-once inlining,
 //!                      useless-parameter pruning, direct-call facts;
@@ -211,9 +211,9 @@ fn usage() -> &'static str {
      --k-limited <k>|--called-once|--types|--boundedness|--eval|--live|--witness|--dot]*\n\
      \t[--analysis sub|poly|hybrid|cfa0|sba|unify] [--policy c1|c2|exact|forget]\n\
      \t[--max-nodes <n>] [--fuel <n>] [--precision [--precision-budget <n>]]\n\
-     \tor: stcfa lint <FILE|-> [--format text|json] [--policy ...] [--threads <n>]\n\
+     \tor: stcfa lint <FILE|-> [--format text|json] [--policy ...]\n\
      \tor: stcfa lint --explain <CODE>\n\
-     \tor: stcfa opt <FILE|-> [--passes name,...] [--emit] [--report text|json] [--max-rounds <n>] [--budget <n>] [--threads <n>]\n\
+     \tor: stcfa opt <FILE|-> [--passes name,...] [--emit] [--report text|json] [--max-rounds <n>] [--budget <n>]\n\
      \tor: stcfa rule <FILE|-> --name dominators|taint [--sources l,l,...] [--expr <n>] [--policy ...]\n\
      \tor: stcfa serve [--stdio|--addr HOST:PORT] [--threads <n>] [--shards <n>] [--cache-capacity <bytes>] [--cache-dir <path>]\n\
      \t\t[--deadline-ms <n>] [--max-inflight <n>] [--conn-inflight <n>]\n\
@@ -423,8 +423,8 @@ fn read_source(path: &str) -> Result<String, String> {
     }
 }
 
-/// `stcfa lint <FILE|-> [--format text|json] [--policy ...] [--max-nodes n]
-/// [--threads n]`: run the flow-powered diagnostics and print the report.
+/// `stcfa lint <FILE|-> [--format text|json] [--policy ...] [--max-nodes n]`:
+/// run the flow-powered diagnostics and print the report.
 /// `stcfa lint --explain CODE` instead prints the declarative definition
 /// behind one rule code and exits.
 ///
@@ -437,7 +437,6 @@ fn run_lint(args: &[String]) -> Result<(), CliError> {
     let mut json = false;
     let mut policy = DatatypePolicy::Congruence1;
     let mut max_nodes = None;
-    let mut threads = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -464,7 +463,6 @@ fn run_lint(args: &[String]) -> Result<(), CliError> {
             }
             "--policy" => policy = parse_policy_flag(it.next().map(String::as_str))?,
             "--max-nodes" => max_nodes = Some(flag_value(&mut it, "--max-nodes")?),
-            "--threads" => threads = Some(flag_value::<usize>(&mut it, "--threads")?),
             other if path.is_none() && !other.starts_with("--") => {
                 path = Some(other.to_owned());
             }
@@ -482,10 +480,7 @@ fn run_lint(args: &[String]) -> Result<(), CliError> {
     let analysis = Analysis::run_with(&program, AnalysisOptions { policy, max_nodes })
         .map_err(|e| e.to_string())?;
     let engine = QueryEngine::freeze(&analysis);
-    let opts = LintOptions {
-        threads: threads.unwrap_or_else(QueryEngine::default_threads),
-    };
-    let diags = lint(&program, &analysis, &engine, &opts);
+    let diags = lint(&program, &analysis, &engine, &LintOptions::default());
     if json {
         print!("{}", render_json(&diags));
     } else {
@@ -502,7 +497,7 @@ fn run_lint(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `stcfa opt <FILE|-> [--passes name,...] [--emit] [--report text|json]
-/// [--max-rounds <n>] [--budget <n>] [--threads <n>]`: run the
+/// [--max-rounds <n>] [--budget <n>]`: run the
 /// flow-directed lowering pipeline (docs/OPT.md) and print the decision
 /// report — or, with `--emit`, the optimized program itself (the report
 /// then goes to stderr so stdout stays parseable).
@@ -515,7 +510,6 @@ fn run_opt(args: &[String]) -> Result<(), CliError> {
     let mut json = false;
     let mut max_rounds = None;
     let mut budget = None;
-    let mut threads = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -552,7 +546,6 @@ fn run_opt(args: &[String]) -> Result<(), CliError> {
             }
             "--max-rounds" => max_rounds = Some(flag_value::<usize>(&mut it, "--max-rounds")?),
             "--budget" => budget = Some(flag_value::<usize>(&mut it, "--budget")?),
-            "--threads" => threads = Some(flag_value::<usize>(&mut it, "--threads")?),
             other if path.is_none() && !other.starts_with("--") => {
                 path = Some(other.to_owned());
             }
@@ -572,7 +565,7 @@ fn run_opt(args: &[String]) -> Result<(), CliError> {
         passes,
         max_rounds: max_rounds.unwrap_or(defaults.max_rounds),
         budget: budget.unwrap_or(defaults.budget),
-        threads: threads.unwrap_or_else(QueryEngine::default_threads),
+        ..defaults
     };
     let out = optimize(&program, &options).map_err(|e| e.to_string())?;
     let rendered = if json {

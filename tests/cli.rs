@@ -267,24 +267,18 @@ fn lint_json_is_machine_readable_and_thread_stable() {
         "lint_json",
         "fun ghost x = x;\nlet val r = (1, 2) in let val f = #1 r in f 9 end end",
     );
-    let mut reports = Vec::new();
-    for threads in ["1", "2", "8"] {
-        let out = stcfa()
-            .args(["lint"])
-            .arg(&f)
-            .args(["--format", "json", "--threads", threads])
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        reports.push(String::from_utf8(out.stdout).unwrap());
-    }
-    assert_eq!(reports[0], reports[1], "1 vs 2 threads");
-    assert_eq!(reports[0], reports[2], "1 vs 8 threads");
-    let json = &reports[0];
+    let out = stcfa()
+        .args(["lint"])
+        .arg(&f)
+        .args(["--format", "json"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = &String::from_utf8(out.stdout).unwrap();
     assert!(json.starts_with('['), "{json}");
     assert!(json.contains("\"code\":\"STCFA001\""), "{json}");
     assert!(json.contains("\"code\":\"STCFA002\""), "{json}");
@@ -454,7 +448,7 @@ fn cli_and_daemon_agree_over_the_corpus() {
         let source = Json::str(std::fs::read_to_string(&path).unwrap());
 
         let lint = ask(vec![("op", Json::str("lint")), ("source", source.clone())]);
-        let printed = cli(&["lint", file, "--format", "json", "--threads", "1"]);
+        let printed = cli(&["lint", file, "--format", "json"]);
         assert_eq!(lint.get("diagnostics"), Some(&printed), "{file}: lint");
 
         let Json::Obj(mut opt) = ask(vec![
@@ -465,7 +459,7 @@ fn cli_and_daemon_agree_over_the_corpus() {
             panic!("{file}: opt result is not an object")
         };
         opt.retain(|(key, _)| key != "performed");
-        let printed = cli(&["opt", file, "--report", "json", "--threads", "1"]);
+        let printed = cli(&["opt", file, "--report", "json"]);
         assert_eq!(Json::Obj(opt), printed, "{file}: opt");
 
         for name in ["dominators", "taint"] {

@@ -1,12 +1,10 @@
-//! Lint determinism properties: the diagnostics (and both rendered
-//! reports) must be byte-identical at any query-thread count, and the
-//! finding set must be stable under alpha-renaming of the input program
-//! (binders are identities, so renaming must not move, add, or drop any
-//! diagnostic).
+//! Lint determinism properties: the finding set must be stable under
+//! alpha-renaming of the input program (binders are identities, so
+//! renaming must not move, add, or drop any diagnostic).
 
 use stcfa::core::{Analysis, QueryEngine};
 use stcfa::lambda::Program;
-use stcfa::lint::{lint, render_json, render_text, Diagnostic, LintOptions};
+use stcfa::lint::{lint, Diagnostic, LintOptions};
 use stcfa::workloads::synth::{generate, SynthConfig};
 use stcfa_devkit::prelude::*;
 
@@ -21,10 +19,10 @@ fn program_for(seed: u64) -> Program {
     })
 }
 
-fn lint_with(p: &Program, threads: usize) -> Vec<Diagnostic> {
+fn lint_of(p: &Program) -> Vec<Diagnostic> {
     let a = Analysis::run(p).expect("synth programs analyze");
     let engine = QueryEngine::freeze(&a);
-    lint(p, &a, &engine, &LintOptions { threads })
+    lint(p, &a, &engine, &LintOptions::default())
 }
 
 /// The alpha-stable fingerprint of one diagnostic: everything except the
@@ -35,21 +33,6 @@ fn fingerprint(d: &Diagnostic) -> (&'static str, &'static str, usize) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn diagnostics_identical_across_thread_counts(seed in any::<u64>()) {
-        let p = program_for(seed);
-        let base = lint_with(&p, 1);
-        let base_text = render_text(&base);
-        let base_json = render_json(&base);
-        for threads in [2usize, 8] {
-            let d = lint_with(&p, threads);
-            prop_assert_eq!(&d, &base, "diagnostics moved at {} threads (seed {})",
-                threads, seed);
-            prop_assert_eq!(&render_text(&d), &base_text);
-            prop_assert_eq!(&render_json(&d), &base_json);
-        }
-    }
 
     #[test]
     fn diagnostics_stable_under_alpha_renaming(seed in any::<u64>()) {
@@ -63,16 +46,16 @@ proptest! {
                 format!("{name}_r{i}")
             }
         });
-        let dp = lint_with(&p, 1);
-        let dq = lint_with(&q, 1);
+        let dp = lint_of(&p);
+        let dq = lint_of(&q);
         let fp: Vec<_> = dp.iter().map(fingerprint).collect();
         let fq: Vec<_> = dq.iter().map(fingerprint).collect();
         prop_assert_eq!(fp, fq, "alpha-renaming changed the findings (seed {})", seed);
     }
 }
 
-/// The same guarantees on a parsed (span-carrying) program, where the
-/// renderers also embed line:col positions.
+/// A parsed program's diagnostics all carry spans, which the renderers
+/// embed as line:col positions.
 #[test]
 fn parsed_program_reports_are_thread_stable() {
     let src = "fun ghost x = x;\n\
@@ -82,17 +65,10 @@ fn parsed_program_reports_are_thread_stable() {
                let val dead = #1 box in\n\
                (apply (fn u => u + 1) (konst 1 2)) + dead 9 end end";
     let p = Program::parse(src).expect("parses");
-    let base = lint_with(&p, 1);
+    let base = lint_of(&p);
     assert!(!base.is_empty(), "fixture should produce diagnostics");
     assert!(
         base.iter().all(|d| d.span.is_some()),
         "parsed programs carry spans"
     );
-    let base_text = render_text(&base);
-    let base_json = render_json(&base);
-    for threads in [2usize, 8] {
-        let d = lint_with(&p, threads);
-        assert_eq!(render_text(&d), base_text, "{threads} threads");
-        assert_eq!(render_json(&d), base_json, "{threads} threads");
-    }
 }

@@ -34,7 +34,7 @@ fn report_for(file: &std::path::Path) -> String {
     let p = Program::parse(&src).unwrap_or_else(|e| panic!("{}: {e}", file.display()));
     let a = Analysis::run(&p).unwrap_or_else(|e| panic!("{}: {e}", file.display()));
     let engine = QueryEngine::freeze(&a);
-    render_json(&lint(&p, &a, &engine, &LintOptions { threads: 1 }))
+    render_json(&lint(&p, &a, &engine, &LintOptions::default()))
 }
 
 fn corpus_digest() -> u64 {

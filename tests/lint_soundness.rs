@@ -47,7 +47,7 @@ fn assert_flow_dead_confirmed(p: &Program, policy: DatatypePolicy) -> TestCaseRe
         return Ok(());
     };
     let engine = QueryEngine::freeze(&a);
-    let diags = lint(p, &a, &engine, &LintOptions { threads: 1 });
+    let diags = lint(p, &a, &engine, &LintOptions::default());
     let cfa = Cfa0::analyze(p);
     for d in &diags {
         if !matches!(
@@ -129,7 +129,7 @@ fn corpus_new_lints_are_oracle_sound() {
     for (name, program) in corpus() {
         let analysis = Analysis::run(&program).unwrap_or_else(|e| panic!("{name}: {e}"));
         let engine = QueryEngine::freeze(&analysis);
-        let diags = lint(&program, &analysis, &engine, &LintOptions { threads: 1 });
+        let diags = lint(&program, &analysis, &engine, &LintOptions::default());
         let cfa = Cfa0::analyze(&program);
         let eff = effects(&program, &analysis);
         let body_effectful = |l: Label| match program.kind(program.lam_of_label(l)) {

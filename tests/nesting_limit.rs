@@ -136,7 +136,7 @@ fn run_consumers(name: &str, program: &Program) {
     engine.prepare();
     let labels = engine.labels_of(program.root());
     assert_eq!(labels, analysis.labels_of(program.root()), "{name}");
-    lint(program, &analysis, &engine, &LintOptions { threads: 1 });
+    lint(program, &analysis, &engine, &LintOptions::default());
     let optimized =
         optimize(program, &OptOptions::default()).unwrap_or_else(|e| panic!("{name}: {e}"));
     // `opt --emit` prints the result. The printed form is not re-parsed:

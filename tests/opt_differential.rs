@@ -19,9 +19,6 @@
 //!   deleting dead code can delete an abstraction's only call sites;
 //! - **shrinkage** — no rewrite ever grows the program, and at least one
 //!   corpus program gets strictly smaller under the default pipeline.
-//!
-//! Thread sensitivity rides on `STCFA_QUERY_THREADS` (ci runs the suite
-//! at 1, 2, and 8): evidence batching must not change any decision.
 
 use stcfa::cfa0::LiveCfa0;
 use stcfa::core::{Analysis, QueryEngine};
@@ -32,13 +29,6 @@ use stcfa::lint::{lint, LintOptions, RuleCode, Severity};
 use stcfa::opt::{optimize, oracle, OptOptions, Pass, PassSet};
 use stcfa::workloads::synth::{generate, SynthConfig};
 use stcfa_devkit::prelude::*;
-
-fn threads() -> usize {
-    std::env::var("STCFA_QUERY_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
 
 fn corpus() -> Vec<(String, String)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
@@ -66,7 +56,6 @@ fn eval_options() -> EvalOptions {
 fn opt_options(passes: PassSet) -> OptOptions {
     OptOptions {
         passes,
-        threads: threads(),
         ..OptOptions::default()
     }
 }
@@ -75,7 +64,7 @@ fn opt_options(passes: PassSet) -> OptOptions {
 fn finding_counts(p: &Program) -> [usize; 8] {
     let a = Analysis::run(p).expect("analyzes");
     let e = QueryEngine::freeze(&a);
-    let diags = lint(p, &a, &e, &LintOptions { threads: threads() });
+    let diags = lint(p, &a, &e, &LintOptions::default());
     let mut out = [0usize; 8];
     for d in diags {
         let i = RuleCode::all()

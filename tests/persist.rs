@@ -2,8 +2,7 @@
 //! tier (encode → disk → decode, or build → demote → warm restart via the
 //! server cache) must answer every query *byte-identically* to the engine
 //! it was built from — across the whole corpus, under every datatype
-//! policy, at 1, 2, and 8 batch workers (the counts ci.sh exercises via
-//! `STCFA_QUERY_THREADS`).
+//! policy.
 
 use stcfa::core::{Analysis, AnalysisOptions, DatatypePolicy, Query, QueryEngine};
 use stcfa::lambda::Program;
@@ -39,18 +38,15 @@ fn all_queries(p: &Program) -> Vec<Query> {
     queries
 }
 
-/// Cold and warm engines must agree on the full batch at every worker
-/// count, and on the point queries that bypass the batch API.
+/// Cold and warm engines must agree on the full batch, and on the point
+/// queries that bypass the batch API.
 fn assert_identical(name: &str, p: &Program, cold: &QueryEngine, warm: &QueryEngine) {
     let queries = all_queries(p);
-    let reference = cold.batch(&queries, 1);
-    for threads in [1usize, 2, 8] {
-        assert_eq!(
-            warm.batch(&queries, threads),
-            reference,
-            "{name}: warm batch diverged at {threads} workers"
-        );
-    }
+    assert_eq!(
+        warm.batch(&queries),
+        cold.batch(&queries),
+        "{name}: warm batch diverged"
+    );
     for app in p.app_sites() {
         assert_eq!(
             warm.call_targets(p, app),

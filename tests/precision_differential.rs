@@ -14,9 +14,7 @@
 //! - **refined means refined**: a `Refined` grade is strictly smaller
 //!   than Tier 0 and still contains the cubic answer;
 //! - **deterministic**: two independently built scheduler+engine pairs
-//!   produce byte-identical graded transcripts. `scripts/ci.sh` runs
-//!   this suite (and diffs CLI `--precision` output) at
-//!   `STCFA_QUERY_THREADS=1/2/8` for cross-thread-count identity.
+//!   produce byte-identical graded transcripts.
 
 use stcfa::cfa0::Cfa0;
 use stcfa::core::{Analysis, AnalysisOptions, DatatypePolicy, QueryEngine};

@@ -536,7 +536,7 @@ fn session_transcripts_are_byte_identical_across_thread_counts() {
             .read_to_string(&mut output)
             .unwrap();
         assert!(child.wait().unwrap().success());
-        assert_eq!(output.lines().count(), 8, "--threads {threads}: {output}");
+        assert_eq!(output.lines().count(), 10, "--threads {threads}: {output}");
         assert!(
             output.contains(r#""kind":"unknown-session""#),
             "--threads {threads}: {output}"
@@ -921,14 +921,16 @@ fn ordered_batch() -> String {
     input
 }
 
-/// A v2 session conversation with an `analyze` and an unknown session
-/// mixed in.
+/// A v2 session conversation with an `analyze`, a `lint`, an `opt` and
+/// an unknown session mixed in.
 fn session_batch() -> String {
     let mut input = String::new();
     for (i, req) in [
         r#""op":"session/open","session":"w","modules":[{"name":"a","source":"fun f x = x;"},{"name":"b","source":"val p = f (fn u => u);"},{"name":"c","source":"p"}]"#.to_owned(),
         r#""op":"session/query","session":"w","kind":"label-set""#.to_owned(),
         format!(r#""op":"analyze","source":"{SRC}""#),
+        format!(r#""op":"lint","source":"{SRC}""#),
+        format!(r#""op":"opt","source":"{SRC}""#),
         r#""op":"session/update","session":"w","modules":[{"name":"c","source":"f p"}]"#.to_owned(),
         r#""op":"session/query","session":"w","kind":"label-set""#.to_owned(),
         r#""op":"session/lint","session":"w""#.to_owned(),
