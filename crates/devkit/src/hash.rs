@@ -85,11 +85,18 @@ impl Fnv1a {
 
     /// One-shot digest of `bytes` followed by the `parts` discriminants.
     pub fn digest_parts(bytes: &[u8], parts: &[u64]) -> u64 {
+        Fnv1a::digest_with(bytes.len(), |h| h.write(bytes), parts)
+    }
+
+    /// [`digest_parts`](Fnv1a::digest_parts) of content that `feed`
+    /// writes in pieces, without assembling it: `len` must be the total
+    /// byte length of what `feed` writes.
+    pub fn digest_with(len: usize, feed: impl FnOnce(&mut Fnv1a), parts: &[u64]) -> u64 {
         let mut h = Fnv1a::new();
         // Length prefix: two inputs of different lengths never alias even
         // if the discriminant list absorbs bytes that look like content.
-        h.write_u64(bytes.len() as u64);
-        h.write(bytes);
+        h.write_u64(len as u64);
+        feed(&mut h);
         for &p in parts {
             h.write_u64(p);
         }

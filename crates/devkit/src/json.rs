@@ -20,7 +20,10 @@
 //!   integers whenever they are integral and within the safe `i64`
 //!   range, so request ids round-trip byte-identically.
 
+use std::borrow::Cow;
 use std::fmt;
+
+use crate::bytes::string_run_end;
 
 /// Maximum nesting depth accepted by the parser.
 const MAX_DEPTH: usize = 64;
@@ -131,10 +134,7 @@ impl Json {
 
     /// Parses one JSON document; trailing non-whitespace is an error.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(input);
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -229,17 +229,171 @@ impl Json {
     }
 }
 
-/// Decodes the JSON string literal whose opening quote is byte `at` of
-/// `input`, by the parser's own string rule. `None` when no literal
-/// starts there or it does not decode. The daemon's shard hint reads
-/// single fields of a request line this way without parsing the line.
-pub fn decode_str_at(input: &str, at: usize) -> Option<String> {
-    Parser {
-        bytes: input.as_bytes(),
-        pos: at,
+/// A JSON string literal inside a larger text, still encoded: the bytes
+/// from its opening quote through its closing quote, borrowed. Found by
+/// [`members`], whose scan has already run the parser's own string rule
+/// over it, so it is known to decode, and for a line [`Json::parse`]
+/// accepts it decodes to exactly the string the parsed value holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RawStr<'a> {
+    literal: &'a str,
+    /// The decoded text's length in bytes, counted by the scan.
+    decoded_len: usize,
+}
+
+impl<'a> RawStr<'a> {
+    /// The decoded text's length in bytes.
+    pub fn decoded_len(&self) -> usize {
+        self.decoded_len
     }
-    .string()
-    .ok()
+
+    /// Decodes the literal piece by piece into `sink` without allocating:
+    /// each plain run as a slice of the input, each escape as its
+    /// character. The pieces concatenate to the decoded text.
+    pub fn decode_pieces(&self, mut sink: impl FnMut(&str)) -> Result<(), JsonError> {
+        Parser::new(self.literal).string_pieces(&mut sink)
+    }
+
+    /// The decoded text: borrowed from the input when the literal has no
+    /// escape, decoded into a new string otherwise. (`None` only if the
+    /// decoder refused it, which the scan has ruled out.)
+    pub fn decode(&self) -> Option<Cow<'a, str>> {
+        let body = &self.literal[1..self.literal.len() - 1];
+        // Every escape decodes to fewer bytes than it is written with,
+        // so a literal whose decoded length is its body's has none.
+        if self.decoded_len == body.len() {
+            return Some(Cow::Borrowed(body));
+        }
+        Parser::new(self.literal).string().ok().map(Cow::Owned)
+    }
+}
+
+/// Scans the top-level object of `line` member by member without
+/// parsing the rest of it: yields each member's name and, when the
+/// member's value is a string, that literal (`None` for any other
+/// value), in line order, duplicates included.
+///
+/// Every string on the way, names and values, nested or not, is stepped
+/// over by the parser's own decoder, which counts the bytes it decodes to
+/// and passes plain runs eight bytes per step; nested arrays and objects
+/// are skipped with a depth counter, not recursion. The scan allocates
+/// nothing, never panics and takes time linear in the line; it stops at
+/// the first byte that cannot continue a JSON object, or at a string that
+/// does not decode. For a line [`Json::parse`] accepts as an object it
+/// yields exactly that object's members, so the first member of a name
+/// is what [`Json::get`] returns. A line the parser rejects yields some
+/// prefix of what it looks like; nothing stronger is promised for it.
+pub fn members(line: &str) -> Members<'_> {
+    Members {
+        parser: Parser::new(line),
+        state: Scan::Open,
+    }
+}
+
+/// The iterator [`members`] returns.
+pub struct Members<'a> {
+    parser: Parser<'a>,
+    state: Scan,
+}
+
+/// Where a [`Members`] scan stands.
+enum Scan {
+    /// Before the object's opening brace.
+    Open,
+    /// After a member: a comma or the closing brace comes next.
+    Between,
+    /// The object closed, or the line stopped looking like one.
+    Done,
+}
+
+impl<'a> Iterator for Members<'a> {
+    type Item = (RawStr<'a>, Option<RawStr<'a>>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let member = self.member();
+        self.state = if member.is_some() {
+            Scan::Between
+        } else {
+            Scan::Done
+        };
+        member
+    }
+}
+
+impl<'a> Members<'a> {
+    /// Consumes `byte` after whitespace, or reports that it is absent.
+    fn eat(&mut self, byte: u8) -> Option<()> {
+        self.parser.skip_ws();
+        (self.parser.peek() == Some(byte)).then(|| self.parser.pos += 1)
+    }
+
+    fn member(&mut self) -> Option<(RawStr<'a>, Option<RawStr<'a>>)> {
+        match self.state {
+            Scan::Open => {
+                self.eat(b'{')?;
+                self.parser.skip_ws();
+                if self.parser.peek() == Some(b'}') {
+                    return None;
+                }
+            }
+            Scan::Between => self.eat(b',')?,
+            Scan::Done => return None,
+        }
+        self.parser.skip_ws();
+        let name = self.string()?;
+        self.eat(b':')?;
+        self.parser.skip_ws();
+        let value = if self.parser.peek() == Some(b'"') {
+            Some(self.string()?)
+        } else {
+            self.skip_value()?;
+            None
+        };
+        Some((name, value))
+    }
+
+    /// Steps over the string literal at the scan position with the
+    /// decoder, counting the bytes it decodes to instead of keeping them;
+    /// a literal that does not decode ends the scan.
+    fn string(&mut self) -> Option<RawStr<'a>> {
+        let open = self.parser.pos;
+        let mut decoded_len = 0;
+        self.parser
+            .string_pieces(&mut |piece| decoded_len += piece.len())
+            .ok()?;
+        Some(RawStr {
+            // Both ends are quotes, so the slice is on char boundaries.
+            literal: &self.parser.text[open..self.parser.pos],
+            decoded_len,
+        })
+    }
+
+    /// Skips one non-string value: a scalar up to the next delimiter, or
+    /// a whole array or object, counting brackets instead of recursing.
+    fn skip_value(&mut self) -> Option<()> {
+        let mut depth = 0usize;
+        while let Some(b) = self.parser.peek() {
+            match b {
+                b'"' => {
+                    self.string()?;
+                    continue;
+                }
+                b'[' | b'{' => depth += 1,
+                b']' | b'}' if depth == 0 => break,
+                b']' | b'}' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        self.parser.pos += 1;
+                        break;
+                    }
+                }
+                b',' | b' ' | b'\t' | b'\n' | b'\r' if depth == 0 => break,
+                _ => {}
+            }
+            self.parser.pos += 1;
+        }
+        Some(())
+    }
 }
 
 /// One array element per line, indented two spaces (see [`Json::to_rows`]).
@@ -272,11 +426,20 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             at: self.pos,
@@ -375,45 +538,49 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
+        let mut out = String::new();
+        self.string_pieces(&mut |piece| out.push_str(piece))?;
+        Ok(out)
+    }
+
+    /// Decodes the string literal whose opening quote is at `self.pos`,
+    /// handing `sink` each plain run as a slice of the input and each
+    /// escape as the character it stands for, and leaves `self.pos`
+    /// past the closing quote: the one string and escape rule, behind
+    /// [`Json::parse`] and [`RawStr`] alike. A plain run starts after a
+    /// quote or an escape and stops at a quote, a backslash or a control
+    /// byte, all ASCII, so every slice falls on character boundaries.
+    fn string_pieces(&mut self, sink: &mut impl FnMut(&str)) -> Result<(), JsonError> {
         if self.peek() != Some(b'"') {
             return Err(self.err("expected a string"));
         }
         self.pos += 1;
-        let mut out = String::new();
         loop {
             let start = self.pos;
-            // Fast path: a run of plain bytes.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
+            self.pos = string_run_end(self.bytes, start);
             if self.pos > start {
-                let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                out.push_str(chunk);
+                sink(&self.text[start..self.pos]);
             }
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
                             let cp = self.hex4()?;
                             // Surrogate pairs for astral-plane characters.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
+                            if (0xD800..0xDC00).contains(&cp) {
                                 self.pos += 1; // past the low 'u' digit block start
                                 self.eat("\\u")
                                     .map_err(|_| self.err("unpaired UTF-16 surrogate"))?;
@@ -426,11 +593,11 @@ impl Parser<'_> {
                                 char::from_u32(c).ok_or_else(|| self.err("invalid code point"))?
                             } else {
                                 char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))?
-                            };
-                            out.push(c);
+                            }
                         }
                         _ => return Err(self.err("invalid escape")),
-                    }
+                    };
+                    sink(c.encode_utf8(&mut [0; 4]));
                     self.pos += 1;
                 }
                 _ => return Err(self.err("unterminated string")),
@@ -569,11 +736,79 @@ mod tests {
     }
 
     #[test]
-    fn decode_str_at_reads_one_literal() {
-        let line = r#"{"source":"a\"b","x":1}"#;
-        assert_eq!(decode_str_at(line, 10).as_deref(), Some("a\"b"));
-        assert_eq!(decode_str_at(line, 1).as_deref(), Some("source"));
-        assert_eq!(decode_str_at(line, 0), None);
+    fn members_yield_the_top_level_members_the_parser_sees() {
+        let line = concat!(
+            r#" { "source" : "a\"b" , "meta":{"source":"x","op":["evict",{"a":"}"}]},"#,
+            r#""n":-1.5e3,"sour\u0063e":"y","t":true,"arr":[[],"]",{}],"e":{} } "#
+        );
+        let got: Vec<(String, Option<String>)> = members(line)
+            .map(|(name, value)| {
+                let decoded = |s: RawStr| s.decode().expect("decodes").into_owned();
+                (decoded(name), value.map(decoded))
+            })
+            .collect();
+        let parsed = Json::parse(line).expect("a valid line");
+        let Json::Obj(pairs) = &parsed else {
+            panic!("an object")
+        };
+        let want: Vec<(String, Option<String>)> = pairs
+            .iter()
+            .map(|(k, v)| (k.clone(), v.as_str().map(str::to_owned)))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(got[0], ("source".to_owned(), Some("a\"b".to_owned())));
+        assert_eq!(got[3], ("source".to_owned(), Some("y".to_owned())));
+        assert_eq!(members("{}").count(), 0);
+        assert_eq!(members(" [1] ").count(), 0);
+        // Malformed lines stop the scan; none panics it.
+        for bad in [
+            "",
+            "{",
+            "{\"a\"",
+            "{\"a\":\"\\",
+            "{\"a\":\"x\\",
+            "{\"a\":1 \"b\":2}",
+            "{\"a\":\"\u{1}\"}",
+            "{\"a\":[\"]}",
+            "{\"a\":}",
+            "\"x\"",
+        ] {
+            assert!(members(bad).count() <= 1, "{bad:?}");
+        }
+        assert_eq!(members("{\"a\":1 \"b\":2}").count(), 1);
+    }
+
+    #[test]
+    fn raw_strings_decode_by_the_parsers_rule() {
+        for body in [
+            "plain",
+            r#"a\"b\\c\/d\b\f\n\r\t"#,
+            r#"caf\u00e9 \ud83d\ude00 \u0000 \u001f"#,
+            "dé😀 and a long plain run past one eight-byte word",
+            "",
+        ] {
+            let line = format!(r#"{{"s":"{body}"}}"#);
+            let want = Json::parse(&line)
+                .expect("valid")
+                .get("s")
+                .and_then(Json::as_str)
+                .map(str::to_owned);
+            let (_, literal) = members(&line).next().expect("one member");
+            let literal = literal.expect("a string value");
+            assert_eq!(literal.decode().as_deref(), want.as_deref());
+            assert_eq!(Some(literal.decoded_len()), want.as_ref().map(String::len));
+            let mut pieces = String::new();
+            literal
+                .decode_pieces(|p| pieces.push_str(p))
+                .expect("decodes");
+            assert_eq!(Some(pieces), want);
+        }
+        // A literal the decoder refuses ends the scan there.
+        for body in [r#"\q"#, r#"\ud800x"#, r#"\u12"#, "\u{1}"] {
+            let line = format!(r#"{{"a":1,"s":"{body}","b":2}}"#);
+            assert!(Json::parse(&line).is_err());
+            assert_eq!(members(&line).count(), 1, "{body}");
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! - [`bench`] — a criterion-shaped bench harness implementing the
 //!   EXPERIMENTS.md methodology (warmup, fastest-of-N, work counters) and
 //!   emitting machine-readable `BENCH_*.json` files;
+//! - [`bytes`] — word-at-a-time byte searches (a newline finder for
+//!   line framing, and the plain-run scan of JSON strings);
 //! - [`hash`] — deterministic FNV-1a/64 content hashing with a splitmix64
 //!   finalizer, the address scheme of the server's snapshot store;
 //! - [`json`] — the one JSON value type, bounded parser and canonical
@@ -25,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod bench;
+pub mod bytes;
 pub mod hash;
 pub mod json;
 pub mod prng;

@@ -40,6 +40,7 @@ use std::time::Instant;
 
 use stcfa_core::{Analysis, AnalysisOptions, DatatypePolicy, QueryEngine};
 use stcfa_devkit::hash::Fnv1a;
+use stcfa_devkit::json::RawStr;
 use stcfa_lambda::session::SessionProgram;
 use stcfa_lambda::Program;
 use stcfa_persist::{DecodedSnapshot, SnapshotImage};
@@ -54,6 +55,21 @@ impl SnapshotKey {
     /// configuration discriminants.
     pub fn derive(source: &str, policy: u64, engine: u64) -> SnapshotKey {
         SnapshotKey(Fnv1a::digest_parts(source.as_bytes(), &[policy, engine]))
+    }
+
+    /// [`derive`](SnapshotKey::derive) of the text a JSON string literal
+    /// decodes to, without allocating: the hash absorbs the decoded
+    /// length (counted by the scan that found the literal) and then the
+    /// literal, decoded piece by piece straight into it. `None` when the
+    /// literal does not decode.
+    pub fn derive_literal(literal: RawStr<'_>, policy: u64, engine: u64) -> Option<SnapshotKey> {
+        let mut decoded = Ok(());
+        let digest = Fnv1a::digest_with(
+            literal.decoded_len(),
+            |h| decoded = literal.decode_pieces(|piece| h.write(piece.as_bytes())),
+            &[policy, engine],
+        );
+        decoded.ok().map(|()| SnapshotKey(digest))
     }
 
     /// The fixed-width hex form clients see (`%016x`).

@@ -8,7 +8,7 @@
 //! Every framed request line gets the next sequence number; responses
 //! are appended to the write buffer strictly in that order regardless of
 //! which shard worker finished first. Order-sensitive lines (the
-//! stateful `session/*` ops and `evict`, see [`needs_order`]) are *held*
+//! stateful `session/*` ops and `evict`, see [`Route::ordered`]) are *held*
 //! inside the connection until every earlier request has been answered,
 //! and only then dispatched, so shard workers never block on each other
 //! (a blocking gate can deadlock a pool where every worker waits on a
@@ -21,9 +21,14 @@
 //! stops pulling bytes. The kernel's TCP window, or the full pipe behind
 //! a piped stream, does the rest.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::time::Instant;
+
+use stcfa_devkit::bytes::find_byte;
+
+use crate::route::Route;
 
 /// Read chunk size per `read(2)` attempt.
 const READ_CHUNK: usize = 16 * 1024;
@@ -68,6 +73,8 @@ pub struct Frame {
     pub line: String,
     /// When the line was framed (anchors the request deadline).
     pub received: Instant,
+    /// How the line dispatches, computed once when it is framed.
+    pub route: Route,
 }
 
 /// What one read sweep produced.
@@ -191,12 +198,12 @@ impl<S: Read + Write> Conn<S> {
         out
     }
 
-    /// Splits complete lines out of the read buffer. Blank lines are
-    /// keep-alives and consume no sequence number; lines are trimmed.
-    /// Invalid UTF-8 is passed through lossily — the JSON parser turns it
-    /// into a structured `proto` error, which is still a well-formed
-    /// transcript entry. A line over [`MAX_LINE`], framed or still
-    /// partial, ends the input.
+    /// Splits complete lines out of the read buffer and routes each
+    /// ([`Route::of`]). Blank lines are keep-alives and consume no
+    /// sequence number; lines are trimmed. Invalid UTF-8 is passed
+    /// through lossily — the JSON parser turns it into a structured
+    /// `proto` error, which is still a well-formed transcript entry. A
+    /// line over [`MAX_LINE`], framed or still partial, ends the input.
     fn extract_frames(&mut self, out: &mut Pumped) {
         let mut start = 0;
         while let Some(nl) = find_byte(&self.rbuf[self.scan..], b'\n').map(|i| i + self.scan) {
@@ -204,16 +211,20 @@ impl<S: Read + Write> Conn<S> {
                 return self.refuse_input();
             }
             let raw = &self.rbuf[start..nl];
-            let line = String::from_utf8_lossy(raw);
+            let line = match std::str::from_utf8(raw) {
+                Ok(line) => Cow::Borrowed(line),
+                Err(_) => String::from_utf8_lossy(raw),
+            };
             let trimmed = line.trim();
             if !trimmed.is_empty() {
                 let frame = Frame {
                     seq: self.next_seq,
                     line: trimmed.to_owned(),
                     received: Instant::now(),
+                    route: Route::of(trimmed),
                 };
                 self.next_seq += 1;
-                if needs_order(trimmed) && frame.seq != self.emit_next {
+                if frame.route.ordered && frame.seq != self.emit_next {
                     self.held.insert(frame.seq, frame);
                 } else {
                     out.dispatch.push(frame);
@@ -323,20 +334,6 @@ impl<S: Read + Write> Conn<S> {
     pub fn is_dead(&self) -> bool {
         self.dead
     }
-}
-
-/// Whether a request line must execute in stream order: the stateful
-/// `session/*` ops, and `evict`, which observes session pins. A
-/// conservative substring check: every `session/*` op's line contains
-/// `"session/` and every `evict` op's line contains `"evict"`, so there
-/// are no false negatives; a false positive (the marker inside a source
-/// string) merely orders one extra request, which is harmless.
-fn needs_order(line: &str) -> bool {
-    line.contains("\"session/") || line.contains("\"evict\"")
-}
-
-fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
-    haystack.iter().position(|&b| b == needle)
 }
 
 #[cfg(test)]

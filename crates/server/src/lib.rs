@@ -27,9 +27,12 @@
 //!   piped connection — with per-connection incremental framing and an
 //!   ordered buffered writer, plus a sharded worker pool that routes
 //!   requests by snapshot digest so cache-affine work stays on one
-//!   worker. Admission control sheds excess load with the structured
-//!   `overloaded` error instead of buffering without bound, and
-//!   `shutdown` drains gracefully.
+//!   worker. The loop reads each request line once ([`Route`]): its
+//!   order gate, its shard, and its inline source's snapshot key, which
+//!   the worker reuses instead of hashing the source again. Admission
+//!   control sheds excess load with the structured `overloaded` error
+//!   instead of buffering without bound, and `shutdown` drains
+//!   gracefully.
 //! - [`soak`] — a many-connection pipelined load driver (`stcfa soak`,
 //!   `benches/server.rs`, and CI's soak smoke all share it).
 //!
@@ -43,12 +46,14 @@ pub mod cache;
 mod conn;
 mod poll;
 pub mod proto;
+mod route;
 pub mod server;
 mod shard;
 pub mod soak;
 
 pub use cache::{Invalidate, LookupError, Snapshot, SnapshotKey, SnapshotStore, StoreStats};
 pub use proto::{Deadline, ErrorKind, RequestError, PROTOCOL_VERSION, PROTOCOL_VERSION_SESSION};
+pub use route::Route;
 pub use server::{fleet_summary_line, Server, ServerOptions};
 pub use shard::FleetStats;
 pub use soak::{run_soak, SoakConfig, SoakReport};

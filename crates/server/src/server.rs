@@ -9,11 +9,13 @@
 //! hands the loop its connections; under [`Server::serve`] (`--stdio`)
 //! the loop has one connection, whose input a detached reader thread
 //! pumps from the byte stream and whose output is the writer. The loop
-//! frames each line and stamps its arrival [`Instant`] (the deadline
-//! clock), admits it, and routes it by snapshot digest to a shard; the
-//! workers call [`Server::handle_line`] concurrently, and each
-//! connection emits its responses **in request order** — so a
-//! transcript's bytes are independent of the worker and shard counts.
+//! frames each line, stamps its arrival [`Instant`] (the deadline
+//! clock), routes it in one scan ([`Route::of`]), admits it, and
+//! dispatches it by its affinity digest to a shard; the workers answer
+//! lines concurrently by the path [`Server::handle_line`] takes, reusing
+//! the route's source key, and each connection emits its responses **in
+//! request order** — so a transcript's bytes are independent of the
+//! worker and shard counts.
 //!
 //! # Robustness invariants
 //!
@@ -56,6 +58,7 @@ use crate::proto::{
     err_response, ok_response, parse_policy, Deadline, ErrorKind, RequestError, PROTOCOL_VERSION,
     PROTOCOL_VERSION_SESSION,
 };
+use crate::route::Route;
 use crate::shard::{Completion, FleetStats, ShardPool, Task};
 
 /// Configuration for one daemon.
@@ -140,7 +143,7 @@ struct OpenSession {
 /// the only one served (the paper's bounded-type monovariant analysis is
 /// what keeps per-request latency predictable). Part of the content
 /// address.
-const ENGINE_SUB: u64 = 0;
+pub(crate) const ENGINE_SUB: u64 = 0;
 
 /// Stack size of every thread that handles requests. The parser bounds
 /// source nesting ([`stcfa_lambda::parser::MAX_NESTING`]) and tree height
@@ -201,19 +204,33 @@ impl Server {
 
     /// Handles one request line and returns the one response line (no
     /// trailing newline). `received` anchors the deadline clock; pass the
-    /// instant the line was read. Never panics on untrusted input.
+    /// instant the line was read. Never panics on untrusted input. The
+    /// line is routed by [`Route::of`], as the event loop routes it.
     pub fn handle_line(&self, line: &str, received: Instant) -> String {
+        self.handle_routed(line, received, Route::of(line).source_key)
+    }
+
+    /// The worker entry: [`Server::handle_line`] for a line the event
+    /// loop has routed already. `source_key` is its route's key for the
+    /// line's inline source, which stands in for hashing the source
+    /// again (see [`Server::analyze_source`]).
+    fn handle_routed(
+        &self,
+        line: &str,
+        received: Instant,
+        source_key: Option<SnapshotKey>,
+    ) -> String {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         let started = Instant::now();
-        let response = self.dispatch(line, received);
+        let response = self.dispatch(line, received, source_key);
         self.query_ns
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
         response.to_line()
     }
 
-    fn dispatch(&self, line: &str, received: Instant) -> Json {
+    fn dispatch(&self, line: &str, received: Instant, source_key: Option<SnapshotKey>) -> Json {
         let request = match Json::parse(line) {
             Ok(v) => v,
             Err(e) => {
@@ -244,7 +261,7 @@ impl Server {
                 }
             },
         };
-        match self.dispatch_parsed(&request, received, version) {
+        match self.dispatch_parsed(&request, received, version, source_key) {
             Ok(result) => ok_response(version, id, result),
             Err(e) => err_response(version, id, &e),
         }
@@ -255,6 +272,7 @@ impl Server {
         request: &Json,
         received: Instant,
         version: u64,
+        source_key: Option<SnapshotKey>,
     ) -> Result<Json, RequestError> {
         let op = request
             .get("op")
@@ -283,11 +301,11 @@ impl Server {
             ));
         }
         match op {
-            "analyze" => self.op_analyze(request, &deadline),
-            "query" => self.op_query(request, &deadline, version),
-            "lint" => self.op_lint(request, &deadline),
-            "rule" => self.op_rule(request, &deadline),
-            "opt" => self.op_opt(request, &deadline),
+            "analyze" => self.op_analyze(request, source_key, &deadline),
+            "query" => self.op_query(request, source_key, &deadline, version),
+            "lint" => self.op_lint(request, source_key, &deadline),
+            "rule" => self.op_rule(request, source_key, &deadline),
+            "opt" => self.op_opt(request, source_key, &deadline),
             "evict" => self.op_evict(request),
             "stats" => Ok(self.op_stats()),
             "session/open" => self.op_session_open(request, &deadline),
@@ -313,10 +331,19 @@ impl Server {
 
     /// Builds (or fetches) the snapshot for `source`: the content-addressed
     /// amortization point every expensive request goes through.
+    ///
+    /// `source_key` is the key the event loop's router computed from the
+    /// request line; it is used instead of hashing `source` again. Every
+    /// hit compares `source` with the cached snapshot's source (memory
+    /// and coalesced hits in the store, disk loads against the persisted
+    /// text), and the policy is compared below, so a hit under the key
+    /// proves it. Only a build re-derives the key, before it stores
+    /// anything under it.
     fn analyze_source(
         &self,
         request: &Json,
         source: &str,
+        source_key: Option<SnapshotKey>,
         deadline: &Deadline,
     ) -> Result<(Arc<Snapshot>, SnapshotKey, bool), RequestError> {
         let (policy, policy_disc) = policy_param(request)?;
@@ -328,12 +355,20 @@ impl Server {
                 ));
             }
         }
-        let key = SnapshotKey::derive(source, policy_disc, ENGINE_SUB);
+        let key =
+            source_key.unwrap_or_else(|| SnapshotKey::derive(source, policy_disc, ENGINE_SUB));
         deadline.check("before build")?;
         let owned = source.to_owned();
         let (snapshot, cached) = self
             .store
             .get_or_build(key, source, move || {
+                let derived = SnapshotKey::derive(&owned, policy_disc, ENGINE_SUB);
+                if derived != key {
+                    return Err(key_mismatch(
+                        key,
+                        &format!("this source's key is {}", derived.hex()),
+                    ));
+                }
                 let started = Instant::now();
                 let program = Program::parse(&owned).map_err(|e| format!("parse\u{0}{e}"))?;
                 let analysis = Analysis::run_with(
@@ -361,6 +396,15 @@ impl Server {
                 ))
             })
             .map_err(decode_build_err)?;
+        if snapshot.policy() != policy {
+            return Err(RequestError::new(
+                ErrorKind::Analysis,
+                key_mismatch(
+                    key,
+                    &format!("it names a {} snapshot", snapshot.policy().name()),
+                ),
+            ));
+        }
         // The build may have blown the budget even though the snapshot is
         // now cached (and stays warm for the next request).
         deadline.check("after build")?;
@@ -372,6 +416,7 @@ impl Server {
     fn resolve_snapshot(
         &self,
         request: &Json,
+        source_key: Option<SnapshotKey>,
         deadline: &Deadline,
     ) -> Result<Arc<Snapshot>, RequestError> {
         if let Some(handle) = request.get("snapshot") {
@@ -390,7 +435,7 @@ impl Server {
             });
         }
         if let Some(source) = request.get("source").and_then(Json::as_str) {
-            let (snapshot, _, _) = self.analyze_source(request, source, deadline)?;
+            let (snapshot, _, _) = self.analyze_source(request, source, source_key, deadline)?;
             return Ok(snapshot);
         }
         Err(RequestError::new(
@@ -401,12 +446,17 @@ impl Server {
 
     // --- ops ----------------------------------------------------------------
 
-    fn op_analyze(&self, request: &Json, deadline: &Deadline) -> Result<Json, RequestError> {
+    fn op_analyze(
+        &self,
+        request: &Json,
+        source_key: Option<SnapshotKey>,
+        deadline: &Deadline,
+    ) -> Result<Json, RequestError> {
         let source = request
             .get("source")
             .and_then(Json::as_str)
             .ok_or_else(|| RequestError::new(ErrorKind::Proto, "`analyze` needs `source`"))?;
-        let (snapshot, key, cached) = self.analyze_source(request, source, deadline)?;
+        let (snapshot, key, cached) = self.analyze_source(request, source, source_key, deadline)?;
         Ok(Json::obj(vec![
             ("snapshot", Json::str(key.hex())),
             ("cached", Json::Bool(cached)),
@@ -421,6 +471,7 @@ impl Server {
     fn op_query(
         &self,
         request: &Json,
+        source_key: Option<SnapshotKey>,
         deadline: &Deadline,
         version: u64,
     ) -> Result<Json, RequestError> {
@@ -430,7 +481,7 @@ impl Server {
             .ok_or_else(|| RequestError::new(ErrorKind::Proto, "`query` needs `kind`"))?
             .to_owned();
         let graded = precision_param(request, version)?;
-        let snapshot = self.resolve_snapshot(request, deadline)?;
+        let snapshot = self.resolve_snapshot(request, source_key, deadline)?;
         deadline.check("before query")?;
         let root = snapshot.program.root();
         let result = self.query_result(&kind, request, &snapshot, graded, || Ok(root))?;
@@ -538,8 +589,13 @@ impl Server {
         })
     }
 
-    fn op_lint(&self, request: &Json, deadline: &Deadline) -> Result<Json, RequestError> {
-        let snapshot = self.resolve_snapshot(request, deadline)?;
+    fn op_lint(
+        &self,
+        request: &Json,
+        source_key: Option<SnapshotKey>,
+        deadline: &Deadline,
+    ) -> Result<Json, RequestError> {
+        let snapshot = self.resolve_snapshot(request, source_key, deadline)?;
         deadline.check("before lint")?;
         let diags = self.lint_snapshot(&snapshot)?;
         deadline.check("after lint")?;
@@ -580,13 +636,18 @@ impl Server {
     /// effectful-bodied abstraction) over the flow edges, for the whole
     /// program or, with `expr`, as one demand query that walks only the
     /// occurrence's BFS cone.
-    fn op_rule(&self, request: &Json, deadline: &Deadline) -> Result<Json, RequestError> {
+    fn op_rule(
+        &self,
+        request: &Json,
+        source_key: Option<SnapshotKey>,
+        deadline: &Deadline,
+    ) -> Result<Json, RequestError> {
         let name = request
             .get("name")
             .and_then(Json::as_str)
             .ok_or_else(|| RequestError::new(ErrorKind::Proto, "`rule` needs `name`"))?
             .to_owned();
-        let snapshot = self.resolve_snapshot(request, deadline)?;
+        let snapshot = self.resolve_snapshot(request, source_key, deadline)?;
         deadline.check("before rule")?;
         let analysis = snapshot
             .try_analysis()
@@ -639,7 +700,12 @@ impl Server {
     /// reuses the snapshot's frozen engine; the result object is
     /// [`OptReport::to_json`](stcfa_opt::OptReport::to_json), the object
     /// the CLI's `--report json` prints, plus `performed`.
-    fn op_opt(&self, request: &Json, deadline: &Deadline) -> Result<Json, RequestError> {
+    fn op_opt(
+        &self,
+        request: &Json,
+        source_key: Option<SnapshotKey>,
+        deadline: &Deadline,
+    ) -> Result<Json, RequestError> {
         let mut options = OptOptions::default();
         if let Some(passes) = request.get("passes") {
             let Json::Arr(items) = passes else {
@@ -674,7 +740,7 @@ impl Server {
             })? as usize;
         }
         let emit = matches!(request.get("emit"), Some(Json::Bool(true)));
-        let snapshot = self.resolve_snapshot(request, deadline)?;
+        let snapshot = self.resolve_snapshot(request, source_key, deadline)?;
         deadline.check("before opt")?;
         let out = optimize_with(&snapshot.program, &snapshot.engine, &options)
             .map_err(|e| RequestError::new(ErrorKind::Analysis, e.to_string()))?;
@@ -1126,7 +1192,9 @@ impl Server {
             let pool_ref = &pool;
             for w in 0..pool.workers() {
                 spawn_worker(scope, move || {
-                    pool_ref.worker_loop(w, &|line, received| self.handle_line(line, received));
+                    pool_ref.worker_loop(w, &|task| {
+                        self.handle_routed(&task.line, task.received, task.route.source_key)
+                    });
                 });
             }
             self.event_loop(accept, listening, &pool, notify, &fleet);
@@ -1299,13 +1367,12 @@ impl Server {
             let response = overloaded_response(&frame.line, max_inflight);
             return conn.complete(frame.seq, response);
         }
-        let affinity = affinity_digest(&frame.line);
         pool.dispatch(Task {
             conn: conn.id,
             seq: frame.seq,
             line: frame.line,
             received: frame.received,
-            affinity,
+            route: frame.route,
         });
         None
     }
@@ -1377,58 +1444,16 @@ fn overloaded_response(line: &str, max_inflight: u64) -> String {
     .to_line()
 }
 
-// --- shard affinity -------------------------------------------------------
-
-/// The routing digest for one request line: the snapshot content
-/// address when one is named or derivable, a session-id hash for
-/// `session/*` ops, `0` (round-robin) otherwise. This is a locality
-/// *hint* — the scan is shallow and a wrong guess costs a cache-warm
-/// shard, never correctness — but for well-formed requests it matches
-/// [`SnapshotKey::derive`] exactly, so `analyze` and the `query`s that
-/// follow it land on the same shard.
-fn affinity_digest(line: &str) -> u64 {
-    if let Some(key) = str_field(line, "snapshot").and_then(|hex| SnapshotKey::from_hex(&hex)) {
-        return key.0;
-    }
-    if let Some(session) = str_field(line, "session") {
-        return stcfa_devkit::hash::Fnv1a::digest_parts(session.as_bytes(), &[u64::MAX]);
-    }
-    if let Some(source) = str_field(line, "source") {
-        let policy = str_field(line, "policy");
-        if let Some((_, disc)) = crate::proto::parse_policy(policy.as_deref().unwrap_or("c1")) {
-            return SnapshotKey::derive(&source, disc, ENGINE_SUB).0;
-        }
-    }
-    0
-}
-
-/// Finds a string field in a JSON line — `"name"` then `:` then a string
-/// literal — and decodes the literal by the JSON parser's own string
-/// rule. `None` when the field is missing or its literal does not
-/// decode. Shallow by design — a matching key inside a nested string can
-/// fool it, which skews a routing hint and nothing else.
-fn str_field(line: &str, name: &str) -> Option<String> {
-    let bytes = line.as_bytes();
-    let pat = format!("\"{name}\"");
-    let mut from = 0;
-    while let Some(rel) = line[from..].find(&pat) {
-        let mut i = from + rel + pat.len();
-        from = i;
-        while i < bytes.len() && (bytes[i] == b' ' || bytes[i] == b'\t') {
-            i += 1;
-        }
-        if i >= bytes.len() || bytes[i] != b':' {
-            continue;
-        }
-        i += 1;
-        while i < bytes.len() && (bytes[i] == b' ' || bytes[i] == b'\t') {
-            i += 1;
-        }
-        if i < bytes.len() && bytes[i] == b'"' {
-            return stcfa_devkit::json::decode_str_at(line, i);
-        }
-    }
-    None
+/// The refusal of a routed key that is not the request's snapshot key:
+/// nothing is built or served under it. Encoded as a build error
+/// ([`decode_build_err`] reports it as an `analysis` error, like a
+/// digest collision).
+fn key_mismatch(key: SnapshotKey, why: &str) -> String {
+    format!(
+        "snapshot key mismatch on {}: {why}; analysis refused so that no snapshot \
+         is stored or served under a wrong handle",
+        key.hex()
+    )
 }
 
 /// Decodes the NUL-prefixed error kind the build closure encodes (the
@@ -2324,31 +2349,184 @@ mod tests {
         assert_eq!(transcripts[0].lines().count(), 7);
     }
 
+    /// What routing must give for a line the parser accepts: the order
+    /// flag from `op`, and the affinity and source key from the first
+    /// `snapshot`, `session`, `source` and `policy` members, read as the
+    /// worker reads them.
+    fn parsed_route(line: &str) -> Route {
+        let request = Json::parse(line).expect("a valid request line");
+        let field = |name| request.get(name).and_then(Json::as_str);
+        let source_key = match (field("source"), policy_param(&request)) {
+            (Some(source), Ok((_, disc))) => Some(SnapshotKey::derive(source, disc, ENGINE_SUB)),
+            _ => None,
+        };
+        Route {
+            ordered: field("op").is_some_and(|op| op == "evict" || op.starts_with("session/")),
+            affinity: field("snapshot")
+                .and_then(SnapshotKey::from_hex)
+                .map(|key| key.0)
+                .or_else(|| {
+                    field("session").map(|id| {
+                        stcfa_devkit::hash::Fnv1a::digest_parts(id.as_bytes(), &[u64::MAX])
+                    })
+                })
+                .or(source_key.map(|key| key.0))
+                .unwrap_or(0),
+            source_key,
+        }
+    }
+
     #[test]
-    fn affinity_digest_is_the_snapshot_key_the_worker_derives() {
-        // The shard hint must decode every JSON string escape exactly as
-        // the worker's parser does, or an `analyze` and the queries after
-        // it land on different shards.
-        for policy in ["c1", "c2"] {
+    fn route_is_the_snapshot_key_the_worker_derives() {
+        // The route must decode every JSON string escape exactly as the
+        // worker's parser does, and read the members the worker reads, or
+        // an `analyze` and the queries after it land on different shards.
+        let key = |source: &str, disc| Some(SnapshotKey::derive(source, disc, ENGINE_SUB));
+        for policy in [r#""c1""#, r#""c2""#, r#""forget""#] {
             for source in [
                 r#"let val s = \"q\" in s end"#,
                 r#"fn x => x \\ y \/ z"#,
-                r#"(fn x => x)\n\t(fn y => y)"#,
-                r#"fun caf\u00e9 x = x; caf\u00e9 \ud83d\ude00"#,
+                r#"(fn x => x)\n\t(fn y => y)\r\b\f"#,
+                r#"fun caf\u00e9 x = x; caf\u00E9 \ud83d\ude00 \u0001"#,
+                "fun café x = x; café 😀",
             ] {
-                let line = format!(r#"{{"op":"analyze","policy":"{policy}","source":"{source}"}}"#);
-                let request = Json::parse(&line).expect("a valid request line");
-                let (_, disc) = policy_param(&request).expect("a known policy");
-                let source = request.get("source").and_then(Json::as_str).unwrap();
-                assert_eq!(
-                    affinity_digest(&line),
-                    SnapshotKey::derive(source, disc, ENGINE_SUB).0,
-                    "{line}"
-                );
+                let line = format!(r#"{{"op":"analyze","policy":{policy},"source":"{source}"}}"#);
+                let route = Route::of(&line);
+                assert_eq!(route, parsed_route(&line), "{line}");
+                assert!(route.source_key.is_some() && !route.ordered, "{line}");
             }
         }
-        // A field that does not decode routes round-robin.
-        assert_eq!(affinity_digest(r#"{"op":"analyze","source":"\q"}"#), 0);
+        let snapshot = SnapshotKey::derive("x", 0, ENGINE_SUB).hex();
+        let cases = [
+            // Decoys nested in another member's object or array, and the
+            // same text inside string values: only top-level members count.
+            (
+                r#"{"op":"analyze","meta":{"source":"x"},"source":"y"}"#.to_owned(),
+                key("y", 0),
+            ),
+            (
+                r#"{"op":"analyze","list":["source",{"source":"x","op":"evict"}],"source":"y"}"#
+                    .to_owned(),
+                key("y", 0),
+            ),
+            (
+                format!(r#"{{"op":"query","meta":{{"snapshot":"{snapshot}"}},"source":"y"}}"#),
+                key("y", 0),
+            ),
+            (
+                r#"{"op":"query","kind":"\"source\":\"x\"","source":"y"}"#.to_owned(),
+                key("y", 0),
+            ),
+            (
+                r#"{"op":"query","source":"(* \"op\":\"evict\",\"source\":\"x\" *) y"}"#.to_owned(),
+                key(r#"(* "op":"evict","source":"x" *) y"#, 0),
+            ),
+            // Duplicate members: the first wins, as in `Json::get`.
+            (
+                r#"{"op":"analyze","source":"y","source":"x","policy":"c2","policy":"c1"}"#
+                    .to_owned(),
+                key("y", 1),
+            ),
+            (r#"{"source":7,"source":"x"}"#.to_owned(), None),
+            // An escaped member name is the name it decodes to.
+            (
+                r#"{"op":"analyze","sour\u0063e":"y"}"#.to_owned(),
+                key("y", 0),
+            ),
+            (
+                r#"{"op":"analyze","po\u006cicy":"c2","source":"y"}"#.to_owned(),
+                key("y", 1),
+            ),
+            // `policy` absent or not a string means c1; unknown, no key.
+            (r#"{"op":"analyze","source":"y"}"#.to_owned(), key("y", 0)),
+            (
+                r#"{"op":"analyze","policy":["c2"],"source":"y"}"#.to_owned(),
+                key("y", 0),
+            ),
+            (
+                r#"{"op":"analyze","policy":null,"source":"y"}"#.to_owned(),
+                key("y", 0),
+            ),
+            (
+                r#"{"op":"analyze","policy":"c9","source":"y"}"#.to_owned(),
+                None,
+            ),
+            (
+                r#"{"op":"analyze","policy":"C1","source":"y"}"#.to_owned(),
+                None,
+            ),
+        ];
+        for (line, want) in &cases {
+            let route = Route::of(line);
+            assert_eq!(route, parsed_route(line), "{line}");
+            assert_eq!(route.source_key, *want, "{line}");
+            assert!(!route.ordered, "{line}");
+        }
+        // Affinity precedence: a valid handle, then the session, then the
+        // source; nested copies of either never count.
+        let line =
+            format!(r#"{{"op":"query","session":"w","snapshot":"{snapshot}","source":"y"}}"#);
+        assert_eq!(
+            Route::of(&line).affinity,
+            SnapshotKey::derive("x", 0, ENGINE_SUB).0
+        );
+        let line = r#"{"op":"query","snapshot":"zz","session":"w","source":"y"}"#;
+        assert_eq!(Route::of(line), parsed_route(line));
+        assert_ne!(Route::of(line).affinity, key("y", 0).unwrap().0);
+        let line = r#"{"op":"query","meta":{"session":"w"},"source":"y"}"#;
+        assert_eq!(Route::of(line).affinity, key("y", 0).unwrap().0);
+        // A literal that does not decode gives no key and routes
+        // round-robin; so does a line that is not an object.
+        assert_eq!(
+            Route::of(r#"{"op":"analyze","source":"\q"}"#),
+            Route::default()
+        );
+        assert_eq!(Route::of(r#"["source","y"]"#), Route::default());
+    }
+
+    #[test]
+    fn a_wrong_routed_key_is_refused_and_nothing_is_cached_under_it() {
+        let s = server();
+        let src = "(fn a => a) (fn b => b)";
+        let line = format!(r#"{{"op":"analyze","source":"{src}"}}"#);
+        let kind = |response: &str| {
+            let r = Json::parse(response).expect("valid JSON");
+            assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{response}");
+            r.get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str)
+                .map(str::to_owned)
+        };
+        // A miss under a wrong key: refused before the build, not stored.
+        let wrong = SnapshotKey(0x0123_4567_89ab_cdef);
+        let r = s.handle_routed(&line, Instant::now(), Some(wrong));
+        assert_eq!(kind(&r).as_deref(), Some("analysis"));
+        assert!(r.contains("snapshot key mismatch"), "{r}");
+        assert!(
+            s.store().get(wrong).is_err(),
+            "nothing may be cached under it"
+        );
+        assert_eq!(s.store().stats().entries, 0);
+        // The right route builds it.
+        let c1 = call(&s, &line);
+        assert_eq!(c1.get("ok"), Some(&Json::Bool(true)), "{c1:?}");
+        // A hit under another configuration's key is refused too: the
+        // source matches, the policy does not.
+        let c2_line = format!(r#"{{"op":"analyze","policy":"c2","source":"{src}"}}"#);
+        let c1_key = SnapshotKey::derive(src, 0, ENGINE_SUB);
+        let r = s.handle_routed(&c2_line, Instant::now(), Some(c1_key));
+        assert_eq!(kind(&r).as_deref(), Some("analysis"));
+        // And a hit on another source's snapshot is the collision error.
+        let other = format!(r#"{{"op":"analyze","source":"{src} "}}"#);
+        let r = s.handle_routed(&other, Instant::now(), Some(c1_key));
+        assert_eq!(kind(&r).as_deref(), Some("analysis"));
+        assert_eq!(
+            s.store().stats().entries,
+            1,
+            "only the correctly routed build"
+        );
+        let c2 = call(&s, &c2_line);
+        assert_eq!(c2.get("ok"), Some(&Json::Bool(true)), "{c2:?}");
     }
 
     #[test]

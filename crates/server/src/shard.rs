@@ -17,6 +17,12 @@
 //! (`shard % workers`), and surplus workers double up on queues — so
 //! every queue always has a consumer and no configuration can deadlock
 //! or starve.
+//!
+//! Tasks with one affinity digest run one at a time, in dispatch order,
+//! even where several workers share a queue: a worker takes the first
+//! queued task whose digest no other worker is executing. So an
+//! inline-source `analyze` always finishes before the queries for its
+//! snapshot pipelined behind it start, at every geometry.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -24,8 +30,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::poll::Parker;
+use crate::route::Route;
 
-/// One unit of work: a framed request line plus its routing digest.
+/// One unit of work: a framed request line plus its route.
 #[derive(Debug)]
 pub struct Task {
     /// Owning connection (event-loop table key).
@@ -36,9 +43,9 @@ pub struct Task {
     pub line: String,
     /// Deadline anchor (when the line was framed).
     pub received: Instant,
-    /// Routing digest: snapshot key, session hash, or 0 for stateless
-    /// ops (round-robin).
-    pub affinity: u64,
+    /// How the line routes: [`Route::affinity`] picks the shard (0 =
+    /// round-robin), and [`Route::source_key`] travels to the worker.
+    pub route: Route,
 }
 
 /// One finished task: the response, addressed back to its connection.
@@ -83,8 +90,35 @@ struct ShardQueue {
 
 struct ShardState {
     queue: VecDeque<Task>,
+    /// Affinity digests a worker is executing right now; queued tasks
+    /// with one of these wait their turn.
+    running: Vec<u64>,
     /// Direct-mapped table of digests recently routed here.
     recent: Box<[u64; RECENT_DIGESTS]>,
+}
+
+impl ShardState {
+    /// Takes the first task that may start now — stateless, or with a
+    /// digest no worker is executing — and marks its digest running.
+    fn take(&mut self) -> Option<Task> {
+        let running = &self.running;
+        let at = self
+            .queue
+            .iter()
+            .position(|t| t.route.affinity == 0 || !running.contains(&t.route.affinity))?;
+        let task = self.queue.remove(at)?;
+        if task.route.affinity != 0 {
+            self.running.push(task.route.affinity);
+        }
+        Some(task)
+    }
+
+    /// Marks a taken task's digest no longer running.
+    fn finish(&mut self, affinity: u64) {
+        if let Some(at) = self.running.iter().position(|&a| a == affinity) {
+            self.running.swap_remove(at);
+        }
+    }
 }
 
 /// The pool: shard queues, per-worker parkers, and the completion
@@ -146,6 +180,7 @@ impl ShardPool {
                 .map(|_| ShardQueue {
                     tasks: Mutex::new(ShardState {
                         queue: VecDeque::new(),
+                        running: Vec::new(),
                         recent: Box::new([0; RECENT_DIGESTS]),
                     }),
                 })
@@ -174,8 +209,9 @@ impl ShardPool {
 
     /// Routes a task to its shard queue and wakes the consumer.
     pub fn dispatch(&self, task: Task) {
-        let shard = if task.affinity != 0 {
-            (task.affinity % self.shards.len() as u64) as usize
+        let affinity = task.route.affinity;
+        let shard = if affinity != 0 {
+            (affinity % self.shards.len() as u64) as usize
         } else {
             (self.spray.fetch_add(1, Ordering::Relaxed) % self.shards.len() as u64) as usize
         };
@@ -183,12 +219,12 @@ impl ShardPool {
         self.stats.dispatched.fetch_add(1, Ordering::Relaxed);
         {
             let mut state = self.shards[shard].tasks.lock().expect("shard poisoned");
-            if task.affinity != 0 {
-                let slot = (task.affinity as usize) % RECENT_DIGESTS;
-                if state.recent[slot] == task.affinity {
+            if affinity != 0 {
+                let slot = (affinity as usize) % RECENT_DIGESTS;
+                if state.recent[slot] == affinity {
                     self.stats.shard_hits.fetch_add(1, Ordering::Relaxed);
                 } else {
-                    state.recent[slot] = task.affinity;
+                    state.recent[slot] = affinity;
                 }
             }
             state.queue.push_back(task);
@@ -214,21 +250,25 @@ impl ShardPool {
     }
 
     /// The consumer loop for worker `w`: run on a scoped thread. `run`
-    /// executes one request line and returns the response line.
-    pub fn worker_loop(&self, w: usize, run: &(dyn Fn(&str, Instant) -> String + Sync)) {
+    /// executes one task and returns the response line.
+    pub fn worker_loop(&self, w: usize, run: &(dyn Fn(&Task) -> String + Sync)) {
         let parker = &self.parkers[w];
         let owned = &self.assignments[w];
         loop {
             let mut executed = false;
             for &s in owned {
                 loop {
-                    let task = {
-                        let mut state = self.shards[s].tasks.lock().expect("shard poisoned");
-                        state.queue.pop_front()
-                    };
+                    let task = self.shards[s].tasks.lock().expect("shard poisoned").take();
                     let Some(task) = task else { break };
                     executed = true;
-                    let response = run(&task.line, task.received);
+                    let response = run(&task);
+                    if task.route.affinity != 0 {
+                        self.shards[s]
+                            .tasks
+                            .lock()
+                            .expect("shard poisoned")
+                            .finish(task.route.affinity);
+                    }
                     self.inflight.fetch_sub(1, Ordering::SeqCst);
                     self.completions
                         .lock()
@@ -245,9 +285,11 @@ impl ShardPool {
                 continue;
             }
             if self.stop.load(Ordering::SeqCst) {
-                // Queues were empty on the last pass and stop is
-                // latched; a task dispatched after the stop check would
-                // have latched our parker, so re-check once.
+                // Nothing could run on the last pass and stop is latched.
+                // A task dispatched after the stop check would have
+                // latched our parker, so re-check once; a task waiting on
+                // a digest another worker is executing is that worker's
+                // to take, so only exit once our queues are empty.
                 let drained = owned.iter().all(|&s| {
                     self.shards[s]
                         .tasks
@@ -256,7 +298,7 @@ impl ShardPool {
                         .queue
                         .is_empty()
                 });
-                if drained && !parker.wait(Some(std::time::Duration::from_millis(1))) {
+                if !parker.wait(Some(std::time::Duration::from_millis(1))) && drained {
                     break;
                 }
                 continue;
@@ -278,7 +320,10 @@ mod tests {
             seq,
             line: line.to_owned(),
             received: Instant::now(),
-            affinity,
+            route: Route {
+                affinity,
+                ..Route::default()
+            },
         }
     }
 
@@ -296,7 +341,7 @@ mod tests {
             for w in 0..pool.workers() {
                 let pool = &pool;
                 scope.spawn(move || {
-                    pool.worker_loop(w, &|line, _| format!("echo:{line}"));
+                    pool.worker_loop(w, &|task| format!("echo:{}", task.line));
                 });
             }
             for t in tasks {
@@ -352,6 +397,55 @@ mod tests {
     }
 
     #[test]
+    fn one_digest_runs_on_one_worker_at_a_time_in_dispatch_order() {
+        // Four workers share one queue. Tasks of one digest must never
+        // overlap and must start in dispatch order; the stateless tasks
+        // between them are free to run beside them.
+        use std::sync::atomic::AtomicBool;
+        let busy = AtomicBool::new(false);
+        let order = Mutex::new(Vec::new());
+        let notify = Arc::new(Parker::new());
+        let stats = Arc::new(FleetStats::default());
+        let pool = ShardPool::new(1, 4, Arc::clone(&notify), stats);
+        std::thread::scope(|scope| {
+            for w in 0..pool.workers() {
+                let (pool, busy, order) = (&pool, &busy, &order);
+                scope.spawn(move || {
+                    pool.worker_loop(w, &|task| {
+                        if task.route.affinity != 0 {
+                            assert!(
+                                !busy.swap(true, Ordering::SeqCst),
+                                "two tasks of one digest overlapped"
+                            );
+                            order.lock().unwrap().push(task.seq);
+                            std::thread::sleep(Duration::from_millis(2));
+                            busy.store(false, Ordering::SeqCst);
+                        }
+                        String::new()
+                    });
+                });
+            }
+            for i in 0..24 {
+                pool.dispatch(task(0, i, "q", if i % 3 == 2 { 0 } else { 0xbeef }));
+            }
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let mut got = 0;
+            while got < 24 {
+                notify.wait(Some(Duration::from_millis(20)));
+                got += pool.drain_completions().len();
+                assert!(Instant::now() < deadline, "pool lost a task");
+            }
+            pool.stop();
+        });
+        let order = order.into_inner().unwrap();
+        let want: Vec<u64> = (0..24).filter(|i| i % 3 != 2).collect();
+        assert_eq!(
+            order, want,
+            "one digest's tasks must start in dispatch order"
+        );
+    }
+
+    #[test]
     fn stop_drains_queued_tasks_before_workers_exit() {
         let notify = Arc::new(Parker::new());
         let stats = Arc::new(FleetStats::default());
@@ -365,7 +459,7 @@ mod tests {
             pool.stop();
             let pool_ref = &pool;
             scope.spawn(move || {
-                pool_ref.worker_loop(0, &|line, _| line.to_owned());
+                pool_ref.worker_loop(0, &|task| task.line.clone());
             });
             let deadline = Instant::now() + Duration::from_secs(30);
             let mut got = 0;

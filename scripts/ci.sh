@@ -364,9 +364,13 @@ echo "== server: fleet fault-injection gate =="
 # lines, slow-reader backpressure and overload shedding on both
 # transports, transcript invariance across shard/thread geometry and
 # transport, the line cap and invalid UTF-8 answered alike on stdio and
-# TCP) must pass explicitly, not just ride along in the tier-1 run.
+# TCP, queries pipelined behind an inline-source analyze never
+# overtaking it, and the router's agreement with the parsed request on
+# generated and mutated lines) must pass explicitly, not just ride along
+# in the tier-1 run.
 cargo test -q --offline --test server -- fleet mid_burst half_written \
-  overload slow_reader persist_tier idle same_answers_over_stdio_and_tcp
+  overload slow_reader persist_tier idle same_answers_over_stdio_and_tcp \
+  never_overtake router
 
 echo "== server: TCP soak smoke (64 connections) =="
 # A short bursty run against the release daemon through the fleet

@@ -1535,3 +1535,355 @@ fn oversized_lines_get_the_same_answers_over_stdio_and_tcp() {
     assert_cap_answers("tcp", &answers);
     d.shutdown();
 }
+
+#[test]
+fn pipelined_queries_behind_an_inline_analyze_never_overtake_it() {
+    // An inline-source `analyze`, then 16 queries naming the handle it
+    // will return, pipelined down one connection. The analyze routes by
+    // its source's key and the queries by the handle, which is the same
+    // key, so they queue on the analyze's shard behind it and find the
+    // snapshot built. Routing the analyze anywhere else lets a query
+    // overtake it and fail with `unknown-snapshot`.
+    let handle = SnapshotKey::derive(SRC, 0, 0).hex();
+    let mut input = format!(r#"{{"id":0,"op":"analyze","source":"{SRC}"}}"#);
+    input.push('\n');
+    for i in 1..=16 {
+        input.push_str(&format!(
+            r#"{{"id":{i},"op":"query","kind":"label-set","snapshot":"{handle}"}}"#
+        ));
+        input.push('\n');
+    }
+    let mut reference: Option<Vec<String>> = None;
+    for shards in [1usize, 8] {
+        for threads in [1usize, 8] {
+            let (shards_arg, threads_arg) = (shards.to_string(), threads.to_string());
+            let d = TcpDaemon::spawn(&["--shards", &shards_arg, "--threads", &threads_arg]);
+            let over_tcp = pipelined_transcript(&d, &input, Duration::ZERO);
+            d.shutdown();
+            let mut d = Daemon::spawn_with(threads, &["--shards", &shards_arg]);
+            let over_stdio = d.pipelined(&input, Duration::ZERO);
+            d.shutdown();
+            for (transport, transcript) in [("tcp", over_tcp), ("stdio", over_stdio)] {
+                for line in &transcript {
+                    assert_eq!(
+                        field(line, "ok"),
+                        "true",
+                        "{transport} s{shards} t{threads}: {line}"
+                    );
+                }
+                match &reference {
+                    None => reference = Some(transcript),
+                    Some(reference) => assert_eq!(
+                        &transcript, reference,
+                        "{transport} transcript diverged at --shards {shards} --threads {threads}"
+                    ),
+                }
+            }
+        }
+    }
+    let reference = reference.expect("a transcript");
+    assert_eq!(field(&reference[0], "snapshot"), format!("\"{handle}\""));
+}
+
+// --- the router, as properties ---------------------------------------------
+//
+// `Route::of` reads a request line once on the event loop. For every line
+// the parser accepts it must agree with the parsed request: the order
+// flag with `op`, and the affinity and source key with the first
+// `snapshot`, `session`, `source` and `policy` members, read the way the
+// worker reads them. On any other line it must merely return.
+
+use stcfa::server::proto::parse_policy;
+use stcfa::server::{Json, Route, SnapshotKey};
+use stcfa_devkit::hash::Fnv1a;
+use stcfa_devkit::prelude::*;
+
+/// What routing must give for a parsed request.
+fn parsed_route(request: &Json) -> Route {
+    let field = |name| request.get(name).and_then(Json::as_str);
+    let disc = parse_policy(field("policy").unwrap_or("c1")).map(|(_, disc)| disc);
+    let source_key = field("source")
+        .zip(disc)
+        .map(|(source, disc)| SnapshotKey::derive(source, disc, 0));
+    Route {
+        ordered: field("op").is_some_and(|op| op == "evict" || op.starts_with("session/")),
+        affinity: field("snapshot")
+            .and_then(SnapshotKey::from_hex)
+            .map(|key| key.0)
+            .or_else(|| field("session").map(|id| Fnv1a::digest_parts(id.as_bytes(), &[u64::MAX])))
+            .or(source_key.map(|key| key.0))
+            .unwrap_or(0),
+        source_key,
+    }
+}
+
+/// The corpus programs, the source text requests are cut from.
+fn corpus_sources() -> &'static [String] {
+    static SOURCES: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+    SOURCES.get_or_init(|| {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus");
+        let mut sources: Vec<String> = std::fs::read_dir(dir)
+            .expect("the corpus directory")
+            .map(|entry| std::fs::read_to_string(entry.expect("a corpus entry").path()))
+            .collect::<Result<_, _>>()
+            .expect("readable corpus files");
+        sources.sort();
+        sources
+    })
+}
+
+fn pick<'a>(rng: &mut Rng, items: &[&'a str]) -> &'a str {
+    items[rng.below(items.len() as u64) as usize]
+}
+
+/// Whitespace the parser skips between tokens.
+fn ws(rng: &mut Rng) -> &'static str {
+    pick(rng, &["", "", "", " ", "  ", "\t", "\n", "\r\n "])
+}
+
+/// A JSON literal for `text`, each character written at random as
+/// itself (where JSON allows), as a short escape, or as a `\u` escape in
+/// either case of hex digit (a surrogate pair beyond the BMP).
+fn literal(rng: &mut Rng, text: &str) -> String {
+    let mut out = String::from("\"");
+    for c in text.chars() {
+        let short = match c {
+            '"' => Some("\\\""),
+            '\\' => Some("\\\\"),
+            '/' => Some("\\/"),
+            '\u{8}' => Some("\\b"),
+            '\u{c}' => Some("\\f"),
+            '\n' => Some("\\n"),
+            '\r' => Some("\\r"),
+            '\t' => Some("\\t"),
+            _ => None,
+        };
+        let plain_ok = c >= ' ' && c != '"' && c != '\\';
+        match rng.below(8) {
+            0 | 1 => {
+                let mut units = [0u16; 2];
+                for unit in c.encode_utf16(&mut units) {
+                    let hex = format!("\\u{unit:04x}");
+                    out.push_str(&if rng.gen_bool(0.5) {
+                        hex.to_uppercase().replace("\\U", "\\u")
+                    } else {
+                        hex
+                    });
+                }
+            }
+            _ if plain_ok => out.push(c),
+            _ => out.push_str(
+                short
+                    .map_or_else(|| format!("\\u{:04x}", c as u32), str::to_owned)
+                    .as_str(),
+            ),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A slice of a corpus program, sometimes with characters JSON must
+/// escape or that lie beyond the BMP mixed in.
+fn source_text(rng: &mut Rng) -> String {
+    let sources = corpus_sources();
+    let text = &sources[rng.below(sources.len() as u64) as usize];
+    let chars: Vec<char> = text.chars().collect();
+    let start = rng.below(chars.len() as u64) as usize;
+    let len = rng.below(400) as usize;
+    let mut out: String = chars[start..(start + len).min(chars.len())]
+        .iter()
+        .collect();
+    if rng.gen_bool(0.3) {
+        let at = rng.below(out.chars().count() as u64 + 1) as usize;
+        let extra = pick(
+            rng,
+            &[
+                "\"session/x\"",
+                "\"evict\"",
+                "é",
+                "😀",
+                "\u{1}",
+                "\\",
+                "\"source\":\"x\"",
+            ],
+        );
+        let at = out.char_indices().nth(at).map_or(out.len(), |(i, _)| i);
+        out.insert_str(at, extra);
+    }
+    out
+}
+
+/// A nested value that may hide decoy routing members.
+fn decoy(rng: &mut Rng, depth: u32) -> String {
+    match rng.below(if depth >= 3 { 3 } else { 6 }) {
+        0 => pick(rng, &["1", "-2.5e3", "true", "false", "null", "0"]).to_owned(),
+        1 => {
+            let text = pick(
+                rng,
+                &[
+                    "evict",
+                    "session/open",
+                    "c2",
+                    "x",
+                    "\"source\":\"y\"",
+                    "0123456789abcdef",
+                ],
+            );
+            literal(rng, text)
+        }
+        2 => {
+            let text = source_text(rng);
+            literal(rng, &text)
+        }
+        3 => {
+            let items: Vec<String> = (0..rng.below(4)).map(|_| decoy(rng, depth + 1)).collect();
+            format!("[{}]", items.join(","))
+        }
+        _ => {
+            let members: Vec<String> = (0..rng.below(4))
+                .map(|_| {
+                    let name = pick(rng, &["op", "source", "snapshot", "session", "policy", "a"]);
+                    format!("{}:{}", literal(rng, name), decoy(rng, depth + 1))
+                })
+                .collect();
+            format!("{{{}}}", members.join(","))
+        }
+    }
+}
+
+/// One top-level routing member's value: usually a string of the right
+/// kind, sometimes something the worker would refuse.
+fn routing_value(rng: &mut Rng, name: &str) -> String {
+    if rng.gen_bool(0.1) {
+        return decoy(rng, 1);
+    }
+    let text = match name {
+        "op" => pick(
+            rng,
+            &[
+                "analyze",
+                "query",
+                "lint",
+                "opt",
+                "rule",
+                "stats",
+                "evict",
+                "shutdown",
+                "session/open",
+                "session/update",
+                "session/query",
+                "session/lint",
+                "session/close",
+                "session/",
+                "session",
+                "evicted",
+                "sessions/open",
+                "Evict",
+            ],
+        )
+        .to_owned(),
+        "source" => source_text(rng),
+        "policy" => pick(rng, &["c1", "c2", "exact", "forget", "c9", "C1", ""]).to_owned(),
+        "snapshot" => match rng.below(3) {
+            0 => SnapshotKey(rng.next_u64()).hex(),
+            1 => SnapshotKey::derive(&source_text(rng), 0, 0).hex(),
+            _ => pick(rng, &["zz", "0123456789abcde", "0123456789ABCDEF", ""]).to_owned(),
+        },
+        _ => pick(rng, &["w", "editor-1", "é", "", "session/x"]).to_owned(),
+    };
+    literal(rng, &text)
+}
+
+/// A request object: routing members (some duplicated), ids, kinds and
+/// decoys, in shuffled order with random whitespace.
+fn request_line(rng: &mut Rng) -> String {
+    let mut members = Vec::new();
+    for (name, p) in [
+        ("op", 0.9),
+        ("source", 0.7),
+        ("policy", 0.4),
+        ("snapshot", 0.3),
+        ("session", 0.3),
+    ] {
+        for _ in 0..(rng.gen_bool(p) as u32 + rng.gen_bool(0.15) as u32) {
+            members.push((name, routing_value(rng, name)));
+        }
+    }
+    for _ in 0..rng.below(4) {
+        let name = pick(
+            rng,
+            &["id", "kind", "meta", "modules", "expr", "deadline_ms", "v"],
+        );
+        members.push((name, decoy(rng, 0)));
+    }
+    for i in (1..members.len()).rev() {
+        members.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let mut line = format!("{}{{", ws(rng));
+    for (i, (name, value)) in members.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        line.push_str(&format!(
+            "{}{}{}:{}{}{}",
+            ws(rng),
+            literal(rng, name),
+            ws(rng),
+            ws(rng),
+            value,
+            ws(rng)
+        ));
+    }
+    line.push_str(&format!("{}}}{}", ws(rng), ws(rng)));
+    line
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The router agrees with the parsed request on every generated line.
+    #[test]
+    fn router_agrees_with_the_parsed_request(seed in any::<u64>()) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let line = request_line(&mut rng);
+        let request = Json::parse(&line)
+            .unwrap_or_else(|e| panic!("generated an invalid line ({e}): {line}"));
+        prop_assert_eq!(Route::of(&line), parsed_route(&request), "{}", line);
+    }
+
+    /// Truncated and mutated lines never panic the router, and any that
+    /// still parse are routed exactly.
+    #[test]
+    fn router_survives_truncated_and_mutated_lines(seed in any::<u64>()) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut line = request_line(&mut rng);
+        for _ in 0..rng.below(4) + 1 {
+            let boundaries: Vec<usize> = line
+                .char_indices()
+                .map(|(i, _)| i)
+                .chain([line.len()])
+                .collect();
+            let at = boundaries[rng.below(boundaries.len() as u64) as usize];
+            match rng.below(4) {
+                0 => line.truncate(at),
+                1 => {
+                    let end = boundaries
+                        .iter()
+                        .copied()
+                        .find(|&b| b > at)
+                        .unwrap_or(line.len());
+                    line.replace_range(at..end, "");
+                }
+                _ => line.insert_str(
+                    at,
+                    pick(&mut rng, &["\"", "\\", "{", "}", "[", "]", ":", ",", "\\u", "0", "é", "😀", "\u{1}", " "]),
+                ),
+            }
+        }
+        let route = Route::of(&line);
+        if let Ok(request) = Json::parse(&line) {
+            prop_assert_eq!(route, parsed_route(&request), "{}", line);
+        }
+    }
+}
