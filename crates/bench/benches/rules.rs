@@ -1,15 +1,17 @@
 //! What does the rule layer cost? Three measurements per program size —
 //!
-//! 1. the full lint report (all eight rules, STCFA007/008 evaluated by
-//!    the rule engine, including `ExtDb` construction the way a cold
+//! 1. the full lint report (all eight rules, STCFA007/008 answered by
+//!    the rule layer, including `ExtDb` construction the way a cold
 //!    request pays it);
 //! 2. the call graph's dominator tree, cold (fresh `ExtDb`) and warm
 //!    (call graph cached); beside it, the stratified `nd`/`dom` program
 //!    that specifies it, evaluated warm, to keep the specification's
 //!    cost visible; and STCFA008's whole dominated-redundant analysis
 //!    on a fresh `ExtDb`;
-//! 3. taint reachability, full sweep vs a single demand-mode
-//!    membership query — the asymmetry the demand evaluator exists for.
+//! 3. taint reachability as production answers it, every occurrence vs
+//!    one (both label-row reads against a mask of the sources), and
+//!    beside them `taint_program()` evaluated by the generic evaluator,
+//!    to keep the specification's cost visible.
 //!
 //! Inputs are the parameterized cubic-family program (dense flow) and a
 //! seeded synthesized program (realistic shape). Sizes are kept small:
@@ -20,7 +22,7 @@ use stcfa_devkit::bench::{BenchmarkId, Criterion};
 use stcfa_devkit::{criterion_group, criterion_main};
 use stcfa_lambda::Program;
 use stcfa_lint::{lint, LintOptions};
-use stcfa_rules::analyses::dominators_program;
+use stcfa_rules::analyses::{dominators_program, taint_program};
 use stcfa_rules::{
     dominated_redundant, dominators, expr_is_tainted, tainted_exprs, Evaluator, ExtDb,
 };
@@ -105,9 +107,9 @@ fn bench_rules(c: &mut Criterion) {
             },
         );
 
-        // 3. Taint: the whole-program sweep vs one demand-mode
-        // membership question at the root, same sources (the
-        // effectful-bodied labels, or label 0 when there are none).
+        // 3. Taint: every occurrence vs the root alone, same sources
+        // (the effectful-bodied labels, or label 0 when there are none),
+        // and the program that specifies both.
         let sources: Vec<_> = {
             let mut s: Vec<_> = p
                 .all_labels()
@@ -125,9 +127,24 @@ fn bench_rules(c: &mut Criterion) {
         );
         let root = p.root();
         group.bench_with_input(
-            BenchmarkId::new("taint_demand_root", &name),
+            BenchmarkId::new("taint_expr_root", &name),
             &(&db, &sources),
             |b, (db, sources)| b.iter(|| black_box(expr_is_tainted(db, sources, root))),
+        );
+        let (spec, src_label, treach) = taint_program();
+        group.bench_with_input(
+            BenchmarkId::new("taint_program", &name),
+            &(&db, &sources),
+            |b, (db, sources)| {
+                b.iter(|| {
+                    let mut ev = Evaluator::new(&spec, db).expect("program is well-formed");
+                    for l in sources.iter() {
+                        ev.seed(src_label, &[l.index() as u32]);
+                    }
+                    ev.run();
+                    black_box(ev.unary(treach))
+                })
+            },
         );
     }
     group.finish();

@@ -463,10 +463,11 @@ impl QueryEngine {
 
     // --- relation views -----------------------------------------------------
     //
-    // Zero-copy accessors for the rule engine (`stcfa-rules`): its
-    // extensional relations are views over these frozen arrays, so a rule
-    // program evaluates against the same memory the hand-fused analyses
-    // read — no copies, no re-derivation.
+    // Zero-copy accessors for consumers that read the frozen arrays
+    // directly: the hand-fused analyses, the rule layer's analyses
+    // (`stcfa-rules` answers taint and mixed purity off `label_row`), and
+    // its extensional relations, which the test-oracle evaluator joins
+    // over — no copies, no re-derivation.
 
     /// `u64` words per component label row (`⌈label_count/64⌉`, min 1).
     pub fn row_words(&self) -> usize {

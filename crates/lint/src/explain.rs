@@ -1,12 +1,13 @@
 //! `stcfa lint --explain CODE`: the definition behind each rule code.
 //!
 //! Rule-backed codes (STCFA007, STCFA008) print their declarative
-//! program — the [`stcfa_rules`] source of truth, rendered in Datalog
-//! surface syntax. STCFA007's program is what the evaluator runs;
-//! STCFA008's dominator relation is computed as a dominator tree, and
-//! the printed program is its specification, the oracle the tests check
-//! the tree against. The other codes are computed by the hand-fused
-//! rules in [`crate::rules`] and get prose instead.
+//! program from [`stcfa_rules`], rendered in Datalog surface syntax.
+//! Neither program is evaluated in production: STCFA007's candidates
+//! are read off the engine's label rows and STCFA008's dominator
+//! relation is computed as a dominator tree. Each printed program is the
+//! specification its production answer is tested against. The other
+//! codes are computed by the hand-fused rules in [`crate::rules`] and
+//! get prose instead.
 
 use std::fmt::Write as _;
 
@@ -89,8 +90,11 @@ pub fn explain(code: &str) -> Option<String> {
                 "Both an effectful-bodied and a pure-bodied abstraction flow to\n\
                  the same operator: whether the call performs effects depends on\n\
                  which one arrives at run time. Reported only when the cubic CFA\n\
-                 oracle confirms the mix is exact. Evaluated from the\n\
-                 declarative program:\n\n",
+                 oracle confirms the mix is exact. Candidates are the calls\n\
+                 whose operator's label set meets both the effectful and the\n\
+                 pure labels, read off the engine; specified by this program\n\
+                 (`ereach`/`preach` close the two origin sets over the\n\
+                 subtransitive edges):\n\n",
             );
             let _ = write!(out, "{}", analyses::mixed_purity_program().0);
         }

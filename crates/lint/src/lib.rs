@@ -26,9 +26,10 @@
 //! occurrence id then rule code, and every engine query is answered
 //! positionally on the calling thread.
 //!
-//! `STCFA007/008` are declarative rule programs evaluated by the
-//! [`stcfa_rules`] engine; [`explain`](explain()) prints the program
-//! behind them, and the definition behind every other code.
+//! `STCFA007/008` come from the [`stcfa_rules`] layer, which answers
+//! them off the engine and specifies each by a declarative rule
+//! program; [`explain`](explain()) prints that program, and the
+//! definition behind every other code.
 //!
 //! # Example
 //!

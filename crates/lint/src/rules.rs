@@ -185,12 +185,13 @@ pub fn lint_with_suspicion(
         }
     }
 
-    // --- STCFA007 / STCFA008: the rule-engine analyses. Both fire from
-    // the linear rule evaluation and are confirmed against the cubic CFA
-    // oracle before reporting, exactly like STCFA001: over-approximated
-    // label sets may merge an effectful and a pure abstraction (007) or
-    // are still singletons under the exact analysis (008) only when the
-    // oracle agrees.
+    // --- STCFA007 / STCFA008: the rule-layer analyses. Both fire from
+    // linear answers read off the engine (label rows for 007, the call
+    // graph's dominator tree for 008) and are confirmed against the
+    // cubic CFA oracle before reporting, exactly like STCFA001:
+    // over-approximated label sets may merge an effectful and a pure
+    // abstraction (007) or are still singletons under the exact
+    // analysis (008) only when the oracle agrees.
     let mixed = mixed_purity(&db);
     if !mixed.is_empty() {
         let eff_of = |l: Label| db.label_is_effectful(l);

@@ -4,12 +4,14 @@
 //!
 //! Each analysis comes as a pair: a `*_program()` constructor returning
 //! the declarative [`RuleProgram`] (what `stcfa lint --explain` prints)
-//! and a driver that evaluates it against an [`ExtDb`] and decodes the
-//! answer relation into typed ids. The dominator relation is the one
-//! exception: its driver computes the call graph's dominator tree
-//! directly (Cooper–Harvey–Kennedy, [`stcfa_graph::DomTree`]), and
-//! [`dominators_program`] stays as its specification and test oracle,
-//! the role the cubic references play for the engine.
+//! and a function that reads the answer off the frozen engine. Taint reads
+//! one label row per occurrence and mixed purity one per application,
+//! against masks of the source (or effectful) labels; the dominator
+//! relation is the call graph's dominator tree (Cooper–Harvey–Kennedy,
+//! [`stcfa_graph::DomTree`]). The programs stay as those functions'
+//! specifications and test oracles, evaluated by [`crate::Evaluator`]
+//! only in tests and benches: the role the cubic references play for
+//! the engine.
 
 use stcfa_devkit::json::Json;
 use stcfa_graph::bitset::ones;
@@ -17,7 +19,6 @@ use stcfa_graph::DomTree;
 use stcfa_lambda::{ExprId, ExprKind, Label};
 
 use crate::edb::ExtDb;
-use crate::eval::Evaluator;
 use crate::program::{head, neg, neq, pos, var, Dom, RelId, RuleProgram};
 
 /// The call-graph dominator relation, as stratified Datalog:
@@ -115,38 +116,45 @@ pub fn taint_program() -> (RuleProgram, RelId, RelId) {
     (p, src_label, treach)
 }
 
-/// Every occurrence whose value may carry one of `sources` (full
-/// evaluation; condensation sweep). Sorted by expression id.
-pub fn tainted_exprs(db: &ExtDb<'_>, sources: &[Label]) -> Vec<ExprId> {
-    let (p, src_label, treach) = taint_program();
-    let mut ev = Evaluator::new(&p, db).expect("program is well-formed");
-    for l in sources {
-        ev.seed(src_label, &[l.index() as u32]);
+/// `labels` as a mask over the engine's label rows.
+fn label_mask(db: &ExtDb<'_>, labels: impl Iterator<Item = Label>) -> Vec<u64> {
+    let mut mask = vec![0u64; db.engine().row_words()];
+    for l in labels {
+        mask[l.index() / 64] |= 1 << (l.index() % 64);
     }
-    ev.run();
-    let program = db.program();
+    mask
+}
+
+/// Whether a label row and a mask share a label.
+fn meets(row: &[u64], mask: &[u64]) -> bool {
+    row.iter().zip(mask).any(|(r, m)| r & m != 0)
+}
+
+/// Every occurrence whose value may carry one of `sources`: the
+/// occurrences whose label row meets the sources. Sorted by expression
+/// id; [`taint_program`]'s `treach` over their nodes.
+pub fn tainted_exprs(db: &ExtDb<'_>, sources: &[Label]) -> Vec<ExprId> {
+    let mask = label_mask(db, sources.iter().copied());
     let engine = db.engine();
-    program
+    db.program()
         .exprs()
-        .filter(|&e| ev.contains(treach, &[engine.node_of_expr(e).index() as u32]))
+        .filter(|&e| meets(engine.label_row(e), &mask))
         .collect()
 }
 
-/// Demand-mode taint query for one occurrence: walks only the BFS cone
-/// of the occurrence's node instead of evaluating the whole relation.
+/// Whether occurrence `e` may carry one of `sources`: one label-row read.
 pub fn expr_is_tainted(db: &ExtDb<'_>, sources: &[Label], e: ExprId) -> bool {
-    let (p, src_label, treach) = taint_program();
-    let mut ev = Evaluator::new(&p, db).expect("program is well-formed");
-    for l in sources {
-        ev.seed(src_label, &[l.index() as u32]);
-    }
-    ev.query_unary(treach, db.engine().node_of_expr(e).index() as u32)
+    meets(
+        db.engine().label_row(e),
+        &label_mask(db, sources.iter().copied()),
+    )
 }
 
 /// `mixed_purity`: applications whose operator may evaluate to *both*
-/// an effectful-bodied and a pure-bodied abstraction (rule form of
-/// STCFA007). Two condensation sweeps (`ereach`, `preach`) meet at the
-/// operator's node.
+/// an effectful-bodied and a pure-bodied abstraction (the specification
+/// of STCFA007's candidates, which [`mixed_purity`] meets). `ereach` and
+/// `preach` close the two origin sets over the subtransitive edges and
+/// meet at the operator's node.
 pub fn mixed_purity_program() -> (RuleProgram, RelId) {
     let mut p = RuleProgram::new();
     let effectful = p.edb("effectful_label", &[Dom::Label]);
@@ -200,19 +208,23 @@ pub fn mixed_purity_program() -> (RuleProgram, RelId) {
     (p, report)
 }
 
-/// Evaluates [`mixed_purity_program`]; `(application, operator)` pairs
-/// in increasing application order.
+/// The `(application, operator)` pairs whose operator's label row holds
+/// both an effectful and a pure label, in increasing application order;
+/// [`mixed_purity_program`]'s `mixed_purity` relation.
 pub fn mixed_purity(db: &ExtDb<'_>) -> Vec<(ExprId, ExprId)> {
-    let (p, report) = mixed_purity_program();
-    let mut ev = Evaluator::new(&p, db).expect("program is well-formed");
-    ev.run();
-    ev.pairs(report)
-        .into_iter()
-        .map(|(a, f)| {
-            (
-                ExprId::from_index(a as usize),
-                ExprId::from_index(f as usize),
-            )
+    let program = db.program();
+    let engine = db.engine();
+    let labels = (0..engine.label_count()).map(Label::from_index);
+    let effectful = label_mask(db, labels.clone().filter(|&l| db.label_is_effectful(l)));
+    let pure = label_mask(db, labels.filter(|&l| !db.label_is_effectful(l)));
+    db.app_sites()
+        .iter()
+        .filter_map(|&app| match program.kind(app) {
+            ExprKind::App { func, .. } => {
+                let row = engine.label_row(*func);
+                (meets(row, &effectful) && meets(row, &pure)).then_some((app, *func))
+            }
+            _ => None,
         })
         .collect()
 }
@@ -305,8 +317,8 @@ pub enum RuleQuery {
     /// The dominator list of every reachable call-graph node.
     Dominators,
     /// Taint from `sources` (`None`: every effectful-bodied
-    /// abstraction): the whole tainted set, or with `expr` one demand
-    /// query that walks only that occurrence's cone.
+    /// abstraction): the whole tainted set, or with `expr` that one
+    /// occurrence's answer.
     Taint {
         /// Source labels, in any order and possibly repeated.
         sources: Option<Vec<Label>>,

@@ -13,23 +13,11 @@
 //! through each same-group occurrence in each rule body — so a fact is
 //! considered at each recursive position exactly once.
 //!
-//! Two structural fast paths keep the promised complexity:
-//!
-//! - **Row-union joins.** A rule whose last body literal is a
-//!   bitset-backed binary atom with a bound key and whose value variable
-//!   is exactly the unary head variable (e.g.
-//!   `invoked(l) :- app_func(_, e), expr_label(e, l)`) unions raw `u64`
-//!   rows into a scratch set instead of enumerating label bits — the
-//!   `O(E·L/64)` word-parallel arithmetic of the hand-fused analyses.
-//! - **Condensation sweeps.** A single-relation group whose one
-//!   recursive rule is `r(x) :- edge(x, y), r(y)` over the engine's CSR
-//!   is solved as one ascending pass over SCC component ids (the
-//!   reverse-topological numbering makes the pass a fixpoint), never
-//!   touching a worklist.
-//!
-//! [`Evaluator::query_unary`] adds a demand mode on top: for
-//! sweep-shaped relations it answers a single membership question by
-//! walking only the BFS cone of the queried node, not the whole graph.
+//! Every rule runs through this one join; there are no fast paths. The
+//! evaluator is the oracle for the shipped analyses, whose production
+//! functions read the same facts off the engine's label rows and the call
+//! graph's dominator tree (see [`crate::analyses`]): tests and benches
+//! evaluate each program here and compare.
 
 use stcfa_graph::BitSet;
 
@@ -60,10 +48,6 @@ pub struct EvalStats {
     pub derived: usize,
     /// Worklist tuples driven through recursive occurrences.
     pub rounds: usize,
-    /// Groups solved by the condensation sweep fast path.
-    pub sweep_strata: usize,
-    /// Nodes visited by demand-mode BFS cones.
-    pub demand_visited: usize,
 }
 
 /// An evaluation of one [`RuleProgram`] against one [`ExtDb`].
@@ -77,15 +61,8 @@ pub struct Evaluator<'a> {
     /// Per relation: `(rule, body index)` of each same-group positive
     /// occurrence — the positions delta tuples are driven through.
     occurrences: Vec<Vec<(usize, usize)>>,
-    /// Per rule: whether the row-union fast path applies.
-    fast_row: Vec<bool>,
     evaluated: Vec<bool>,
-    demand_seeded: Vec<bool>,
     stats: EvalStats,
-    /// Test hook: disable both fast paths to compare against the
-    /// generic join.
-    #[cfg(test)]
-    pub(crate) force_generic: bool,
 }
 
 impl<'a> Evaluator<'a> {
@@ -147,11 +124,6 @@ impl<'a> Evaluator<'a> {
                 }
             }
         }
-        let fast_row = prog
-            .rules
-            .iter()
-            .map(|rule| Self::fast_row_shape(&stores, rule))
-            .collect();
         let n_groups = groups.order.len();
         Ok(Evaluator {
             prog,
@@ -160,65 +132,12 @@ impl<'a> Evaluator<'a> {
             groups,
             group_rules,
             occurrences,
-            fast_row,
             evaluated: vec![false; n_groups],
-            demand_seeded: vec![false; n_groups],
             stats: EvalStats::default(),
-            #[cfg(test)]
-            force_generic: false,
         })
     }
 
-    /// Whether the row-union fast path applies to `rule`: unary head
-    /// `h(v)`, last body literal a bitset-backed binary atom `rel(k, v)`
-    /// whose key is bound by the prefix and whose value variable is `v`,
-    /// with `v` appearing nowhere else in the body.
-    fn fast_row_shape(stores: &[Store], rule: &CRule) -> bool {
-        if rule.head.terms.len() != 1 || rule.body.is_empty() {
-            return false;
-        }
-        let CTerm::Var(h) = rule.head.terms[0] else {
-            return false;
-        };
-        let last = rule.body.len() - 1;
-        let CLit::Pos(atom) = &rule.body[last] else {
-            return false;
-        };
-        if atom.terms.len() != 2 || atom.terms[1] != CTerm::Var(h) {
-            return false;
-        }
-        let row_backed = match &stores[atom.rel] {
-            Store::Extern(e) => matches!(e, EdbRel::CompLabel | EdbRel::ExprLabel),
-            Store::Binary { .. } => true,
-            Store::Unary(_) => false,
-        };
-        if !row_backed {
-            return false;
-        }
-        // The key must be resolvable when the last literal is reached,
-        // and must not be the head variable itself.
-        let key_ok = match atom.terms[0] {
-            CTerm::Const(_) => true,
-            CTerm::Wild => false,
-            CTerm::Var(k) => {
-                k != h
-                    && rule.body[..last].iter().any(|l| match l {
-                        CLit::Pos(a) => a.terms.contains(&CTerm::Var(k)),
-                        _ => false,
-                    })
-            }
-        };
-        if !key_ok {
-            return false;
-        }
-        // `v` must still be unbound at the last literal.
-        rule.body[..last].iter().all(|l| match l {
-            CLit::Pos(a) | CLit::Neg(a) => !a.terms.contains(&CTerm::Var(h)),
-            CLit::Neq(a, b) => *a != CTerm::Var(h) && *b != CTerm::Var(h),
-        })
-    }
-
-    /// Seeds a fact into an intensional relation (demand inputs, e.g.
+    /// Seeds a fact into an intensional relation (program inputs, e.g.
     /// taint sources). Must run before the relation's group evaluates.
     ///
     /// # Panics
@@ -323,74 +242,10 @@ impl<'a> Evaluator<'a> {
         out
     }
 
-    /// Demand-mode membership: evaluates only what the question needs.
-    ///
-    /// Earlier groups are completed as usual, but if `rel`'s own group
-    /// is sweep-shaped (`r(x) :- edge(x, y), r(y)` plus non-recursive
-    /// seed rules), the answer comes from a BFS cone over the engine's
-    /// CSR starting at `x` — touching `O(cone)` nodes, not `O(V + E)` —
-    /// and the group is left unevaluated for later full runs.
-    pub fn query_unary(&mut self, rel: RelId, x: u32) -> bool {
-        let r = rel.0 as usize;
-        assert_eq!(
-            self.prog.rels[r].schema.len(),
-            1,
-            "`query_unary` needs arity 1"
-        );
-        let g = self.groups.group_of[r];
-        for gg in 0..g {
-            if !self.evaluated[gg] {
-                self.eval_group(gg);
-                self.evaluated[gg] = true;
-            }
-        }
-        if self.evaluated[g] {
-            return self.rel_contains(r, x, 0);
-        }
-        let rules = self.group_rules[g].clone();
-        if let Some((_, seed_rules)) = self.sweep_shape(g, &rules) {
-            if !self.demand_seeded[g] {
-                let mut wl = Vec::new();
-                for ri in seed_rules {
-                    self.eval_rule(ri, usize::MAX, None, &mut wl);
-                }
-                self.demand_seeded[g] = true;
-            }
-            let csr = self.db.engine().csr();
-            let mut visited = BitSet::new(self.db.engine().node_count());
-            let mut stack = vec![x];
-            visited.insert(x as usize);
-            let mut cone = 0;
-            let mut hit = false;
-            while let Some(u) = stack.pop() {
-                cone += 1;
-                if self.rel_contains(r, u, 0) {
-                    hit = true;
-                    break;
-                }
-                for &v in csr.succs(u as usize) {
-                    if visited.insert(v as usize) {
-                        stack.push(v);
-                    }
-                }
-            }
-            self.stats.demand_visited += cone;
-            hit
-        } else {
-            self.eval_group(g);
-            self.evaluated[g] = true;
-            self.rel_contains(r, x, 0)
-        }
-    }
-
     // --- group evaluation --------------------------------------------------
 
     fn eval_group(&mut self, g: usize) {
         let rules = self.group_rules[g].clone();
-        if let Some((rel, seed_rules)) = self.sweep_shape(g, &rules) {
-            self.eval_sweep(rel, &seed_rules);
-            return;
-        }
         // Naive round: every rule joined in full (sees seeds and the
         // results of earlier rules in this group), fresh tuples queued.
         let mut wl: Vec<(usize, u32, u32)> = Vec::new();
@@ -406,129 +261,6 @@ impl<'a> Evaluator<'a> {
                 self.eval_rule(ri, li, Some((a, b)), &mut wl);
             }
         }
-    }
-
-    /// Detects the sweep shape: a single-relation group over `Dom::Node`
-    /// whose one recursive rule is `r(x) :- edge(x, y), r(y)` (either
-    /// literal order) with `edge` the engine CSR view. Returns the
-    /// relation and the group's non-recursive (seed) rules.
-    fn sweep_shape(&self, g: usize, rules: &[usize]) -> Option<(usize, Vec<usize>)> {
-        #[cfg(test)]
-        if self.force_generic {
-            return None;
-        }
-        let members = &self.groups.order[g];
-        if members.len() != 1 {
-            return None;
-        }
-        let r = members[0];
-        let decl = &self.prog.rels[r];
-        if decl.kind != RelKind::Idb
-            || decl.schema.len() != 1
-            || decl.schema[0] != crate::program::Dom::Node
-        {
-            return None;
-        }
-        let mut seed_rules = Vec::new();
-        let mut recursive = 0usize;
-        for &ri in rules {
-            let rule = &self.prog.rules[ri];
-            let is_rec = rule
-                .body
-                .iter()
-                .any(|l| matches!(l, CLit::Pos(a) if self.groups.group_of[a.rel] == g));
-            if !is_rec {
-                seed_rules.push(ri);
-                continue;
-            }
-            recursive += 1;
-            if rule.body.len() != 2 {
-                return None;
-            }
-            // One literal is edge(x, y), the other r(y); head is r(x).
-            let mut edge_xy: Option<(u8, u8)> = None;
-            let mut rec_y: Option<u8> = None;
-            for lit in &rule.body {
-                let CLit::Pos(a) = lit else { return None };
-                if a.rel == r {
-                    match a.terms[..] {
-                        [CTerm::Var(y)] => rec_y = Some(y),
-                        _ => return None,
-                    }
-                } else if matches!(self.stores[a.rel], Store::Extern(EdbRel::Edge)) {
-                    match a.terms[..] {
-                        [CTerm::Var(x), CTerm::Var(y)] if x != y => edge_xy = Some((x, y)),
-                        _ => return None,
-                    }
-                } else {
-                    return None;
-                }
-            }
-            let ((x, y), ry) = (edge_xy?, rec_y?);
-            if ry != y || rule.head.terms[..] != [CTerm::Var(x)] {
-                return None;
-            }
-        }
-        if recursive != 1 {
-            return None;
-        }
-        Some((r, seed_rules))
-    }
-
-    /// Solves `r(x) :- edge(x, y), r(y)` (plus seeds) as one ascending
-    /// pass over SCC component ids: a component holds `r` iff it
-    /// contains a seed or any member has an edge into a smaller-id
-    /// component that holds `r` (the reverse-topological numbering makes
-    /// one pass a fixpoint; `r` is uniform inside a strongly connected
-    /// component).
-    fn eval_sweep(&mut self, r: usize, seed_rules: &[usize]) {
-        if !self.demand_seeded[self.groups.group_of[r]] {
-            let mut wl = Vec::new();
-            for &ri in seed_rules {
-                self.eval_rule(ri, usize::MAX, None, &mut wl);
-            }
-        }
-        let cond = self.db.engine().condensation();
-        let csr = self.db.engine().csr();
-        let cc = cond.comp_count();
-        let mut bits = vec![false; cc];
-        {
-            let Store::Unary(s) = &self.stores[r] else {
-                unreachable!("sweep relation is unary")
-            };
-            for x in s.iter() {
-                bits[cond.comp_of(x)] = true;
-            }
-        }
-        for c in 0..cc {
-            if bits[c] {
-                continue;
-            }
-            'members: for &m in cond.members(c) {
-                for &s in csr.succs(m as usize) {
-                    let d = cond.comp_of(s as usize);
-                    if d != c && bits[d] {
-                        bits[c] = true;
-                        break 'members;
-                    }
-                }
-            }
-        }
-        let mut fresh = 0usize;
-        let Store::Unary(s) = &mut self.stores[r] else {
-            unreachable!("sweep relation is unary")
-        };
-        for (c, &on) in bits.iter().enumerate() {
-            if on {
-                for &m in cond.members(c) {
-                    if s.insert(m as usize) {
-                        fresh += 1;
-                    }
-                }
-            }
-        }
-        self.stats.derived += fresh;
-        self.stats.sweep_strata += 1;
     }
 
     /// Evaluates one rule. With `tuple`, body literal `skip` is pre-bound
@@ -555,94 +287,41 @@ impl<'a> Evaluator<'a> {
                 }
             }
         }
+        let mut out: Vec<(u32, u32)> = Vec::new();
+        self.join_from(rule, 0, skip, &mut binds, &mut out);
         let head_rel = rule.head.rel;
-        let last = rule.body.len().wrapping_sub(1);
-        let fast = self.use_fast_row(ri) && skip != last;
-        if fast {
-            let Store::Unary(head) = &self.stores[head_rel] else {
-                unreachable!("fast-path head is unary")
-            };
-            let mut scratch = BitSet::new(head.capacity());
-            self.join_from(
-                rule,
-                0,
-                skip,
-                last,
-                &mut binds,
-                &mut Sink::Row(&mut scratch),
-            );
-            for bit in scratch.iter() {
-                if self.insert(head_rel, bit as u32, 0) {
-                    self.stats.derived += 1;
-                    wl.push((head_rel, bit as u32, 0));
-                }
-            }
-        } else {
-            let mut out: Vec<(u32, u32)> = Vec::new();
-            self.join_from(
-                rule,
-                0,
-                skip,
-                rule.body.len(),
-                &mut binds,
-                &mut Sink::Tuples(&mut out),
-            );
-            for (a, b) in out {
-                if self.insert(head_rel, a, b) {
-                    self.stats.derived += 1;
-                    wl.push((head_rel, a, b));
-                }
+        for (a, b) in out {
+            if self.insert(head_rel, a, b) {
+                self.stats.derived += 1;
+                wl.push((head_rel, a, b));
             }
         }
     }
 
-    fn use_fast_row(&self, ri: usize) -> bool {
-        #[cfg(test)]
-        if self.force_generic {
-            return false;
-        }
-        self.fast_row[ri]
-    }
-
-    /// Left-to-right nested-loop join over `body[li..stop]`, skipping the
-    /// pre-bound literal `skip`. At `stop` the sink fires: either the
-    /// head tuple is materialized, or (row-union fast path) the last
-    /// literal's raw row is unioned word-parallel into the scratch set.
+    /// Left-to-right nested-loop join over `body[li..]`, skipping the
+    /// pre-bound literal `skip`. Past the last literal the head tuple is
+    /// materialized into `out`.
     fn join_from(
         &self,
         rule: &CRule,
         li: usize,
         skip: usize,
-        stop: usize,
         binds: &mut [u32],
-        sink: &mut Sink<'_>,
+        out: &mut Vec<(u32, u32)>,
     ) {
-        if li == stop {
-            match sink {
-                Sink::Tuples(out) => {
-                    let a = resolve(rule.head.terms[0], binds).expect("head bound");
-                    let b = rule
-                        .head
-                        .terms
-                        .get(1)
-                        .map(|t| resolve(*t, binds).expect("head bound"))
-                        .unwrap_or(0);
-                    out.push((a, b));
-                }
-                Sink::Row(scratch) => {
-                    let CLit::Pos(atom) = &rule.body[stop] else {
-                        unreachable!("fast-path row literal is positive")
-                    };
-                    let key = resolve(atom.terms[0], binds).expect("fast-path key bound");
-                    if let Some(row) = self.rel_row_words(atom.rel, key) {
-                        scratch.union_words(row);
-                    }
-                }
-            }
+        if li == rule.body.len() {
+            let a = resolve(rule.head.terms[0], binds).expect("head bound");
+            let b = rule
+                .head
+                .terms
+                .get(1)
+                .map(|t| resolve(*t, binds).expect("head bound"))
+                .unwrap_or(0);
+            out.push((a, b));
             return;
         }
         if li == skip {
-            return self.join_from(rule, li + 1, skip, stop, binds, sink);
+            return self.join_from(rule, li + 1, skip, binds, out);
         }
         match &rule.body[li] {
             CLit::Neq(a, b) => {
@@ -651,12 +330,12 @@ impl<'a> Evaluator<'a> {
                     resolve(*b, binds).expect("neq operand bound"),
                 );
                 if a != b {
-                    self.join_from(rule, li + 1, skip, stop, binds, sink);
+                    self.join_from(rule, li + 1, skip, binds, out);
                 }
             }
             CLit::Neg(atom) => {
                 if !self.atom_exists(atom, binds) {
-                    self.join_from(rule, li + 1, skip, stop, binds, sink);
+                    self.join_from(rule, li + 1, skip, binds, out);
                 }
             }
             CLit::Pos(atom) if atom.terms.len() == 1 => {
@@ -664,20 +343,20 @@ impl<'a> Evaluator<'a> {
                 match resolve(t, binds) {
                     Some(x) => {
                         if self.rel_contains(atom.rel, x, 0) {
-                            self.join_from(rule, li + 1, skip, stop, binds, sink);
+                            self.join_from(rule, li + 1, skip, binds, out);
                         }
                     }
                     None => match t {
                         CTerm::Var(v) => {
                             self.rel_for_each(atom.rel, &mut |x, _| {
                                 binds[v as usize] = x;
-                                self.join_from(rule, li + 1, skip, stop, binds, sink);
+                                self.join_from(rule, li + 1, skip, binds, out);
                             });
                             binds[v as usize] = UNBOUND;
                         }
                         CTerm::Wild => {
                             if self.rel_any(atom.rel) {
-                                self.join_from(rule, li + 1, skip, stop, binds, sink);
+                                self.join_from(rule, li + 1, skip, binds, out);
                             }
                         }
                         CTerm::Const(_) => unreachable!("constants resolve"),
@@ -690,19 +369,19 @@ impl<'a> Evaluator<'a> {
                     Some(k) => match (resolve(t1, binds), t1) {
                         (Some(v), _) => {
                             if self.rel_contains(atom.rel, k, v) {
-                                self.join_from(rule, li + 1, skip, stop, binds, sink);
+                                self.join_from(rule, li + 1, skip, binds, out);
                             }
                         }
                         (None, CTerm::Var(v1)) => {
                             self.rel_matching(atom.rel, k, &mut |v| {
                                 binds[v1 as usize] = v;
-                                self.join_from(rule, li + 1, skip, stop, binds, sink);
+                                self.join_from(rule, li + 1, skip, binds, out);
                             });
                             binds[v1 as usize] = UNBOUND;
                         }
                         (None, CTerm::Wild) => {
                             if self.rel_has_key(atom.rel, k) {
-                                self.join_from(rule, li + 1, skip, stop, binds, sink);
+                                self.join_from(rule, li + 1, skip, binds, out);
                             }
                         }
                         (None, CTerm::Const(_)) => unreachable!("constants resolve"),
@@ -714,7 +393,7 @@ impl<'a> Evaluator<'a> {
                         self.rel_for_each(atom.rel, &mut |a, b| {
                             let Ok(u0) = unify(t0, a, binds) else { return };
                             if let Ok(u1) = unify(t1, b, binds) {
-                                self.join_from(rule, li + 1, skip, stop, binds, sink);
+                                self.join_from(rule, li + 1, skip, binds, out);
                                 if let Some(v) = u1 {
                                     binds[v as usize] = UNBOUND;
                                 }
@@ -835,22 +514,6 @@ impl<'a> Evaluator<'a> {
             Store::Binary { len, .. } => *len > 0,
         }
     }
-
-    fn rel_row_words(&self, rel: usize, key: u32) -> Option<&[u64]> {
-        match &self.stores[rel] {
-            Store::Extern(e) => self.db.row_words(*e, key),
-            Store::Binary { rows, .. } => rows[key as usize].as_ref().map(|r| r.words()),
-            Store::Unary(_) => None,
-        }
-    }
-}
-
-enum Sink<'s> {
-    /// Materialize head tuples.
-    Tuples(&'s mut Vec<(u32, u32)>),
-    /// Row-union fast path: union the last literal's raw row into a
-    /// scratch set of head values.
-    Row(&'s mut BitSet),
 }
 
 fn resolve(t: CTerm, binds: &[u32]) -> Option<u32> {
@@ -894,7 +557,7 @@ fn unify(t: CTerm, val: u32, binds: &mut [u32]) -> Result<Option<u8>, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{head, neg, pos, var, Dom, RuleProgram, WILD};
+    use crate::program::{head, neg, pos, var, Dom, RelId, RuleProgram, WILD};
     use stcfa_core::{Analysis, QueryEngine};
     use stcfa_lambda::Program;
 
@@ -906,25 +569,47 @@ mod tests {
 
     const HIGHER_ORDER: &str = "fun apply f = fn y => f y; apply (fn n => print n) 7";
 
-    /// `invoked(l) :- app_func(_, e), expr_label(e, l).` must agree with
-    /// the engine's own per-application label sets.
-    #[test]
-    fn row_union_rule_matches_engine_answers() {
-        let (p, a) = setup(HIGHER_ORDER);
-        let engine = QueryEngine::freeze(&a);
-        let db = ExtDb::new(&p, &a, &engine);
+    /// `invoked(l)`: the labels reaching some application's operator.
+    /// The operators' nodes are closed forward over the subtransitive
+    /// edges (a node's label set is the labels its successors carry) and
+    /// joined with the label origins.
+    fn invoked_program() -> (RuleProgram, RelId) {
         let mut rp = RuleProgram::new();
         let app_func = rp.edb("app_func", &[Dom::Expr, Dom::Expr]);
-        let expr_label = rp.edb("expr_label", &[Dom::Expr, Dom::Label]);
+        let expr_node = rp.edb("expr_node", &[Dom::Expr, Dom::Node]);
+        let edge = rp.edb("edge", &[Dom::Node, Dom::Node]);
+        let origin = rp.edb("label_origin", &[Dom::Label, Dom::Node]);
+        let flows = rp.decl("flows", &[Dom::Node]);
         let invoked = rp.decl("invoked", &[Dom::Label]);
         rp.rule(
-            head(invoked, &[var("l")]),
+            head(flows, &[var("n")]),
             vec![
-                pos(app_func, &[WILD, var("e")]),
-                pos(expr_label, &[var("e"), var("l")]),
+                pos(app_func, &[WILD, var("f")]),
+                pos(expr_node, &[var("f"), var("n")]),
             ],
         )
         .unwrap();
+        rp.rule(
+            head(flows, &[var("m")]),
+            vec![pos(flows, &[var("n")]), pos(edge, &[var("n"), var("m")])],
+        )
+        .unwrap();
+        rp.rule(
+            head(invoked, &[var("l")]),
+            vec![pos(origin, &[var("l"), var("n")]), pos(flows, &[var("n")])],
+        )
+        .unwrap();
+        (rp, invoked)
+    }
+
+    /// `invoked` must agree with the engine's own per-application label
+    /// sets.
+    #[test]
+    fn invoked_labels_match_engine_answers() {
+        let (p, a) = setup(HIGHER_ORDER);
+        let engine = QueryEngine::freeze(&a);
+        let db = ExtDb::new(&p, &a, &engine);
+        let (rp, invoked) = invoked_program();
 
         let mut want: Vec<u32> = Vec::new();
         for app in p.app_sites() {
@@ -934,68 +619,11 @@ mod tests {
         }
         want.sort_unstable();
         want.dedup();
+        assert!(!want.is_empty(), "something is applied");
 
-        // Fast path and generic join agree with the engine.
-        let mut fast = Evaluator::new(&rp, &db).unwrap();
-        fast.run();
-        assert_eq!(fast.unary(invoked), want);
-        let mut slow = Evaluator::new(&rp, &db).unwrap();
-        slow.force_generic = true;
-        slow.run();
-        assert_eq!(slow.unary(invoked), want);
-    }
-
-    /// The condensation sweep must agree with the generic worklist on
-    /// `treach(n) :- src(n); treach(n) :- edge(n, m), treach(m).`
-    #[test]
-    fn sweep_matches_generic_evaluation() {
-        let (p, a) = setup(HIGHER_ORDER);
-        let engine = QueryEngine::freeze(&a);
-        let db = ExtDb::new(&p, &a, &engine);
-        let mut rp = RuleProgram::new();
-        let edge = rp.edb("edge", &[Dom::Node, Dom::Node]);
-        let origin = rp.edb("label_origin", &[Dom::Label, Dom::Node]);
-        let eff = rp.edb("effectful_label", &[Dom::Label]);
-        let src = rp.decl("src", &[Dom::Node]);
-        let treach = rp.decl("treach", &[Dom::Node]);
-        rp.rule(
-            head(src, &[var("n")]),
-            vec![pos(eff, &[var("l")]), pos(origin, &[var("l"), var("n")])],
-        )
-        .unwrap();
-        rp.rule(head(treach, &[var("n")]), vec![pos(src, &[var("n")])])
-            .unwrap();
-        rp.rule(
-            head(treach, &[var("n")]),
-            vec![pos(edge, &[var("n"), var("m")]), pos(treach, &[var("m")])],
-        )
-        .unwrap();
-
-        let mut swept = Evaluator::new(&rp, &db).unwrap();
-        swept.run();
-        let mut generic = Evaluator::new(&rp, &db).unwrap();
-        generic.force_generic = true;
-        generic.run();
-        assert_eq!(swept.unary(treach), generic.unary(treach));
-        assert!(
-            !swept.unary(treach).is_empty(),
-            "print-lambda taints someone"
-        );
-        assert_eq!(swept.stats().sweep_strata, 1);
-        assert_eq!(generic.stats().sweep_strata, 0);
-
-        // Demand mode gives the same verdict per node without a full run.
-        let mut demand = Evaluator::new(&rp, &db).unwrap();
-        let full: Vec<u32> = swept.unary(treach);
-        for n in 0..engine.node_count() as u32 {
-            assert_eq!(
-                demand.query_unary(treach, n),
-                full.binary_search(&n).is_ok(),
-                "node {n}"
-            );
-        }
-        assert!(demand.stats().demand_visited > 0);
-        assert_eq!(demand.stats().sweep_strata, 0, "demand never swept");
+        let mut ev = Evaluator::new(&rp, &db).unwrap();
+        ev.run();
+        assert_eq!(ev.unary(invoked), want);
     }
 
     /// Binary recursion (transitive closure) against brute force, and
@@ -1050,23 +678,12 @@ mod tests {
         let (p, a) = setup("let val dead = fn x => x in (fn y => y) 1 end");
         let engine = QueryEngine::freeze(&a);
         let db = ExtDb::new(&p, &a, &engine);
-        let mut rp = RuleProgram::new();
-        let app_func = rp.edb("app_func", &[Dom::Expr, Dom::Expr]);
-        let expr_label = rp.edb("expr_label", &[Dom::Expr, Dom::Label]);
-        let lam_label = rp.edb("lam_label", &[Dom::Label, Dom::Expr]);
-        let invoked = rp.decl("invoked", &[Dom::Label]);
+        let (mut rp, invoked) = invoked_program();
+        let origin = rp.edb("label_origin", &[Dom::Label, Dom::Node]);
         let dead = rp.decl("dead", &[Dom::Label]);
         rp.rule(
-            head(invoked, &[var("l")]),
-            vec![
-                pos(app_func, &[WILD, var("e")]),
-                pos(expr_label, &[var("e"), var("l")]),
-            ],
-        )
-        .unwrap();
-        rp.rule(
             head(dead, &[var("l")]),
-            vec![pos(lam_label, &[var("l"), WILD]), neg(invoked, &[var("l")])],
+            vec![pos(origin, &[var("l"), WILD]), neg(invoked, &[var("l")])],
         )
         .unwrap();
         let mut ev = Evaluator::new(&rp, &db).unwrap();
@@ -1077,7 +694,8 @@ mod tests {
         assert_ne!(ev.unary(invoked), ev.unary(dead));
     }
 
-    /// Seeds flow into sweeps, and out-of-contract seeds are rejected.
+    /// Seeds flow through recursive rules, and out-of-contract seeds are
+    /// rejected.
     #[test]
     fn seeding_and_guards() {
         let (p, a) = setup(HIGHER_ORDER);
@@ -1092,7 +710,7 @@ mod tests {
         )
         .unwrap();
         let mut ev = Evaluator::new(&rp, &db).unwrap();
-        // Without seeds the relation is empty even after a sweep.
+        // Without seeds the relation is empty even after a full run.
         let mut empty = Evaluator::new(&rp, &db).unwrap();
         empty.run();
         assert!(empty.unary(treach).is_empty());

@@ -4,34 +4,33 @@
 //! the protocol all compute — are relational at heart: label sets are a
 //! reachability relation, lints are joins with negation over it, and
 //! the linear-time guarantee comes from never materializing the
-//! transitive closure. This crate makes that explicit. It has three
-//! layers:
+//! transitive closure. This crate states the shipped rule analyses as
+//! Datalog and answers them off the engine. It has four parts:
 //!
 //! - [`program`] — a typed Rust builder DSL (no parser) for relation
 //!   declarations and Horn clauses. Registration is the type checker:
 //!   arity, per-column domains, left-to-right boundness, and stratified
 //!   negation are all rejected with a [`program::RuleError`] before
 //!   anything evaluates.
-//! - [`edb`] — the extensional database: every input relation is a
-//!   zero-copy view over structures the engine already owns (CSR edge
-//!   slices, the SCC condensation, per-component label bit rows, the
-//!   effects colouring, the call graph).
-//! - [`eval`] — a semi-naive worklist evaluator with bitset stores.
-//!   Structural fast paths (word-parallel row-union joins, ascending
-//!   condensation sweeps) keep rule programs at the same `O(E·L/64)`
-//!   arithmetic as the hand-fused analyses, and a demand mode answers
-//!   single membership questions from a BFS cone.
+//! - [`edb`] — the extensional database: the nine input relations the
+//!   shipped programs read, each a zero-copy view over structures the
+//!   engine already owns (CSR edges, label origins, the effects
+//!   colouring, the call graph).
+//! - [`eval`] — a semi-naive worklist evaluator with bitset stores and
+//!   stratified negation. It is the oracle: tests and benches evaluate
+//!   the shipped programs with it, and no production path does.
+//! - [`analyses`] — the shipped programs and their production functions:
+//!   taint-style source→sink reachability and STCFA007's mixed-purity
+//!   candidates, each read off the engine's label rows, and the
+//!   call-graph dominator relation behind STCFA008's dominated-redundant
+//!   analysis, computed as the call graph's dominator tree
+//!   ([`stcfa_graph::DomTree`]). Each program is what
+//!   `lint --explain` prints (STCFA007/008) and what its function is
+//!   tested against.
 //!
-//! [`analyses`] holds the shipped programs: taint-style source→sink
-//! reachability, STCFA007's mixed-purity analysis (whose only
-//! implementation is its rule program), and the call-graph dominator
-//! relation behind STCFA008's dominated-redundant analysis.
 //! [`rule_answer`] renders the dominator and taint answers as the one
 //! JSON object that `stcfa rule` prints and the daemon's `rule` op
-//! returns. The dominator relation is computed as the call graph's
-//! dominator tree ([`stcfa_graph::DomTree`]); its stratified program,
-//! [`analyses::dominators_program`], is the specification that
-//! `lint --explain STCFA008` prints and the oracle the tests evaluate.
+//! returns.
 //!
 //! ```
 //! use stcfa_core::{Analysis, QueryEngine};

@@ -10,22 +10,34 @@
 //! use stcfa_rules::program::{head, neg, pos, var, Dom, RuleProgram, WILD};
 //!
 //! let mut p = RuleProgram::new();
-//! let lam = p.edb("lam_label", &[Dom::Label, Dom::Expr]);
 //! let app_func = p.edb("app_func", &[Dom::Expr, Dom::Expr]);
-//! let expr_label = p.edb("expr_label", &[Dom::Expr, Dom::Label]);
+//! let expr_node = p.edb("expr_node", &[Dom::Expr, Dom::Node]);
+//! let edge = p.edb("edge", &[Dom::Node, Dom::Node]);
+//! let origin = p.edb("label_origin", &[Dom::Label, Dom::Node]);
+//! let flows = p.decl("flows", &[Dom::Node]);
 //! let invoked = p.decl("invoked", &[Dom::Label]);
 //! let report = p.decl("report", &[Dom::Label]);
 //! p.rule(
+//!     head(flows, &[var("n")]),
+//!     vec![pos(app_func, &[WILD, var("f")]), pos(expr_node, &[var("f"), var("n")])],
+//! )
+//! .unwrap();
+//! p.rule(
+//!     head(flows, &[var("m")]),
+//!     vec![pos(flows, &[var("n")]), pos(edge, &[var("n"), var("m")])],
+//! )
+//! .unwrap();
+//! p.rule(
 //!     head(invoked, &[var("l")]),
-//!     vec![pos(app_func, &[WILD, var("e")]), pos(expr_label, &[var("e"), var("l")])],
+//!     vec![pos(origin, &[var("l"), var("n")]), pos(flows, &[var("n")])],
 //! )
 //! .unwrap();
 //! p.rule(
 //!     head(report, &[var("l")]),
-//!     vec![pos(lam, &[var("l"), WILD]), neg(invoked, &[var("l")])],
+//!     vec![pos(origin, &[var("l"), WILD]), neg(invoked, &[var("l")])],
 //! )
 //! .unwrap();
-//! assert!(p.to_string().contains("invoked(l) :- app_func(_, e), expr_label(e, l)."));
+//! assert!(p.to_string().contains("invoked(l) :- label_origin(l, n), flows(n)."));
 //! ```
 //!
 //! Every structural error — arity mismatch, a variable used at two
@@ -45,14 +57,10 @@ use crate::edb::edb_schema;
 pub enum Dom {
     /// Nodes of the frozen subtransitive graph (CSR indices).
     Node,
-    /// SCC condensation components (reverse-topological ids).
-    Comp,
     /// Abstraction labels.
     Label,
     /// Expression occurrences.
     Expr,
-    /// Binders.
-    Var,
     /// Call-graph nodes: the program's labels plus the virtual root
     /// (`label_count()`).
     CgNode,
@@ -63,10 +71,8 @@ impl Dom {
     pub fn as_str(self) -> &'static str {
         match self {
             Dom::Node => "node",
-            Dom::Comp => "comp",
             Dom::Label => "label",
             Dom::Expr => "expr",
-            Dom::Var => "var",
             Dom::CgNode => "cgnode",
         }
     }

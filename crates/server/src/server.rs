@@ -627,15 +627,14 @@ impl Server {
         ))
     }
 
-    /// `rule` (protocol 2): evaluates a shipped rule program against a
-    /// snapshot. `name` picks the program — `dominators` returns the
+    /// `rule` (protocol 2): answers a shipped rule analysis against a
+    /// snapshot. `name` picks the analysis — `dominators` returns the
     /// call-graph dominator relation (read off the call graph's
     /// dominator tree, which the program specifies) for every reachable
     /// node;
-    /// `taint` closes the given source labels (default: every
-    /// effectful-bodied abstraction) over the flow edges, for the whole
-    /// program or, with `expr`, as one demand query that walks only the
-    /// occurrence's BFS cone.
+    /// `taint` returns the occurrences whose label set meets the given
+    /// source labels (default: every effectful-bodied abstraction), for
+    /// the whole program or, with `expr`, for that one occurrence.
     fn op_rule(
         &self,
         request: &Json,
@@ -1677,8 +1676,8 @@ fn taint_sources(request: &Json, program: &Program) -> Result<Option<Vec<Label>>
     labels.collect::<Result<_, _>>().map(Some)
 }
 
-/// Resolves the taint rule's optional `expr`: the one occurrence a
-/// demand query asks about.
+/// Resolves the taint rule's optional `expr`: the one occurrence the
+/// query asks about.
 fn taint_expr(request: &Json, program: &Program) -> Result<Option<ExprId>, RequestError> {
     let Some(v) = request.get("expr") else {
         return Ok(None);

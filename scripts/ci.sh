@@ -53,6 +53,36 @@ echo "== rules: STCFA007/008 oracle gate =="
 # there (so the gate is never vacuous). The same suite confirms every
 # STCFA001/006 finding under the c1, c2 and forget policies.
 cargo test -q --offline --test lint_soundness
+# The rule analyses against their programs: the dominator tree, taint
+# and STCFA007's mixed-purity candidates are computed without rule
+# evaluation, and must equal their programs evaluated by the generic
+# `Evaluator` over the corpus (every policy), synthesized programs and
+# linked 32-module workspaces.
+cargo test -q --offline --test dominators_oracle
+
+echo "== rules: rule evaluation stays off production paths =="
+# The evaluator is the oracle for the shipped rule analyses, as the
+# cubic references are for the engine: no production source may name
+# `Evaluator`. Allowed: its own module, the crate's re-export, tests,
+# benches, comments, and each file's top-level `#[cfg(test)] mod` (test
+# modules close their files).
+evaluator_users="$(for f in $(find src crates/*/src -name '*.rs' | sort); do
+  [ "$f" = crates/rules/src/eval.rs ] && continue
+  awk -v f="$f" '
+    /^#\[cfg\(test\)\]$/ { in_cfg = 1; next }
+    in_cfg && /^mod [A-Za-z_]+ \{/ { exit }
+    { in_cfg = 0 }
+    /^[[:space:]]*\/\// { next }
+    f == "crates/rules/src/lib.rs" && /^pub use eval::/ { next }
+    /(^|[^A-Za-z0-9_])Evaluator([^A-Za-z0-9_]|$)/ { print f ":" FNR ": " $0 }
+  ' "$f"
+done)"
+if [ -n "$evaluator_users" ]; then
+  echo "rule evaluation reached a production source:" >&2
+  printf '%s\n' "$evaluator_users" >&2
+  exit 1
+fi
+echo "-- no production source names Evaluator"
 
 echo "== rules: corpus STCFA007/008 findings are pinned =="
 # The new rule-backed lints, extracted from the corpus-wide JSON report

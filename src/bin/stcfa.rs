@@ -47,9 +47,9 @@
 //! RULE MODE
 //!   stcfa rule <FILE|-> --name dominators|taint [--sources l,l,...]
 //!              [--expr <n>]
-//!                      evaluate a shipped rule program (docs/RULES.md)
-//!                      and print the JSON answer; `--expr` turns taint
-//!                      into a single demand query
+//!                      answer a shipped rule analysis (docs/RULES.md)
+//!                      and print the JSON answer; `--expr` asks taint
+//!                      about one occurrence
 //!
 //! SERVER MODE
 //!   stcfa serve [--stdio | --addr HOST:PORT] [--threads <n>] [--shards <n>]
@@ -583,7 +583,7 @@ fn run_opt(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `stcfa rule <FILE|-> --name dominators|taint [--sources l,l,...]
-/// [--expr n] [--policy ...]`: evaluate a shipped rule program over the
+/// [--expr n] [--policy ...]`: answer a shipped rule analysis over the
 /// frozen engine and print the JSON answer — the CLI twin of the
 /// protocol-2 `rule` op (docs/RULES.md).
 fn run_rule(args: &[String]) -> Result<(), CliError> {
@@ -1181,17 +1181,25 @@ fn run() -> Result<(), CliError> {
         .any(|c| matches!(c, Command::Labels | Command::CallSites | Command::Summary));
     // `--precision` routes Sub-engine label queries through the tier
     // scheduler; the detector index is built once alongside the freeze.
+    // The engine freezes the graph built above when there is one.
     let mut scheduler = None;
     let engine = if !needs_engine {
         None
     } else {
         Some(match options.engine {
             EngineKind::Sub => {
-                let a =
-                    Analysis::run_with(&program, analysis_options).map_err(|e| e.to_string())?;
-                let q = QueryEngine::freeze(&a);
+                let fresh;
+                let a = match &graph {
+                    Some(a) => a,
+                    None => {
+                        fresh = Analysis::run_with(&program, analysis_options)
+                            .map_err(|e| e.to_string())?;
+                        &fresh
+                    }
+                };
+                let q = QueryEngine::freeze(a);
                 if options.precision {
-                    let suspicion = stcfa::precision::SuspicionIndex::build(&a, &q);
+                    let suspicion = stcfa::precision::SuspicionIndex::build(a, &q);
                     scheduler = Some(stcfa::precision::PrecisionScheduler::new(
                         suspicion,
                         options.policy,
