@@ -13,7 +13,6 @@
 //! carries a unique [`Label`], and all bound variables are distinct by
 //! construction ([`VarId`]s are binder identities, not names).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::intern::{Interner, Symbol};
@@ -263,6 +262,7 @@ pub enum ExprKind {
 
 impl ExprKind {
     /// Calls `f` on every direct child, in left-to-right order.
+    #[inline]
     pub fn for_each_child(&self, mut f: impl FnMut(ExprId)) {
         match self {
             ExprKind::Var(_) | ExprKind::Lit(_) => {}
@@ -364,8 +364,18 @@ pub struct DataInfo {
 pub struct DataEnv {
     datatypes: Vec<DataInfo>,
     cons: Vec<ConInfo>,
-    con_by_name: HashMap<Symbol, ConId>,
-    data_by_name: HashMap<Symbol, DataId>,
+    /// The constructor each symbol names, by symbol index.
+    con_by_name: Vec<Option<ConId>>,
+    /// The datatype each symbol names, by symbol index.
+    data_by_name: Vec<Option<DataId>>,
+}
+
+/// The entry for `name` in a table indexed by symbol, grown on demand.
+fn entry<T: Copy>(table: &mut Vec<Option<T>>, name: Symbol) -> &mut Option<T> {
+    if table.len() <= name.index() {
+        table.resize(name.index() + 1, None);
+    }
+    &mut table[name.index()]
 }
 
 impl DataEnv {
@@ -374,15 +384,16 @@ impl DataEnv {
     ///
     /// Returns `None` if the name is already taken by another datatype.
     pub fn declare_data(&mut self, name: Symbol) -> Option<DataId> {
-        if self.data_by_name.contains_key(&name) {
+        let id = DataId::from_index(self.datatypes.len());
+        let slot = entry(&mut self.data_by_name, name);
+        if slot.is_some() {
             return None;
         }
-        let id = DataId::from_index(self.datatypes.len());
+        *slot = Some(id);
         self.datatypes.push(DataInfo {
             name,
             cons: Vec::new(),
         });
-        self.data_by_name.insert(name, id);
         Some(id)
     }
 
@@ -395,28 +406,29 @@ impl DataEnv {
         name: Symbol,
         arg_tys: impl Into<Box<[TyExpr]>>,
     ) -> Option<ConId> {
-        if self.con_by_name.contains_key(&name) {
+        let id = ConId::from_index(self.cons.len());
+        let slot = entry(&mut self.con_by_name, name);
+        if slot.is_some() {
             return None;
         }
-        let id = ConId::from_index(self.cons.len());
+        *slot = Some(id);
         self.cons.push(ConInfo {
             name,
             data,
             arg_tys: arg_tys.into(),
         });
         self.datatypes[data.index()].cons.push(id);
-        self.con_by_name.insert(name, id);
         Some(id)
     }
 
     /// Looks up a constructor by name.
     pub fn con_by_name(&self, name: Symbol) -> Option<ConId> {
-        self.con_by_name.get(&name).copied()
+        self.con_by_name.get(name.index()).copied().flatten()
     }
 
     /// Looks up a datatype by name.
     pub fn data_by_name(&self, name: Symbol) -> Option<DataId> {
-        self.data_by_name.get(&name).copied()
+        self.data_by_name.get(name.index()).copied().flatten()
     }
 
     /// Constructor metadata.
@@ -445,10 +457,10 @@ impl DataEnv {
     /// truncation restores an earlier extent exactly.
     pub(crate) fn rewind(&mut self, datatypes: usize, cons: usize) {
         for d in &self.datatypes[datatypes..] {
-            self.data_by_name.remove(&d.name);
+            self.data_by_name[d.name.index()] = None;
         }
         for c in &self.cons[cons..] {
-            self.con_by_name.remove(&c.name);
+            self.con_by_name[c.name.index()] = None;
         }
         self.datatypes.truncate(datatypes);
         self.cons.truncate(cons);

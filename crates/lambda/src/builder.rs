@@ -97,9 +97,24 @@ impl ProgramBuilder {
     /// same name are still distinct.
     pub fn fresh_var(&mut self, name: &str) -> VarId {
         let sym = self.interner.intern(name);
+        self.fresh_binder(sym)
+    }
+
+    /// [`ProgramBuilder::fresh_var`] for an already interned name.
+    pub(crate) fn fresh_binder(&mut self, name: Symbol) -> VarId {
         let id = VarId::from_index(self.vars.len());
-        self.vars.push(sym);
+        self.vars.push(name);
         id
+    }
+
+    /// Number of binders created so far.
+    pub(crate) fn var_count(&self) -> usize {
+        self.vars.len()
+    }
+
+    /// The names interned so far.
+    pub(crate) fn interner(&self) -> &Interner {
+        &self.interner
     }
 
     /// Declares a datatype. Panics on duplicate names.
@@ -201,7 +216,7 @@ impl ProgramBuilder {
         arms: Vec<(ConId, Vec<VarId>, ExprId)>,
         default: Option<ExprId>,
     ) -> ExprId {
-        let arms: Vec<CaseArm> = arms
+        let arms = arms
             .into_iter()
             .map(|(con, binders, body)| {
                 assert_eq!(
@@ -217,13 +232,24 @@ impl ProgramBuilder {
                 }
             })
             .collect();
+        self.case_arms(scrutinee, arms, default)
+    }
+
+    /// [`ProgramBuilder::case`] with the arms already assembled, as the
+    /// parser assembles them (it has checked each arm's arity).
+    pub(crate) fn case_arms(
+        &mut self,
+        scrutinee: ExprId,
+        arms: Box<[CaseArm]>,
+        default: Option<ExprId>,
+    ) -> ExprId {
         assert!(
             !arms.is_empty() || default.is_some(),
             "case must have at least one arm"
         );
         self.push(ExprKind::Case {
             scrutinee,
-            arms: arms.into(),
+            arms,
             default,
         })
     }
@@ -288,7 +314,7 @@ impl ProgramBuilder {
 
     /// Finalizes without whole-program validation — for *forest* programs
     /// (incremental sessions), whose fragments are validated individually
-    /// with [`validate::validate_forest`]. With `root: None` a unit
+    /// as [`crate::parser::parse_fragment`] accepts them. With `root: None` a unit
     /// expression is appended to serve as the (meaningless) root.
     pub fn finish_unchecked(mut self, root: Option<ExprId>) -> Program {
         let root = root.unwrap_or_else(|| self.unit());

@@ -189,6 +189,50 @@ impl std::error::Error for LexError {}
 /// Upper bound on [`lex`]'s up-front token reservation (about 3.5 MiB).
 const MAX_RESERVED_TOKENS: usize = 1 << 16;
 
+/// The bytes that continue an identifier: letters, digits, `_` and `'`.
+const IDENT: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = c.is_ascii_alphanumeric() || c == b'_' || c == b'\'';
+        b += 1;
+    }
+    table
+};
+
+/// The keyword `text` spells, if any. Every keyword is lower case, and
+/// the length and first byte leave at most two candidates to compare.
+fn keyword(text: &str) -> Option<Kw> {
+    let kw = match (text.len(), text.as_bytes()[0]) {
+        (2, b'f') if text == "fn" => Kw::Fn,
+        (2, b'i') if text == "in" => Kw::In,
+        (2, b'i') if text == "if" => Kw::If,
+        (2, b'o') if text == "of" => Kw::Of,
+        (3, b'f') if text == "fun" => Kw::Fun,
+        (3, b'v') if text == "val" => Kw::Val,
+        (3, b'r') if text == "rec" => Kw::Rec,
+        (3, b'l') if text == "let" => Kw::Let,
+        (3, b'e') if text == "end" => Kw::End,
+        (3, b'n') if text == "not" => Kw::Not,
+        (3, b'd') if text == "div" => Kw::Div,
+        (3, b'a') if text == "and" => Kw::And,
+        (3, b'i') if text == "int" => Kw::Int,
+        (4, b't') if text == "then" => Kw::Then,
+        (4, b't') if text == "true" => Kw::True,
+        (4, b'e') if text == "else" => Kw::Else,
+        (4, b'c') if text == "case" => Kw::Case,
+        (4, b'b') if text == "bool" => Kw::Bool,
+        (4, b'u') if text == "unit" => Kw::Unit,
+        (5, b'f') if text == "false" => Kw::False,
+        (5, b'p') if text == "print" => Kw::Print,
+        (7, b'r') if text == "readint" => Kw::Readint,
+        (8, b'd') if text == "datatype" => Kw::Datatype,
+        _ => return None,
+    };
+    Some(kw)
+}
+
 /// Tokenizes `source`, returning tokens with their source spans. The final
 /// token is always [`Tok::Eof`] (with an empty span at end of input).
 pub fn lex(source: &str) -> Result<Vec<(Tok<'_>, Span)>, LexError> {
@@ -236,8 +280,44 @@ pub fn lex(source: &str) -> Result<Vec<(Tok<'_>, Span)>, LexError> {
         }};
     }
 
+    // An identifier or keyword starting with `$c`.
+    macro_rules! word {
+        ($c:expr) => {{
+            let p = pos!();
+            let start = i;
+            let len = bytes[i..]
+                .iter()
+                .position(|&b| !IDENT[usize::from(b)])
+                .unwrap_or(bytes.len() - i);
+            advance!(len);
+            let text = &source[start..i];
+            let tok = if $c.is_ascii_uppercase() {
+                Tok::UIdent(text)
+            } else {
+                keyword(text).map_or(Tok::LIdent(text), Tok::Kw)
+            };
+            toks.push((
+                tok,
+                Span {
+                    start: p,
+                    end: pos!(),
+                },
+            ));
+        }};
+    }
+
     while i < bytes.len() {
         let c = bytes[i];
+        // Words are half the tokens and a space separates most of them:
+        // both are tested before the full dispatch.
+        if c == b' ' {
+            advance!(1);
+            continue;
+        }
+        if c.is_ascii_alphabetic() {
+            word!(c);
+            continue;
+        }
         match c {
             b' ' | b'\t' | b'\r' => advance!(1),
             b'\n' => newline!(),
@@ -306,50 +386,7 @@ pub fn lex(source: &str) -> Result<Vec<(Tok<'_>, Span)>, LexError> {
                     },
                 ));
             }
-            c if c.is_ascii_alphabetic() || c == b'_' => {
-                let p = pos!();
-                let start = i;
-                let len = bytes[i..]
-                    .iter()
-                    .take_while(|&&b| b.is_ascii_alphanumeric() || b == b'_' || b == b'\'')
-                    .count();
-                advance!(len);
-                let text = &source[start..i];
-                let tok = match text {
-                    "fn" => Tok::Kw(Kw::Fn),
-                    "fun" => Tok::Kw(Kw::Fun),
-                    "val" => Tok::Kw(Kw::Val),
-                    "rec" => Tok::Kw(Kw::Rec),
-                    "let" => Tok::Kw(Kw::Let),
-                    "in" => Tok::Kw(Kw::In),
-                    "end" => Tok::Kw(Kw::End),
-                    "if" => Tok::Kw(Kw::If),
-                    "then" => Tok::Kw(Kw::Then),
-                    "else" => Tok::Kw(Kw::Else),
-                    "case" => Tok::Kw(Kw::Case),
-                    "of" => Tok::Kw(Kw::Of),
-                    "datatype" => Tok::Kw(Kw::Datatype),
-                    "true" => Tok::Kw(Kw::True),
-                    "false" => Tok::Kw(Kw::False),
-                    "not" => Tok::Kw(Kw::Not),
-                    "print" => Tok::Kw(Kw::Print),
-                    "readint" => Tok::Kw(Kw::Readint),
-                    "div" => Tok::Kw(Kw::Div),
-                    "and" => Tok::Kw(Kw::And),
-                    "int" => Tok::Kw(Kw::Int),
-                    "bool" => Tok::Kw(Kw::Bool),
-                    "unit" => Tok::Kw(Kw::Unit),
-                    _ if c.is_ascii_uppercase() => Tok::UIdent(text),
-                    _ => Tok::LIdent(text),
-                };
-                toks.push((
-                    tok,
-                    Span {
-                        start: p,
-                        end: pos!(),
-                    },
-                ));
-            }
+            b'_' => word!(c),
             _ => {
                 // Name the whole character, not its first byte. Tokens
                 // and delimiters are ASCII, so `i` is a character boundary.

@@ -30,14 +30,14 @@
 //! with several parameters curries. A program with no final expression
 //! evaluates to `()`.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use crate::ast::{ConId, DataId, ExprId, ExprKind, PrimOp, Program, TyExpr, VarId};
+use crate::ast::{CaseArm, DataId, ExprId, ExprKind, PrimOp, Program, TyExpr, VarId};
 use crate::builder::ProgramBuilder;
+use crate::intern::Symbol;
 use crate::lexer::{lex, Kw, LexError, Pos, Span, Tok};
-use crate::validate::ValidateError;
+use crate::validate::{self, Refusal, ValidateError};
 
 /// A parse (or lex, or validation) failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -92,9 +92,6 @@ pub const MAX_NESTING: usize = 1000;
 /// that nests only four levels deep.
 pub const MAX_HEIGHT: usize = 3 * MAX_NESTING;
 
-// `Parser::check_height` counts tree heights in `u16`.
-const _: () = assert!(MAX_HEIGHT < u16::MAX as usize);
-
 fn too_deep() -> String {
     format!("input nests deeper than the limit of {MAX_NESTING} levels")
 }
@@ -102,6 +99,10 @@ fn too_deep() -> String {
 fn too_tall() -> String {
     format!("expression tree is taller than the limit of {MAX_HEIGHT} levels")
 }
+
+/// The parser's own results. An error is boxed, so a result fits in
+/// two registers on the way up the recursive descent.
+type PResult<T> = Result<T, Box<ParseError>>;
 
 const NOWHERE: Pos = Pos {
     offset: 0,
@@ -118,24 +119,102 @@ impl From<ValidateError> for ParseError {
     }
 }
 
+/// The parse error for a tree the validator refused: a tree taller than
+/// [`MAX_HEIGHT`] is refused at the first node past the limit.
+fn refused(program: &Program, refusal: Refusal) -> ParseError {
+    match refusal {
+        Refusal::TooTall(id) => ParseError {
+            pos: program.span(id).map_or(NOWHERE, |s| s.start),
+            message: too_tall(),
+        },
+        Refusal::Invalid(e) => e.into(),
+    }
+}
+
 /// Parses a complete program.
 pub fn parse(source: &str) -> Result<Program, ParseError> {
     let toks = lex(source)?;
     // Programs carry roughly one expression per two tokens.
     let b = ProgramBuilder::with_capacity(toks.len() / 2);
-    let mut p = Parser {
-        toks,
-        idx: 0,
-        prev_end: NOWHERE,
-        b,
-        scopes: HashMap::new(),
-        shadowed: Vec::new(),
-        depth: 0,
-    };
-    let root = p.decl_block(BlockKind::TopLevel)?;
-    p.expect(&Tok::Eof)?;
-    p.check_height(0)?;
-    Ok(p.b.finish(root)?)
+    let mut p = Parser::new(toks, b, Scope::default());
+    let root = p.program().map_err(|e| *e)?;
+    let program = p.b.finish_unchecked(Some(root));
+    validate::check(&program, Some(MAX_HEIGHT)).map_err(|r| refused(&program, r))?;
+    Ok(program)
+}
+
+/// The names in force while parsing, by symbol.
+///
+/// Each name's innermost binder sits at its symbol's index, and a
+/// journal records every binding with the binder it shadowed, so
+/// bindings undo in reverse. A whole program's parse releases every
+/// binding it makes. A session keeps one `Scope` across its fragments
+/// (see [`parse_fragment`]): a fragment's top-level bindings stay in
+/// force, and their journal entries are what the session rewinds.
+#[derive(Clone, Debug, Default)]
+pub struct Scope {
+    /// By symbol index: the innermost binder of that name.
+    binder: Vec<Option<VarId>>,
+    /// Every binding still in force, oldest first.
+    journal: Vec<Shadowing>,
+}
+
+/// One journal entry of a [`Scope`].
+#[derive(Clone, Copy, Debug)]
+struct Shadowing {
+    name: Symbol,
+    binder: VarId,
+    /// The binder `binder` shadows.
+    outer: Option<VarId>,
+}
+
+impl Scope {
+    /// The innermost binder of `name`.
+    pub fn lookup(&self, name: Symbol) -> Option<VarId> {
+        self.binder.get(name.index()).copied().flatten()
+    }
+
+    /// Brings `binder` into scope as `name`.
+    fn push(&mut self, name: Symbol, binder: VarId) {
+        if self.binder.len() <= name.index() {
+            self.binder.resize(name.index() + 1, None);
+        }
+        let outer = self.binder[name.index()].replace(binder);
+        self.journal.push(Shadowing {
+            name,
+            binder,
+            outer,
+        });
+    }
+
+    /// Releases `binder`, which must be the most recent binding still in
+    /// force: scopes nest.
+    fn pop(&mut self, binder: VarId) {
+        let top = self.journal.last().expect("unbind of empty scope");
+        assert_eq!(top.binder, binder, "unbind out of scope order");
+        self.rewind(self.journal.len() - 1);
+    }
+
+    /// Number of bindings in force, for [`Scope::rewind`].
+    pub(crate) fn journal_len(&self) -> usize {
+        self.journal.len()
+    }
+
+    /// Releases every binding made after the first `len`.
+    pub(crate) fn rewind(&mut self, len: usize) {
+        while self.journal.len() > len {
+            let entry = self.journal.pop().expect("len checked");
+            self.binder[entry.name.index()] = entry.outer;
+        }
+    }
+
+    /// Whether one of the first `len` bindings binds `v`. A session's
+    /// bindings are made in binder order, so their entries are sorted.
+    fn binds(&self, len: usize, v: VarId) -> bool {
+        self.journal[..len]
+            .binary_search_by_key(&v, |entry| entry.binder)
+            .is_ok()
+    }
 }
 
 /// One freshly parsed session binding (see [`crate::session`]).
@@ -164,10 +243,15 @@ pub struct RawFragment {
 /// apart and reassembled through [`ProgramBuilder::from_program`]), with
 /// `scope` giving the top-level names already in force. The fragment's
 /// bindings are *not* wrapped in `let` expressions — the caller records
-/// them (see [`crate::session::SessionProgram`]).
+/// them (see [`crate::session::SessionProgram`]). On success they stay
+/// in `scope`; on error `scope` is as it was.
+///
+/// The new trees are validated here, as a fragment of a forest: only
+/// the nodes and binders the fragment added are inspected, and the
+/// bindings already in `scope` are the names they may use from outside.
 pub fn parse_fragment(
     program: &mut Program,
-    scope: &HashMap<String, VarId>,
+    scope: &mut Scope,
     source: &str,
 ) -> Result<RawFragment, ParseError> {
     let toks = lex(source)?;
@@ -180,34 +264,55 @@ pub fn parse_fragment(
     let old_root = program.root();
     let placeholder = ProgramBuilder::new().finish_unchecked(None);
     let owned = std::mem::replace(program, placeholder);
-    let scopes = scope
-        .iter()
-        .map(|(name, &var)| (name.as_str(), var))
-        .collect();
-    let mut p = Parser {
+    let session = scope.journal_len();
+    let mut p = Parser::new(
         toks,
-        idx: 0,
-        prev_end: NOWHERE,
-        b: ProgramBuilder::from_program(owned),
-        scopes,
-        shadowed: Vec::new(),
-        depth: 0,
-    };
+        ProgramBuilder::from_program(owned),
+        std::mem::take(scope),
+    );
 
-    let lo = p.b.expr_count();
-    let result = p.fragment().and_then(|fragment| {
-        p.check_height(lo)?;
-        Ok(fragment)
-    });
+    let (exprs, vars) = (p.b.expr_count(), p.b.var_count());
+    let result = p.fragment().map_err(|e| *e);
     // Reassemble the arena whether or not parsing succeeded; the session
     // layer discards the scratch copy on error.
     *program = p.b.finish_unchecked(Some(old_root));
+    *scope = p.scope;
+    let result = result.and_then(|fragment| {
+        let roots: Vec<ExprId> = fragment
+            .bindings
+            .iter()
+            .map(|b| b.rhs)
+            .chain(fragment.value)
+            .collect();
+        let binders: Vec<VarId> = fragment.bindings.iter().map(|b| b.binder).collect();
+        validate::check_forest(
+            program,
+            exprs,
+            vars,
+            &roots,
+            &binders,
+            |v| scope.binds(session, v),
+            Some(MAX_HEIGHT),
+        )
+        .map_err(|r| refused(program, r))?;
+        Ok(fragment)
+    });
+    if result.is_err() {
+        scope.rewind(session);
+    }
     result
 }
 
 impl Parser<'_> {
+    /// `program := decl* expr?`
+    fn program(&mut self) -> PResult<ExprId> {
+        let root = self.decl_block(BlockKind::TopLevel)?;
+        self.expect(&Tok::Eof)?;
+        Ok(root)
+    }
+
     /// `fragment := (datatype-decl | fun-binding | val-binding)* expr?`
-    fn fragment(&mut self) -> Result<RawFragment, ParseError> {
+    fn fragment(&mut self) -> PResult<RawFragment> {
         let mut bindings = Vec::new();
         loop {
             match self.peek() {
@@ -215,7 +320,7 @@ impl Parser<'_> {
                 Tok::Kw(Kw::Fun) => {
                     self.bump();
                     let names = self.scan_fun_group()?;
-                    if names.len() == 1 {
+                    if names.is_empty() {
                         let (name, binder, rhs) = self.fun_binding()?;
                         // Stays bound: later bindings and the value see it.
                         bindings.push(RawBinding {
@@ -226,6 +331,10 @@ impl Parser<'_> {
                         });
                     } else {
                         let group = self.mutual_group(&names)?;
+                        // The pack is a session binding too, under a name
+                        // no source can spell.
+                        let pack = self.b.intern("$pack");
+                        self.scope.push(pack, group.pack);
                         bindings.push(RawBinding {
                             name: "$pack".into(),
                             binder: group.pack,
@@ -287,20 +396,14 @@ enum Pending<'a> {
     /// `fun f p₁ … pₙ = body`.
     Fun {
         start: Pos,
-        name: &'a str,
         binder: VarId,
         lam: ExprId,
     },
     /// An `and`-connected `fun` group.
-    Group {
-        start: Pos,
-        names: Vec<&'a str>,
-        group: MutualGroup<'a>,
-    },
+    Group { start: Pos, group: MutualGroup<'a> },
     /// `val [rec] x = rhs`.
     Val {
         start: Pos,
-        name: &'a str,
         binder: VarId,
         rhs: ExprId,
         recursive: bool,
@@ -314,19 +417,35 @@ struct Parser<'a> {
     /// span the parser closes.
     prev_end: Pos,
     b: ProgramBuilder,
-    /// name -> the innermost binder currently in scope. The names borrow
-    /// the source (or the caller's session scope), so binding and lookup
-    /// never allocate a key.
-    scopes: HashMap<&'a str, VarId>,
-    /// The bindings each [`Parser::push_scope`] shadowed, innermost last;
-    /// [`Parser::unbind`] restores them. Scopes nest, so every unbind
-    /// releases the most recent binding still in force.
-    shadowed: Vec<(&'a str, Option<VarId>)>,
+    /// The names in force, by symbol.
+    scope: Scope,
     /// Recursive parsing steps currently open (see [`Parser::nested`]).
     depth: usize,
+    /// Scratch stacks shared by every open block, tuple and case, so a
+    /// node's parts cost one exact allocation (or none): the declarations
+    /// of open blocks, the items of open tuples and constructor
+    /// applications, and the arms of open cases. Each open construct
+    /// owns the top of its stack from where it began.
+    pending: Vec<Pending<'a>>,
+    items: Vec<ExprId>,
+    arms: Vec<CaseArm>,
 }
 
 impl<'a> Parser<'a> {
+    fn new(toks: Vec<(Tok<'a>, Span)>, b: ProgramBuilder, scope: Scope) -> Self {
+        Parser {
+            toks,
+            idx: 0,
+            prev_end: NOWHERE,
+            b,
+            scope,
+            depth: 0,
+            pending: Vec::new(),
+            items: Vec::new(),
+            arms: Vec::new(),
+        }
+    }
+
     fn peek(&self) -> Tok<'a> {
         self.toks[self.idx].0
     }
@@ -375,14 +494,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError {
+    fn err<T>(&self, message: impl Into<String>) -> PResult<T> {
+        Err(Box::new(ParseError {
             pos: self.pos(),
             message: message.into(),
-        })
+        }))
     }
 
-    fn expect(&mut self, tok: &Tok<'_>) -> Result<(), ParseError> {
+    fn expect(&mut self, tok: &Tok<'_>) -> PResult<()> {
         if self.peek() == *tok {
             self.bump();
             Ok(())
@@ -391,11 +510,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_kw(&mut self, kw: Kw) -> Result<(), ParseError> {
+    fn expect_kw(&mut self, kw: Kw) -> PResult<()> {
         self.expect(&Tok::Kw(kw))
     }
 
-    fn lident(&mut self) -> Result<&'a str, ParseError> {
+    fn lident(&mut self) -> PResult<&'a str> {
         match self.peek() {
             Tok::LIdent(s) => {
                 self.bump();
@@ -407,10 +526,7 @@ impl<'a> Parser<'a> {
 
     /// Runs one recursive parsing step a level deeper, refusing input
     /// that nests past [`MAX_NESTING`] before it can exhaust the stack.
-    fn nested<T>(
-        &mut self,
-        step: impl FnOnce(&mut Self) -> Result<T, ParseError>,
-    ) -> Result<T, ParseError> {
+    fn nested<T>(&mut self, step: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
         if self.depth == MAX_NESTING {
             return self.err(too_deep());
         }
@@ -420,55 +536,29 @@ impl<'a> Parser<'a> {
         result
     }
 
-    /// Refuses a tree taller than [`MAX_HEIGHT`] among the expressions
-    /// built since `lo`. Builders take their children as arguments, so a
-    /// child's id is always smaller than its parent's and one forward
-    /// pass sees every child before its parent; the expressions since
-    /// `lo` form whole trees, so every child is at `lo` or above.
-    fn check_height(&self, lo: usize) -> Result<(), ParseError> {
-        let mut heights: Vec<u16> = Vec::with_capacity(self.b.expr_count() - lo);
-        for i in lo..self.b.expr_count() {
-            let mut below = 0;
-            self.b
-                .kind(ExprId::from_index(i))
-                .for_each_child(|c| below = below.max(heights[c.index() - lo]));
-            if usize::from(below) == MAX_HEIGHT {
-                let span = self.b.span(ExprId::from_index(i));
-                return Err(ParseError {
-                    pos: span.map_or(NOWHERE, |s| s.start),
-                    message: too_tall(),
-                });
-            }
-            heights.push(below + 1);
-        }
-        Ok(())
-    }
-
     // --- scope management -------------------------------------------------
 
-    fn bind(&mut self, name: &'a str) -> VarId {
-        let v = self.b.fresh_var(name);
-        self.push_scope(name, v);
+    /// A fresh binder named `name`, brought into scope.
+    fn bind(&mut self, name: &str) -> VarId {
+        let sym = self.b.intern(name);
+        let v = self.b.fresh_binder(sym);
+        self.scope.push(sym, v);
         v
     }
 
     /// Brings the existing binder `v` into scope as `name`.
-    fn push_scope(&mut self, name: &'a str, v: VarId) {
-        let outer = self.scopes.insert(name, v);
-        self.shadowed.push((name, outer));
+    fn push_scope(&mut self, name: &str, v: VarId) {
+        let sym = self.b.intern(name);
+        self.scope.push(sym, v);
     }
 
-    fn unbind(&mut self, name: &str) {
-        let (bound, outer) = self.shadowed.pop().expect("unbind of empty scope");
-        assert_eq!(bound, name, "unbind out of scope order");
-        match outer {
-            Some(v) => self.scopes.insert(bound, v),
-            None => self.scopes.remove(bound),
-        };
+    /// Releases `v`, the most recent binding still in force.
+    fn unbind(&mut self, v: VarId) {
+        self.scope.pop(v);
     }
 
     fn lookup(&self, name: &str) -> Option<VarId> {
-        self.scopes.get(name).copied()
+        self.scope.lookup(self.b.interner().get(name)?)
     }
 
     // --- declarations ------------------------------------------------------
@@ -479,10 +569,10 @@ impl<'a> Parser<'a> {
     /// The declarations are parsed in a loop, not by recursion: a block
     /// with many declarations costs one stack frame, and only the tree
     /// it builds is as deep as the declaration count (bounded by
-    /// [`Parser::check_height`]). The `let` nodes are built innermost
+    /// [`MAX_HEIGHT`]). The `let` nodes are built innermost
     /// first once the body is parsed, the order recursion would give.
-    fn decl_block(&mut self, kind: BlockKind) -> Result<ExprId, ParseError> {
-        let mut pending = Vec::new();
+    fn decl_block(&mut self, kind: BlockKind) -> PResult<ExprId> {
+        let first = self.pending.len();
         loop {
             match self.peek() {
                 Tok::Kw(Kw::Datatype) => self.datatype_decl()?,
@@ -490,33 +580,23 @@ impl<'a> Parser<'a> {
                     let start = self.pos();
                     self.bump();
                     let names = self.scan_fun_group()?;
-                    if names.len() == 1 {
-                        let (name, binder, lam) = self.fun_binding()?;
-                        pending.push(Pending::Fun {
-                            start,
-                            name,
-                            binder,
-                            lam,
-                        });
+                    if names.is_empty() {
+                        let (_, binder, lam) = self.fun_binding()?;
+                        self.pending.push(Pending::Fun { start, binder, lam });
                     } else {
                         let group = self.mutual_group(&names)?;
-                        for ((name, binder, _), _) in group.outer.iter().zip(&names) {
+                        for (name, binder, _) in &group.outer {
                             self.push_scope(name, *binder);
                         }
-                        pending.push(Pending::Group {
-                            start,
-                            names,
-                            group,
-                        });
+                        self.pending.push(Pending::Group { start, group });
                     }
                 }
                 Tok::Kw(Kw::Val) => {
                     let start = self.pos();
                     self.bump();
-                    let (name, binder, rhs, recursive) = self.val_binding()?;
-                    pending.push(Pending::Val {
+                    let (_, binder, rhs, recursive) = self.val_binding()?;
+                    self.pending.push(Pending::Val {
                         start,
-                        name,
                         binder,
                         rhs,
                         recursive,
@@ -540,25 +620,17 @@ impl<'a> Parser<'a> {
                 body
             }
         };
-        while let Some(decl) = pending.pop() {
+        while self.pending.len() > first {
+            let decl = self.pending.pop().expect("len checked");
             body = match decl {
-                Pending::Fun {
-                    start,
-                    name,
-                    binder,
-                    lam,
-                } => {
-                    self.unbind(name);
+                Pending::Fun { start, binder, lam } => {
+                    self.unbind(binder);
                     let node = self.b.letrec(binder, lam, body);
                     self.mark(node, start)
                 }
-                Pending::Group {
-                    start,
-                    names,
-                    group,
-                } => {
-                    for name in names.iter().rev() {
-                        self.unbind(name);
+                Pending::Group { start, group } => {
+                    for &(_, binder, _) in group.outer.iter().rev() {
+                        self.unbind(binder);
                     }
                     for (_, binder, rhs) in group.outer.iter().rev() {
                         body = self.b.let_(*binder, *rhs, body);
@@ -569,12 +641,11 @@ impl<'a> Parser<'a> {
                 }
                 Pending::Val {
                     start,
-                    name,
                     binder,
                     rhs,
                     recursive,
                 } => {
-                    self.unbind(name);
+                    self.unbind(binder);
                     let node = if recursive {
                         self.b.letrec(binder, rhs, body)
                     } else {
@@ -588,21 +659,22 @@ impl<'a> Parser<'a> {
     }
 
     /// Token-level lookahead from just after `fun`: the names of the
-    /// `and`-connected group (length 1 when there is no `and`). `let`/`end`
-    /// nesting is tracked so that `and` inside nested blocks is ignored;
-    /// `and` cannot otherwise occur inside expressions (it is a keyword).
-    fn scan_fun_group(&self) -> Result<Vec<&'a str>, ParseError> {
+    /// `and`-connected group, or none when there is no `and` (a single
+    /// function, which allocates nothing). `let`/`end` nesting is tracked
+    /// so that `and` inside nested blocks is ignored; `and` cannot
+    /// otherwise occur inside expressions (it is a keyword).
+    fn scan_fun_group(&self) -> PResult<Vec<&'a str>> {
         let mut names = Vec::new();
         let mut i = self.idx;
-        match self.toks[i].0 {
-            Tok::LIdent(s) => names.push(s),
+        let first = match self.toks[i].0 {
+            Tok::LIdent(s) => s,
             other => {
-                return Err(ParseError {
+                return Err(Box::new(ParseError {
                     pos: self.toks[i].1.start,
                     message: format!("expected function name, found {other}"),
-                })
+                }))
             }
-        }
+        };
         i += 1;
         let mut depth = 0i32;
         loop {
@@ -617,14 +689,19 @@ impl<'a> Parser<'a> {
                 Tok::Kw(Kw::And) if depth == 0 => {
                     i += 1;
                     match self.toks[i].0 {
-                        Tok::LIdent(s) => names.push(s),
+                        Tok::LIdent(s) => {
+                            if names.is_empty() {
+                                names.push(first);
+                            }
+                            names.push(s);
+                        }
                         other => {
-                            return Err(ParseError {
+                            return Err(Box::new(ParseError {
                                 pos: self.toks[i].1.start,
                                 message: format!(
                                     "expected function name after `and`, found {other}"
                                 ),
-                            })
+                            }))
                         }
                     }
                 }
@@ -668,7 +745,7 @@ impl<'a> Parser<'a> {
     /// calls flow through one extra abstraction (visible to CFA consumers
     /// as a wrapper label). The group is monomorphic within itself and
     /// generalized outside — SML's typing of `and`.
-    fn mutual_group(&mut self, names: &[&'a str]) -> Result<MutualGroup<'a>, ParseError> {
+    fn mutual_group(&mut self, names: &[&'a str]) -> PResult<MutualGroup<'a>> {
         let start = self.pos();
         let lo = self.b.expr_count();
         let pack = self.b.fresh_var("$pack");
@@ -691,7 +768,6 @@ impl<'a> Parser<'a> {
                 self.expect(&Tok::Kw(Kw::And))?;
             }
             let member_start = self.pos();
-            let member_lo = self.b.expr_count();
             let got = self.lident()?;
             if got != *expected {
                 return self.err(format!(
@@ -708,21 +784,22 @@ impl<'a> Parser<'a> {
             let pvars: Vec<VarId> = params.iter().map(|&p| self.bind(p)).collect();
             self.expect(&Tok::Equals)?;
             let mut body = self.expr()?;
-            for p in params.iter().rev() {
-                self.unbind(p);
+            for &pv in pvars.iter().rev() {
+                self.unbind(pv);
             }
+            let curried = self.b.expr_count();
             for &pv in pvars.iter().skip(1).rev() {
                 body = self.b.lam(pv, body);
             }
             lams.push(self.b.lam(pvars[0], body));
             // The curried member lambdas carry the member's source range.
-            self.fill_spans(member_lo, member_start);
+            self.fill_spans(curried, member_start);
         }
         if self.peek() == Tok::Semi {
             self.bump();
         }
-        for name in names.iter().rev() {
-            self.unbind(name);
+        for &(w, _) in inner.iter().rev() {
+            self.unbind(w);
         }
         let tuple = self.b.record(lams);
         let mut inner_body = tuple;
@@ -752,32 +829,32 @@ impl<'a> Parser<'a> {
 
     /// Parses `f p₁ … pₙ = body [;]` after the `fun` keyword. The binder
     /// stays in scope for the caller to release (or keep, for fragments).
-    fn fun_binding(&mut self) -> Result<(&'a str, VarId, ExprId), ParseError> {
+    fn fun_binding(&mut self) -> PResult<(&'a str, VarId, ExprId)> {
         let start = self.pos();
-        let lo = self.b.expr_count();
         let fname = self.lident()?;
         let f = self.bind(fname);
-        let mut params = Vec::new();
-        while let Tok::LIdent(_) = self.peek() {
-            let pname = self.lident()?;
-            params.push(pname);
+        let mut param_vars = Vec::new();
+        while let Tok::LIdent(pname) = self.peek() {
+            self.bump();
+            param_vars.push(self.bind(pname));
         }
-        if params.is_empty() {
+        if param_vars.is_empty() {
             return self.err("`fun` needs at least one parameter");
         }
-        let param_vars: Vec<VarId> = params.iter().map(|&p| self.bind(p)).collect();
         self.expect(&Tok::Equals)?;
         let mut body = self.expr()?;
-        for pname in params.iter().rev() {
-            self.unbind(pname);
+        for &pv in param_vars.iter().rev() {
+            self.unbind(pv);
         }
         // Curry: fn p1 => fn p2 => ... => body.
+        let curried = self.b.expr_count();
         for &pv in param_vars.iter().skip(1).rev() {
             body = self.b.lam(pv, body);
         }
         let lam = self.b.lam(param_vars[0], body);
-        // The curried lambdas inherit the binding's source range.
-        self.fill_spans(lo, start);
+        // The curried lambdas inherit the binding's source range; the
+        // body's nodes all carry spans of their own.
+        self.fill_spans(curried, start);
         if self.peek() == Tok::Semi {
             self.bump();
         }
@@ -786,7 +863,7 @@ impl<'a> Parser<'a> {
 
     /// Parses `[rec] x = rhs [;]` after the `val` keyword. The binder
     /// stays in scope for the caller to release (or keep, for fragments).
-    fn val_binding(&mut self) -> Result<(&'a str, VarId, ExprId, bool), ParseError> {
+    fn val_binding(&mut self) -> PResult<(&'a str, VarId, ExprId, bool)> {
         let recursive = if self.peek() == Tok::Kw(Kw::Rec) {
             self.bump();
             true
@@ -814,7 +891,7 @@ impl<'a> Parser<'a> {
         Ok((name, v, rhs, recursive))
     }
 
-    fn datatype_decl(&mut self) -> Result<(), ParseError> {
+    fn datatype_decl(&mut self) -> PResult<()> {
         self.expect_kw(Kw::Datatype)?;
         let name = self.lident()?;
         let sym_exists = {
@@ -840,7 +917,7 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn conbind(&mut self, data: DataId) -> Result<(), ParseError> {
+    fn conbind(&mut self, data: DataId) -> PResult<()> {
         let name = match self.peek() {
             Tok::UIdent(s) => {
                 self.bump();
@@ -871,11 +948,11 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn tyarg(&mut self) -> Result<TyExpr, ParseError> {
+    fn tyarg(&mut self) -> PResult<TyExpr> {
         self.nested(Self::tyarg_step)
     }
 
-    fn tyarg_step(&mut self) -> Result<TyExpr, ParseError> {
+    fn tyarg_step(&mut self) -> PResult<TyExpr> {
         let lhs = self.tyatom()?;
         if self.peek() == Tok::Arrow {
             self.bump();
@@ -886,7 +963,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn tyatom(&mut self) -> Result<TyExpr, ParseError> {
+    fn tyatom(&mut self) -> PResult<TyExpr> {
         match self.peek() {
             Tok::Kw(Kw::Int) => {
                 self.bump();
@@ -929,11 +1006,11 @@ impl<'a> Parser<'a> {
 
     // --- expressions --------------------------------------------------------
 
-    fn expr(&mut self) -> Result<ExprId, ParseError> {
+    fn expr(&mut self) -> PResult<ExprId> {
         self.nested(Self::expr_step)
     }
 
-    fn expr_step(&mut self) -> Result<ExprId, ParseError> {
+    fn expr_step(&mut self) -> PResult<ExprId> {
         let start = self.pos();
         match self.peek() {
             Tok::Kw(Kw::Fn) => {
@@ -942,7 +1019,7 @@ impl<'a> Parser<'a> {
                 let v = self.bind(name);
                 self.expect(&Tok::FatArrow)?;
                 let body = self.expr()?;
-                self.unbind(name);
+                self.unbind(v);
                 let node = self.b.lam(v, body);
                 Ok(self.mark(node, start))
             }
@@ -967,7 +1044,7 @@ impl<'a> Parser<'a> {
                 if self.peek() == Tok::Bar {
                     self.bump();
                 }
-                let mut arms: Vec<(ConId, Vec<VarId>, ExprId)> = Vec::new();
+                let first = self.arms.len();
                 let mut default = None;
                 loop {
                     if self.peek() == Tok::Underscore {
@@ -997,11 +1074,12 @@ impl<'a> Parser<'a> {
                         }
                     };
                     let arity = self.b.data_env().arity(con);
-                    let mut names = Vec::new();
+                    let mut binders = Vec::with_capacity(arity);
                     if self.peek() == Tok::LParen {
                         self.bump();
                         loop {
-                            names.push(self.lident()?);
+                            let name = self.lident()?;
+                            binders.push(self.bind(name));
                             if self.peek() == Tok::Comma {
                                 self.bump();
                             } else {
@@ -1010,33 +1088,37 @@ impl<'a> Parser<'a> {
                         }
                         self.expect(&Tok::RParen)?;
                     }
-                    if names.len() != arity {
+                    if binders.len() != arity {
                         return self.err(format!(
                             "constructor `{con_name}` has arity {arity}, pattern binds {}",
-                            names.len()
+                            binders.len()
                         ));
                     }
-                    let binders: Vec<VarId> = names.iter().map(|&n| self.bind(n)).collect();
                     self.expect(&Tok::FatArrow)?;
                     let body = self.expr()?;
-                    for n in names.iter().rev() {
-                        self.unbind(n);
+                    for &b in binders.iter().rev() {
+                        self.unbind(b);
                     }
-                    arms.push((con, binders, body));
+                    self.arms.push(CaseArm {
+                        con,
+                        binders: binders.into(),
+                        body,
+                    });
                     if self.peek() == Tok::Bar {
                         self.bump();
                     } else {
                         break;
                     }
                 }
-                let node = self.b.case(scrutinee, arms, default);
+                let arms = self.arms.drain(first..).collect();
+                let node = self.b.case_arms(scrutinee, arms, default);
                 Ok(self.mark(node, start))
             }
             _ => self.cmp(),
         }
     }
 
-    fn cmp(&mut self) -> Result<ExprId, ParseError> {
+    fn cmp(&mut self) -> PResult<ExprId> {
         let start = self.pos();
         let lhs = self.add()?;
         let op = match self.peek() {
@@ -1051,7 +1133,7 @@ impl<'a> Parser<'a> {
         Ok(self.mark(node, start))
     }
 
-    fn add(&mut self) -> Result<ExprId, ParseError> {
+    fn add(&mut self) -> PResult<ExprId> {
         let start = self.pos();
         let mut lhs = self.mul()?;
         loop {
@@ -1067,7 +1149,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn mul(&mut self) -> Result<ExprId, ParseError> {
+    fn mul(&mut self) -> PResult<ExprId> {
         let start = self.pos();
         let mut lhs = self.appexpr()?;
         loop {
@@ -1099,7 +1181,7 @@ impl<'a> Parser<'a> {
         )
     }
 
-    fn appexpr(&mut self) -> Result<ExprId, ParseError> {
+    fn appexpr(&mut self) -> PResult<ExprId> {
         let start = self.pos();
         let mut head = self.atom()?;
         while self.starts_atom() {
@@ -1110,11 +1192,25 @@ impl<'a> Parser<'a> {
         Ok(head)
     }
 
-    fn atom(&mut self) -> Result<ExprId, ParseError> {
+    fn atom(&mut self) -> PResult<ExprId> {
         self.nested(Self::atom_step)
     }
 
-    fn atom_step(&mut self) -> Result<ExprId, ParseError> {
+    /// `first ("," expr)*`, collected in one exact allocation.
+    fn items(&mut self, first: ExprId) -> PResult<Vec<ExprId>> {
+        let base = self.items.len();
+        self.items.push(first);
+        while self.peek() == Tok::Comma {
+            self.bump();
+            let item = self.expr()?;
+            self.items.push(item);
+        }
+        let items = self.items[base..].to_vec();
+        self.items.truncate(base);
+        Ok(items)
+    }
+
+    fn atom_step(&mut self) -> PResult<ExprId> {
         let start = self.pos();
         match self.peek() {
             Tok::LIdent(name) => {
@@ -1142,11 +1238,8 @@ impl<'a> Parser<'a> {
                     return Ok(self.mark(node, start));
                 }
                 self.expect(&Tok::LParen)?;
-                let mut args = vec![self.expr()?];
-                while self.peek() == Tok::Comma {
-                    self.bump();
-                    args.push(self.expr()?);
-                }
+                let first = self.expr()?;
+                let args = self.items(first)?;
                 self.expect(&Tok::RParen)?;
                 if args.len() == arity {
                     let node = self.b.con(con, args);
@@ -1204,10 +1297,18 @@ impl<'a> Parser<'a> {
             Tok::Hash => {
                 self.bump();
                 let index = match self.peek() {
-                    Tok::Int(n) if n >= 1 => {
-                        self.bump();
-                        n as u32
-                    }
+                    Tok::Int(n) if n >= 1 => match u32::try_from(n) {
+                        Ok(n) => {
+                            self.bump();
+                            n - 1
+                        }
+                        Err(_) => {
+                            return self.err(format!(
+                                "field index `{n}` is larger than the limit of {}",
+                                u32::MAX
+                            ))
+                        }
+                    },
                     other => {
                         return self.err(format!(
                             "expected positive field index after `#`, found {other}"
@@ -1215,7 +1316,7 @@ impl<'a> Parser<'a> {
                     }
                 };
                 let tuple = self.atom()?;
-                let node = self.b.proj(index - 1, tuple);
+                let node = self.b.proj(index, tuple);
                 Ok(self.mark(node, start))
             }
             Tok::LParen => {
@@ -1225,19 +1326,16 @@ impl<'a> Parser<'a> {
                     let node = self.b.unit();
                     return Ok(self.mark(node, start));
                 }
-                let mut items = vec![self.expr()?];
-                while self.peek() == Tok::Comma {
-                    self.bump();
-                    items.push(self.expr()?);
-                }
-                self.expect(&Tok::RParen)?;
-                if items.len() == 1 {
+                let first = self.expr()?;
+                if self.peek() != Tok::Comma {
+                    self.expect(&Tok::RParen)?;
                     // A parenthesized expression keeps its own (inner) span.
-                    Ok(items.pop().expect("one item"))
-                } else {
-                    let node = self.b.record(items);
-                    Ok(self.mark(node, start))
+                    return Ok(first);
                 }
+                let items = self.items(first)?;
+                self.expect(&Tok::RParen)?;
+                let node = self.b.record(items);
+                Ok(self.mark(node, start))
             }
             other => self.err(format!("expected expression, found {other}")),
         }
@@ -1400,6 +1498,30 @@ mod tests {
             panic!()
         };
         assert_eq!(items.len(), 3);
+    }
+
+    #[test]
+    fn field_indices_past_u32_are_refused() {
+        for src in ["#4294967296 e", "#4294967297 e"] {
+            let err = parse(src).unwrap_err();
+            assert_eq!((err.pos.line, err.pos.col), (1, 2), "{src}: {err}");
+            assert_eq!(
+                err.message,
+                format!(
+                    "field index `{}` is larger than the limit of 4294967295",
+                    &src[1..11]
+                )
+            );
+        }
+        let p = parse_ok("#4294967295 (1, 2)");
+        assert!(matches!(
+            p.kind(p.root()),
+            ExprKind::Proj {
+                index: 4294967294,
+                ..
+            }
+        ));
+        assert!(p.to_source().starts_with("#4294967295 "));
     }
 
     #[test]
@@ -1720,13 +1842,14 @@ mod tests {
         with_stack(|| {
             let mut program = parse("0").unwrap();
             let deep = format!("val v = {}1{};", "(".repeat(100_000), ")".repeat(100_000));
-            let err = parse_fragment(&mut program, &HashMap::new(), &deep).unwrap_err();
+            let mut scope = Scope::default();
+            let err = parse_fragment(&mut program, &mut scope, &deep).unwrap_err();
             assert!(err.message.contains("limit"), "{err}");
             let tall = format!("val v = 1{};", " + 1".repeat(100_000));
-            let err = parse_fragment(&mut program, &HashMap::new(), &tall).unwrap_err();
+            let err = parse_fragment(&mut program, &mut scope, &tall).unwrap_err();
             assert!(err.message.contains("limit"), "{err}");
             // The arena still takes a fragment within the limit.
-            let ok = parse_fragment(&mut program, &HashMap::new(), "val w = 2;").unwrap();
+            let ok = parse_fragment(&mut program, &mut scope, "val w = 2;").unwrap();
             assert_eq!(ok.bindings.len(), 1);
         });
     }

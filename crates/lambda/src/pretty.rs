@@ -9,6 +9,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::ast::{ExprId, ExprKind, Literal, PrimOp, Program, TyExpr, VarId};
+use crate::parser::MAX_NESTING;
 
 /// Precedence levels, loosest (0) to tightest (5 = atom).
 const LVL_EXPR: u8 = 0;
@@ -17,6 +18,13 @@ const LVL_ADD: u8 = 2;
 const LVL_MUL: u8 = 3;
 const LVL_APP: u8 = 4;
 const LVL_ATOM: u8 = 5;
+
+/// A chain of directly nested `let`s longer than this prints as one
+/// `let` block. Nested `let ... in` text costs the parser a level of
+/// recursion per binding, and a declaration chain the parser built by a
+/// loop can be far longer than it may nest; a block's declarations are
+/// read by a loop again. Shorter chains keep the nested form.
+const LONG_CHAIN: usize = MAX_NESTING / 2;
 
 /// Renders `program` as parseable surface syntax, including its `datatype`
 /// declarations.
@@ -141,6 +149,44 @@ impl Printer<'_> {
         }
     }
 
+    /// The number of directly nested `let`s and `letrec`s from `id` down
+    /// its bodies, up to one more than [`LONG_CHAIN`].
+    fn chain(&self, mut id: ExprId) -> usize {
+        let mut n = 0;
+        while n <= LONG_CHAIN {
+            match self.program.kind(id) {
+                ExprKind::Let { body, .. } | ExprKind::LetRec { body, .. } => id = *body,
+                _ => break,
+            }
+            n += 1;
+        }
+        n
+    }
+
+    /// `let val x = e … val rec f = fn … in body end` for the whole chain
+    /// of `let`s and `letrec`s from `id`.
+    fn let_block(&mut self, mut id: ExprId) {
+        self.out.push_str("let");
+        loop {
+            let (binder, rhs, body, rec) = match *self.program.kind(id) {
+                ExprKind::Let { binder, rhs, body } => (binder, rhs, body, ""),
+                ExprKind::LetRec {
+                    binder,
+                    lambda,
+                    body,
+                } => (binder, lambda, body, "rec "),
+                _ => break,
+            };
+            let name = self.name(binder).to_owned();
+            write!(self.out, " val {rec}{name} = ").unwrap();
+            self.expr(rhs, LVL_EXPR);
+            id = body;
+        }
+        self.out.push_str(" in ");
+        self.expr(id, LVL_EXPR);
+        self.out.push_str(" end");
+    }
+
     fn expr(&mut self, id: ExprId, min_lvl: u8) {
         let program = self.program;
         match program.kind(id) {
@@ -176,6 +222,9 @@ impl Printer<'_> {
                     p.out.push(' ');
                     p.expr(arg, LVL_ATOM);
                 });
+            }
+            ExprKind::Let { .. } | ExprKind::LetRec { .. } if self.chain(id) > LONG_CHAIN => {
+                self.paren(min_lvl > LVL_EXPR, |p| p.let_block(id));
             }
             ExprKind::Let { binder, rhs, body } => {
                 let (binder, rhs, body) = (*binder, *rhs, *body);
@@ -232,7 +281,7 @@ impl Printer<'_> {
             ExprKind::Proj { index, tuple } => {
                 let (index, tuple) = (*index, *tuple);
                 self.paren(min_lvl > LVL_APP, |p| {
-                    write!(p.out, "#{} ", index + 1).unwrap();
+                    write!(p.out, "#{} ", u64::from(index) + 1).unwrap();
                     p.expr(tuple, LVL_ATOM);
                 });
             }
@@ -325,7 +374,18 @@ impl Printer<'_> {
                     }
                     PrimOp::Not | PrimOp::Print => self.paren(min_lvl > LVL_APP, |p| {
                         write!(p.out, "{} ", op.name()).unwrap();
-                        p.expr(args[0], LVL_ATOM);
+                        // `not print x` reads as `not (print x)`: an
+                        // operand that is itself `not` or `print` needs
+                        // no parentheses, which would cost the parser
+                        // two more levels per operator.
+                        let prefix = matches!(
+                            p.program.kind(args[0]),
+                            ExprKind::Prim {
+                                op: PrimOp::Not | PrimOp::Print,
+                                ..
+                            }
+                        );
+                        p.expr(args[0], if prefix { LVL_APP } else { LVL_ATOM });
                     }),
                     PrimOp::ReadInt => self.out.push_str("readint"),
                 }

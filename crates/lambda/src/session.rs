@@ -10,12 +10,8 @@
 //! never needs a distinguished root, which is what makes the paper's
 //! "incremental" remark practical: see `stcfa-core`'s `IncrementalAnalysis`.
 
-use std::collections::HashMap;
-
 use crate::ast::{ExprId, Program, VarId};
-use crate::lexer::Pos;
-use crate::parser::{parse_fragment, ParseError};
-use crate::validate;
+use crate::parser::{parse_fragment, ParseError, Scope};
 
 /// One accepted fragment: what it defined, and its value expression.
 #[derive(Clone, Debug)]
@@ -43,11 +39,9 @@ pub struct SessionBinding {
 #[derive(Clone, Debug)]
 pub struct SessionProgram {
     program: Program,
-    /// Latest binder for each top-level name.
-    scope: HashMap<String, VarId>,
-    /// Journal of scope insertions: `(name, previous binder)` — popping
-    /// in reverse restores any shadowed binding on rewind.
-    scope_log: Vec<(String, Option<VarId>)>,
+    /// Latest binder for each top-level name, by symbol, with the
+    /// journal that restores shadowed bindings on rewind.
+    scope: Scope,
     /// All session bindings in definition order.
     bindings: Vec<SessionBinding>,
     /// Value expressions of fragments, in order.
@@ -85,8 +79,7 @@ impl SessionProgram {
         let program = crate::builder::ProgramBuilder::new().finish_unchecked(None);
         SessionProgram {
             program,
-            scope: HashMap::new(),
-            scope_log: Vec::new(),
+            scope: Scope::default(),
             bindings: Vec::new(),
             values: Vec::new(),
         }
@@ -105,7 +98,7 @@ impl SessionProgram {
 
     /// Looks up a top-level name.
     pub fn lookup(&self, name: &str) -> Option<VarId> {
-        self.scope.get(name).copied()
+        self.scope.lookup(self.program.interner.get(name)?)
     }
 
     /// The session's current extent, for [`SessionProgram::rewind`].
@@ -119,7 +112,7 @@ impl SessionProgram {
             interned: self.program.interner.len(),
             bindings: self.bindings.len(),
             values: self.values.len(),
-            scope_log: self.scope_log.len(),
+            scope_log: self.scope.journal_len(),
             root: self.program.root(),
         }
     }
@@ -130,13 +123,7 @@ impl SessionProgram {
     /// rebuilds a byte-identical arena. `mark` must come from this
     /// session and must not predate an earlier rewind's target.
     pub fn rewind(&mut self, mark: SessionMark) {
-        while self.scope_log.len() > mark.scope_log {
-            let (name, prev) = self.scope_log.pop().expect("len checked");
-            match prev {
-                Some(var) => self.scope.insert(name, var),
-                None => self.scope.remove(&name),
-            };
-        }
+        self.scope.rewind(mark.scope_log);
         self.bindings.truncate(mark.bindings);
         self.values.truncate(mark.values);
         self.program.rewind(
@@ -151,46 +138,28 @@ impl SessionProgram {
     }
 
     /// Parses and appends one fragment (declarations and/or an
-    /// expression). On error the session is unchanged.
+    /// expression). On error the session is unchanged. The work is
+    /// proportional to the fragment, not to the session: the scope is
+    /// kept by symbol across fragments, and only the new trees are
+    /// validated.
     pub fn define(&mut self, source: &str) -> Result<Fragment, ParseError> {
         // Parse in place — fragment parsing only ever appends — and
         // rewind on error, so failures cannot corrupt the arena and the
         // success path never clones it.
         let mark = self.mark();
-        let raw = match parse_fragment(&mut self.program, &self.scope, source) {
+        let raw = match parse_fragment(&mut self.program, &mut self.scope, source) {
             Ok(raw) => raw,
             Err(e) => {
                 self.rewind(mark);
                 return Err(e);
             }
         };
-        // Validate the new trees (scope/shape checks for the new exprs,
-        // with session binders ambient).
-        let mut ambient: Vec<VarId> = self.bindings.iter().map(|b| b.binder).collect();
-        ambient.extend(raw.bindings.iter().map(|b| b.binder));
-        let mut roots: Vec<ExprId> = raw.bindings.iter().map(|b| b.rhs).collect();
-        roots.extend(raw.value);
-        if let Err(e) = validate::validate_forest(&self.program, &roots, &ambient) {
-            self.rewind(mark);
-            return Err(ParseError {
-                pos: Pos {
-                    offset: 0,
-                    line: 0,
-                    col: 0,
-                },
-                message: e.to_string(),
-            });
-        }
-        for b in &raw.bindings {
-            let prev = self.scope.insert(b.name.clone(), b.binder);
-            self.scope_log.push((b.name.clone(), prev));
-        }
         let fragment = Fragment {
             bindings: raw
                 .bindings
-                .iter()
+                .into_iter()
                 .map(|b| SessionBinding {
-                    name: b.name.clone(),
+                    name: b.name,
                     binder: b.binder,
                     rhs: b.rhs,
                     recursive: b.recursive,

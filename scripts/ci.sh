@@ -29,6 +29,18 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== tier-1: query-engine properties =="
 cargo test -q --offline --test query_engine
 
+echo "== front end: pins, limits, round trip and properties =="
+# The parse pin (every token, span, name, label and error message the
+# front end produces over its fixed inputs), source at the nesting
+# limits through every consumer, and the printer's round trip. Then the
+# two front-end properties at a raised case count: source-text fuzzing
+# (token soup and corpus mutations: parse never panics, an accepted
+# program validates and its printed form re-parses, a refusal points
+# into the source and repeats the lexer's error) and the one-pass
+# validator against its four-pass reference on damaged arenas.
+cargo test -q --offline --test parse_pin --test nesting_limit --test pretty_roundtrip
+STCFA_PROP_CASES=4000 cargo test -q --offline --test source_fuzz --test validate_pin
+
 echo "== lint: machine-readable corpus report is stable =="
 # `stcfa lint --format json` over the whole corpus, digested. The digest is
 # pinned so a renderer or rule change that shifts any diagnostic shows up
