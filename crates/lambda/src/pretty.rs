@@ -4,6 +4,14 @@
 //! (same tree shape, labels and binder structure; ids may be renumbered),
 //! which the round-trip tests rely on. Binder names are disambiguated with
 //! a numeric suffix when a source name is reused.
+//!
+//! The usual form parenthesizes defensively, which costs the parser
+//! levels of recursion the source may not have spent. When that form
+//! would nest past [`MAX_NESTING`], the program prints *flat*: a
+//! projection of a projection drops its parentheses (`#1 #1 x`), a
+//! `case`'s last arm drops the ones around its body, and every `let`
+//! chain prints as one block — so a program the parser accepted always
+//! prints as text it accepts again.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -57,9 +65,22 @@ pub fn pretty(program: &Program) -> String {
         program,
         names: &names,
         out,
+        flat: false,
     };
+    p.flat = p.nesting(program.root(), LVL_EXPR, Entry::Expr) > MAX_NESTING;
     p.expr(program.root(), LVL_EXPR);
     p.out
+}
+
+/// How the parser reaches a printed subexpression: through `expr` or
+/// `atom`, one level each, or as an operand of an operator or an
+/// application spine, which opens no level before the operand's first
+/// atom.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Entry {
+    Expr,
+    Atom,
+    Op,
 }
 
 fn ty_expr(program: &Program, t: &TyExpr, out: &mut String) {
@@ -132,6 +153,8 @@ struct Printer<'a> {
     program: &'a Program,
     names: &'a [String],
     out: String,
+    /// Print the flat forms (see the module docs).
+    flat: bool,
 }
 
 impl Printer<'_> {
@@ -163,6 +186,164 @@ impl Printer<'_> {
         n
     }
 
+    /// Whether the `let` chain at `id` prints as one block.
+    fn as_block(&self, id: ExprId) -> bool {
+        self.flat || self.chain(id) > LONG_CHAIN
+    }
+
+    /// The level a projection's operand prints at: flat, a projection of
+    /// a projection needs no parentheses (`#1 #2 x` reads as
+    /// `#1 (#2 x)`).
+    fn proj_operand(&self, tuple: ExprId) -> u8 {
+        if self.flat && matches!(self.program.kind(tuple), ExprKind::Proj { .. }) {
+            LVL_APP
+        } else {
+            LVL_ATOM
+        }
+    }
+
+    /// The level a `not` or `print` operand prints at. `not print x`
+    /// reads as `not (print x)`: an operand that is itself `not` or
+    /// `print` needs no parentheses, which would cost the parser two more
+    /// levels per operator.
+    fn prefix_operand(&self, arg: ExprId) -> u8 {
+        let prefix = matches!(
+            self.program.kind(arg),
+            ExprKind::Prim {
+                op: PrimOp::Not | PrimOp::Print,
+                ..
+            }
+        );
+        if prefix {
+            LVL_APP
+        } else {
+            LVL_ATOM
+        }
+    }
+
+    /// The level an arm body prints at. Flat, the last arm (with no
+    /// wildcard after it) has nothing left to swallow, so its body needs
+    /// no parentheses.
+    fn arm_lvl(&self, last: bool) -> u8 {
+        if self.flat && last {
+            LVL_EXPR
+        } else {
+            LVL_CMP
+        }
+    }
+
+    /// Whether `id` printed at `min_lvl` is parenthesized: the one rule
+    /// [`Printer::expr`] prints by and [`Printer::nesting`] counts by.
+    fn parenthesized(&self, id: ExprId, min_lvl: u8) -> bool {
+        match self.program.kind(id) {
+            ExprKind::Lit(Literal::Int(n)) => *n < 0 && min_lvl > LVL_ADD,
+            ExprKind::Lam { .. }
+            | ExprKind::Let { .. }
+            | ExprKind::LetRec { .. }
+            | ExprKind::If { .. }
+            | ExprKind::Case { .. } => min_lvl > LVL_EXPR,
+            ExprKind::App { .. } | ExprKind::Proj { .. } => min_lvl > LVL_APP,
+            ExprKind::Prim { op, .. } => match op {
+                PrimOp::Add | PrimOp::Sub => min_lvl > LVL_ADD,
+                PrimOp::Mul | PrimOp::Div => min_lvl > LVL_MUL,
+                PrimOp::Lt | PrimOp::Leq | PrimOp::IntEq => min_lvl > LVL_CMP,
+                PrimOp::Not | PrimOp::Print => min_lvl > LVL_APP,
+                PrimOp::ReadInt => false,
+            },
+            _ => false,
+        }
+    }
+
+    /// How many levels of parser recursion the text [`Printer::expr`]
+    /// prints for `id` at `min_lvl` opens, when the parser reaches it by
+    /// `entry`. Mirrors `expr` case by case; `pretty` compares the
+    /// root's count with [`MAX_NESTING`] to choose the flat forms.
+    fn nesting(&self, id: ExprId, min_lvl: u8, entry: Entry) -> usize {
+        let expr = |e: ExprId| self.nesting(e, LVL_EXPR, Entry::Expr);
+        if self.parenthesized(id, min_lvl) {
+            // `(` is an atom, and `expr` parses what it holds.
+            let atom = if entry == Entry::Expr { 2 } else { 1 };
+            return atom + expr(id);
+        }
+        let program = self.program;
+        let keyword = match program.kind(id) {
+            ExprKind::Lam { body, .. } => Some(expr(*body)),
+            ExprKind::Let { .. } | ExprKind::LetRec { .. } if self.as_block(id) => {
+                let mut deepest = 0;
+                let mut at = id;
+                loop {
+                    match *program.kind(at) {
+                        ExprKind::Let { rhs, body, .. } => {
+                            deepest = deepest.max(expr(rhs));
+                            at = body;
+                        }
+                        ExprKind::LetRec { lambda, body, .. } => {
+                            deepest = deepest.max(expr(lambda));
+                            at = body;
+                        }
+                        _ => break,
+                    }
+                }
+                Some(deepest.max(expr(at)))
+            }
+            ExprKind::Let { rhs, body, .. } => Some(expr(*rhs).max(expr(*body))),
+            ExprKind::LetRec { lambda, body, .. } => Some(expr(*lambda).max(expr(*body))),
+            ExprKind::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => Some(expr(*cond).max(expr(*then_branch)).max(expr(*else_branch))),
+            ExprKind::Case {
+                scrutinee,
+                arms,
+                default,
+            } => {
+                let mut deepest = expr(*scrutinee).max(default.map_or(0, expr));
+                for (i, arm) in arms.iter().enumerate() {
+                    let last = i + 1 == arms.len() && default.is_none();
+                    deepest = deepest.max(self.nesting(arm.body, self.arm_lvl(last), Entry::Expr));
+                }
+                Some(deepest)
+            }
+            _ => None,
+        };
+        // Keyword forms print unparenthesized only where `expr` parses
+        // them; everything else sits below `cmp`, and `expr` spends a
+        // level on the way down.
+        let levels = if entry == Entry::Expr { 1 } else { 0 };
+        if let Some(inner) = keyword {
+            return levels + inner;
+        }
+        levels
+            + match program.kind(id) {
+                ExprKind::App { func, arg } => self
+                    .nesting(*func, LVL_APP, Entry::Op)
+                    .max(self.nesting(*arg, LVL_ATOM, Entry::Atom)),
+                ExprKind::Prim { op, args } => match op {
+                    PrimOp::Add | PrimOp::Sub => self
+                        .nesting(args[0], LVL_ADD, Entry::Op)
+                        .max(self.nesting(args[1], LVL_MUL, Entry::Op)),
+                    PrimOp::Mul | PrimOp::Div => self
+                        .nesting(args[0], LVL_MUL, Entry::Op)
+                        .max(self.nesting(args[1], LVL_APP, Entry::Op)),
+                    PrimOp::Lt | PrimOp::Leq | PrimOp::IntEq => self
+                        .nesting(args[0], LVL_ADD, Entry::Op)
+                        .max(self.nesting(args[1], LVL_ADD, Entry::Op)),
+                    PrimOp::Not | PrimOp::Print => {
+                        1 + self.nesting(args[0], self.prefix_operand(args[0]), Entry::Atom)
+                    }
+                    PrimOp::ReadInt => 1,
+                },
+                ExprKind::Record(items) => 1 + items.iter().map(|&e| expr(e)).max().unwrap_or(0),
+                ExprKind::Con { args, .. } => 1 + args.iter().map(|&e| expr(e)).max().unwrap_or(0),
+                ExprKind::Proj { tuple, .. } => {
+                    1 + self.nesting(*tuple, self.proj_operand(*tuple), Entry::Atom)
+                }
+                // A variable, a literal, or `0 - n`: atoms only.
+                _ => 1,
+            }
+    }
+
     /// `let val x = e … val rec f = fn … in body end` for the whole chain
     /// of `let`s and `letrec`s from `id`.
     fn let_block(&mut self, mut id: ExprId) {
@@ -189,6 +370,7 @@ impl Printer<'_> {
 
     fn expr(&mut self, id: ExprId, min_lvl: u8) {
         let program = self.program;
+        let paren = self.parenthesized(id, min_lvl);
         match program.kind(id) {
             ExprKind::Var(v) => {
                 let name = self.name(*v).to_owned();
@@ -197,7 +379,7 @@ impl Printer<'_> {
             ExprKind::Lit(Literal::Int(n)) => {
                 if *n < 0 {
                     // Negative literals need parens under application/ops.
-                    self.paren(min_lvl > LVL_ADD, |p| {
+                    self.paren(paren, |p| {
                         write!(p.out, "0 - {}", n.unsigned_abs()).unwrap()
                     });
                 } else {
@@ -209,7 +391,7 @@ impl Printer<'_> {
             ExprKind::Lam { param, body, .. } => {
                 let param = *param;
                 let body = *body;
-                self.paren(min_lvl > LVL_EXPR, |p| {
+                self.paren(paren, |p| {
                     let name = p.name(param).to_owned();
                     write!(p.out, "fn {name} => ").unwrap();
                     p.expr(body, LVL_EXPR);
@@ -217,18 +399,18 @@ impl Printer<'_> {
             }
             ExprKind::App { func, arg } => {
                 let (func, arg) = (*func, *arg);
-                self.paren(min_lvl > LVL_APP, |p| {
+                self.paren(paren, |p| {
                     p.expr(func, LVL_APP);
                     p.out.push(' ');
                     p.expr(arg, LVL_ATOM);
                 });
             }
-            ExprKind::Let { .. } | ExprKind::LetRec { .. } if self.chain(id) > LONG_CHAIN => {
-                self.paren(min_lvl > LVL_EXPR, |p| p.let_block(id));
+            ExprKind::Let { .. } | ExprKind::LetRec { .. } if self.as_block(id) => {
+                self.paren(paren, |p| p.let_block(id));
             }
             ExprKind::Let { binder, rhs, body } => {
                 let (binder, rhs, body) = (*binder, *rhs, *body);
-                self.paren(min_lvl > LVL_EXPR, |p| {
+                self.paren(paren, |p| {
                     let name = p.name(binder).to_owned();
                     write!(p.out, "let val {name} = ").unwrap();
                     p.expr(rhs, LVL_EXPR);
@@ -243,7 +425,7 @@ impl Printer<'_> {
                 body,
             } => {
                 let (binder, lambda, body) = (*binder, *lambda, *body);
-                self.paren(min_lvl > LVL_EXPR, |p| {
+                self.paren(paren, |p| {
                     let name = p.name(binder).to_owned();
                     write!(p.out, "let val rec {name} = ").unwrap();
                     p.expr(lambda, LVL_EXPR);
@@ -258,7 +440,7 @@ impl Printer<'_> {
                 else_branch,
             } => {
                 let (c, t, e) = (*cond, *then_branch, *else_branch);
-                self.paren(min_lvl > LVL_EXPR, |p| {
+                self.paren(paren, |p| {
                     p.out.push_str("if ");
                     p.expr(c, LVL_EXPR);
                     p.out.push_str(" then ");
@@ -280,9 +462,10 @@ impl Printer<'_> {
             }
             ExprKind::Proj { index, tuple } => {
                 let (index, tuple) = (*index, *tuple);
-                self.paren(min_lvl > LVL_APP, |p| {
+                let lvl = self.proj_operand(tuple);
+                self.paren(paren, |p| {
                     write!(p.out, "#{} ", u64::from(index) + 1).unwrap();
-                    p.expr(tuple, LVL_ATOM);
+                    p.expr(tuple, lvl);
                 });
             }
             ExprKind::Con { con, args } => {
@@ -312,7 +495,7 @@ impl Printer<'_> {
                 let scrutinee = *scrutinee;
                 let arms = arms.clone();
                 let default = *default;
-                self.paren(min_lvl > LVL_EXPR, |p| {
+                self.paren(paren, |p| {
                     p.out.push_str("case ");
                     p.expr(scrutinee, LVL_EXPR);
                     p.out.push_str(" of ");
@@ -340,7 +523,8 @@ impl Printer<'_> {
                         p.out.push_str(" => ");
                         // Arm bodies that are themselves case/fn would
                         // swallow following `|`; parenthesize defensively.
-                        p.expr(arm.body, LVL_CMP);
+                        let last = i + 1 == arms.len() && default.is_none();
+                        p.expr(arm.body, p.arm_lvl(last));
                     }
                     if let Some(d) = default {
                         if !arms.is_empty() {
@@ -355,37 +539,24 @@ impl Printer<'_> {
                 let op = *op;
                 let args: Vec<ExprId> = args.to_vec();
                 match op {
-                    PrimOp::Add | PrimOp::Sub => self.paren(min_lvl > LVL_ADD, |p| {
+                    PrimOp::Add | PrimOp::Sub => self.paren(paren, |p| {
                         p.expr(args[0], LVL_ADD);
                         write!(p.out, " {} ", op.name()).unwrap();
                         p.expr(args[1], LVL_MUL);
                     }),
-                    PrimOp::Mul | PrimOp::Div => self.paren(min_lvl > LVL_MUL, |p| {
+                    PrimOp::Mul | PrimOp::Div => self.paren(paren, |p| {
                         p.expr(args[0], LVL_MUL);
                         write!(p.out, " {} ", op.name()).unwrap();
                         p.expr(args[1], LVL_APP);
                     }),
-                    PrimOp::Lt | PrimOp::Leq | PrimOp::IntEq => {
-                        self.paren(min_lvl > LVL_CMP, |p| {
-                            p.expr(args[0], LVL_ADD);
-                            write!(p.out, " {} ", op.name()).unwrap();
-                            p.expr(args[1], LVL_ADD);
-                        })
-                    }
-                    PrimOp::Not | PrimOp::Print => self.paren(min_lvl > LVL_APP, |p| {
+                    PrimOp::Lt | PrimOp::Leq | PrimOp::IntEq => self.paren(paren, |p| {
+                        p.expr(args[0], LVL_ADD);
+                        write!(p.out, " {} ", op.name()).unwrap();
+                        p.expr(args[1], LVL_ADD);
+                    }),
+                    PrimOp::Not | PrimOp::Print => self.paren(paren, |p| {
                         write!(p.out, "{} ", op.name()).unwrap();
-                        // `not print x` reads as `not (print x)`: an
-                        // operand that is itself `not` or `print` needs
-                        // no parentheses, which would cost the parser
-                        // two more levels per operator.
-                        let prefix = matches!(
-                            p.program.kind(args[0]),
-                            ExprKind::Prim {
-                                op: PrimOp::Not | PrimOp::Print,
-                                ..
-                            }
-                        );
-                        p.expr(args[0], if prefix { LVL_APP } else { LVL_ATOM });
+                        p.expr(args[0], p.prefix_operand(args[0]));
                     }),
                     PrimOp::ReadInt => self.out.push_str("readint"),
                 }

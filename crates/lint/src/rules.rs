@@ -12,7 +12,7 @@ use std::cell::OnceCell;
 
 use stcfa_apps::called_once::{CallSites, CalledOnce};
 use stcfa_cfa0::Cfa0;
-use stcfa_core::{Analysis, QueryEngine};
+use stcfa_core::{Analysis, DatatypePolicy, QueryEngine};
 use stcfa_lambda::{ExprId, ExprKind, Label, Program};
 use stcfa_precision::SuspicionIndex;
 use stcfa_rules::{dominated_redundant, mixed_purity, ExtDb};
@@ -103,13 +103,17 @@ pub fn lint_with_suspicion(
         }
     }
 
+    // A zero suspicion score certifies an engine answer only where the
+    // engine over-approximates. `Forget` cuts flow instead, so there a
+    // score proves nothing and no finding is upgraded from one.
+    let scores_certify = analysis.policy() != DatatypePolicy::Forget;
+
     // --- STCFA002 / STCFA003: call-site counts per abstraction, via the
     // engine-backed called-once analysis. Labels that flow to the program
     // result escape to the consumer, so "never invoked" does not apply.
     // STCFA002 is proven when the whole snapshot is suspicion-free: the
     // engine then equals the exact analysis, so absence of call sites is
-    // exact absence (under `Forget` the engine can also *cut* flow, so
-    // engine-absence alone does not prove anything).
+    // exact absence.
     let sites = CalledOnce::via_engine(program, engine);
     let escaping = engine.labels_of(program.root());
     for l in program.all_labels() {
@@ -125,7 +129,11 @@ pub fn lint_with_suspicion(
                 program,
                 format!("abstraction {} is never invoked", program.label_name(l)),
             );
-            out.push(if suspicion.all_exact() { d.proven() } else { d });
+            out.push(if scores_certify && suspicion.all_exact() {
+                d.proven()
+            } else {
+                d
+            });
         }
     }
     for (l, site) in evidence::called_once_evidence(program, &sites) {
@@ -144,7 +152,7 @@ pub fn lint_with_suspicion(
         // artifact), and over-approximation already rules out unseen
         // extra sites.
         if let ExprKind::App { func, .. } = program.kind(site) {
-            if suspicion.of_expr(engine, *func) == 0 {
+            if scores_certify && suspicion.of_expr(engine, *func) == 0 {
                 d = d.proven();
             }
         }
@@ -169,7 +177,7 @@ pub fn lint_with_suspicion(
     // off `L(root)`, and a certified-exact root set cannot carry a
     // spurious label.
     let db = ExtDb::new(program, analysis, engine);
-    let root_exact = suspicion.of_expr(engine, program.root()) == 0;
+    let root_exact = scores_certify && suspicion.of_expr(engine, program.root()) == 0;
     for &l in &escaping {
         if db.label_is_effectful(l) {
             let d = Diagnostic::at(

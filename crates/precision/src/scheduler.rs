@@ -17,7 +17,8 @@
 //! - `exact` — certified no looser than full cubic CFA: either the
 //!   detector's suspicion is 0 (no congruence merge reachable, so the
 //!   linear answer *is* the exact answer), or Tier 2 ran and confirmed
-//!   the unshrunk Tier-0 set;
+//!   the unshrunk Tier-0 set. Never under `Forget`, which cuts flow: a
+//!   zero score or an empty set proves nothing there;
 //! - `refined` — escalation strictly shrank the Tier-0 set; whenever
 //!   the budget allowed, the set was also confirmed against (and
 //!   intersected with) the cubic oracle on the query's cone;
@@ -202,6 +203,20 @@ impl PrecisionScheduler {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let t0 = engine.labels_of(e);
         let suspicion = self.suspicion.of_expr(engine, e);
+        if self.policy == DatatypePolicy::Forget {
+            // `Forget` cuts flow instead of merging: Tier 0 is no upper
+            // bound, so neither a zero score nor an empty set certifies
+            // anything, and escalation cannot either (the cone
+            // construction's premise fails too).
+            return (
+                t0,
+                PrecisionInfo {
+                    class: PrecisionClass::Approx,
+                    tier: Tier::Sub,
+                    suspicion,
+                },
+            );
+        }
         if suspicion == 0 || t0.is_empty() {
             // No congruence merge in the cone (the linear answer is the
             // exact answer), or nothing left to shrink: an empty sound
@@ -219,20 +234,6 @@ impl PrecisionScheduler {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
-        if self.policy == DatatypePolicy::Forget {
-            // `Forget` cuts flow instead of merging: neither the cone
-            // construction's premise nor "Tier 0 is an upper bound"
-            // holds, so escalation cannot certify anything.
-            return (
-                t0,
-                PrecisionInfo {
-                    class: PrecisionClass::Approx,
-                    tier: Tier::Sub,
-                    suspicion,
-                },
-            );
-        }
-
         // Tier 1: polyvariant summaries (linear; built once, shared).
         let t0_len = t0.len();
         let mut best = t0;

@@ -671,13 +671,15 @@ impl Server {
         // label sets as their EDB, so if no component of this snapshot
         // carries suspicion the engine equals full cubic CFA and every
         // derived fact is exact; otherwise the rule's answer inherits the
-        // engine's (sound) over-approximation.
+        // engine's (sound) over-approximation. `Forget` cuts flow, so
+        // there no score certifies anything.
         if precision_param(request, PROTOCOL_VERSION_SESSION)? {
-            let class = if snapshot.suspicion.all_exact() {
-                stcfa_precision::PrecisionClass::Exact
-            } else {
-                stcfa_precision::PrecisionClass::Approx
-            };
+            let class =
+                if snapshot.policy() != DatatypePolicy::Forget && snapshot.suspicion.all_exact() {
+                    stcfa_precision::PrecisionClass::Exact
+                } else {
+                    stcfa_precision::PrecisionClass::Approx
+                };
             result.push(
                 "precision",
                 Json::obj(vec![
@@ -1398,6 +1400,7 @@ fn fleet_stats_json(fleet: &FleetStats) -> Json {
             "shard_hits",
             Json::num(fleet.shard_hits.load(Ordering::Relaxed)),
         ),
+        ("stolen", Json::num(fleet.stolen.load(Ordering::Relaxed))),
         (
             "overloaded_total",
             Json::num(fleet.overloaded_total.load(Ordering::Relaxed)),
@@ -1409,10 +1412,11 @@ fn fleet_stats_json(fleet: &FleetStats) -> Json {
 /// flag).
 pub fn fleet_summary_line(fleet: &FleetStats) -> String {
     format!(
-        "fleet summary: connections_total={} dispatched={} shard_hits={} overloaded_total={}",
+        "fleet summary: connections_total={} dispatched={} shard_hits={} stolen={} overloaded_total={}",
         fleet.connections_total.load(Ordering::Relaxed),
         fleet.dispatched.load(Ordering::Relaxed),
         fleet.shard_hits.load(Ordering::Relaxed),
+        fleet.stolen.load(Ordering::Relaxed),
         fleet.overloaded_total.load(Ordering::Relaxed),
     )
 }
@@ -1911,6 +1915,30 @@ mod tests {
             let doms = n.get("doms").and_then(Json::as_arr).unwrap();
             assert!(doms.iter().any(|d| d.as_u64() == Some(entry)), "{n:?}");
         }
+    }
+
+    #[test]
+    fn rule_precision_certifies_nothing_under_forget() {
+        // The program has no datatype, so no component carries
+        // suspicion; that certifies the engine's answer under c1, but
+        // `Forget` cuts flow, so there it stays approx.
+        let s = server();
+        let class = |policy: &str| {
+            let r = call(
+                &s,
+                &format!(
+                    r#"{{"v":2,"op":"rule","name":"dominators","policy":"{policy}","precision":true,"source":"fun f x = x; fun g y = f y; g 2"}}"#
+                ),
+            );
+            r.get("result")
+                .and_then(|res| res.get("precision"))
+                .and_then(|p| p.get("class"))
+                .and_then(Json::as_str)
+                .map(str::to_owned)
+                .unwrap_or_else(|| panic!("{r:?}"))
+        };
+        assert_eq!(class("c1"), "exact");
+        assert_eq!(class("forget"), "approx");
     }
 
     #[test]

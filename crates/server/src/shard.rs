@@ -11,18 +11,27 @@
 //!
 //! Workers never block on ordering: the per-connection gate lives in
 //! [`crate::conn::Conn`], which only dispatches a task once it is
-//! allowed to run. A worker loop is therefore just: pop, execute, post
+//! allowed to run. A worker loop is therefore just: take, execute, post
 //! the completion, wake the event loop. Shard and worker counts are
-//! independent — each shard queue is owned by exactly one worker
-//! (`shard % workers`), and surplus workers double up on queues — so
-//! every queue always has a consumer and no configuration can deadlock
-//! or starve.
+//! independent. Each shard has one owner (`shard % workers`); a worker
+//! drains the shards it owns first and, when none of them holds a task
+//! that may start, takes the first such task of another shard. So a
+//! task never waits behind a busy owner while another worker idles,
+//! and a worker that owns no shard (more workers than shards) still
+//! has work whenever any queue does.
 //!
 //! Tasks with one affinity digest run one at a time, in dispatch order,
-//! even where several workers share a queue: a worker takes the first
-//! queued task whose digest no other worker is executing. So an
-//! inline-source `analyze` always finishes before the queries for its
-//! snapshot pipelined behind it start, at every geometry.
+//! whichever worker takes them: a digest always routes to one shard,
+//! and a worker takes the first queued task whose digest no worker is
+//! executing. So an inline-source `analyze` always finishes before the
+//! queries for its snapshot pipelined behind it start, at every
+//! geometry.
+//!
+//! Wake-ups: `dispatch` wakes the shard's owner and, when the owner is
+//! busy and the task may start, one idle worker. A worker publishes
+//! that it is idle before its last look at the queues, so a dispatch
+//! that look misses sees the flag and wakes it: no wake-up is lost, and
+//! nothing spins.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -76,6 +85,8 @@ pub struct FleetStats {
     /// Dispatches whose affinity digest was recently served by the same
     /// shard (the cache-affinity win rate).
     pub shard_hits: AtomicU64,
+    /// Tasks run by a worker that does not own their shard.
+    pub stolen: AtomicU64,
     /// Requests refused with the structured `overloaded` error.
     pub overloaded_total: AtomicU64,
 }
@@ -83,10 +94,6 @@ pub struct FleetStats {
 /// How many recent digests each shard remembers for the `shard_hits`
 /// counter (direct-mapped, low bits index).
 const RECENT_DIGESTS: usize = 256;
-
-struct ShardQueue {
-    tasks: Mutex<ShardState>,
-}
 
 struct ShardState {
     queue: VecDeque<Task>,
@@ -121,18 +128,22 @@ impl ShardState {
     }
 }
 
-/// The pool: shard queues, per-worker parkers, and the completion
+/// One worker's wake-up state.
+#[derive(Default)]
+struct WorkerSlot {
+    parker: Parker,
+    /// Set by the worker before its last look at the queues; cleared by
+    /// whoever claims it for a wake-up, or by the worker once it runs.
+    idle: AtomicBool,
+}
+
+/// The pool: shard queues, per-worker wake-up slots, and the completion
 /// mailbox the event loop drains. Workers are *not* spawned here — the
 /// transport runs [`ShardPool::worker_loop`] on scoped threads so the
 /// handler can borrow the server without `'static` gymnastics.
 pub struct ShardPool {
-    shards: Vec<ShardQueue>,
-    /// One parker per worker.
-    parkers: Vec<Arc<Parker>>,
-    /// `shard -> workers to wake on push` (precomputed; usually one).
-    watchers: Vec<Vec<usize>>,
-    /// `worker -> shards it serves` (every shard appears somewhere).
-    assignments: Vec<Vec<usize>>,
+    shards: Vec<Mutex<ShardState>>,
+    workers: Vec<WorkerSlot>,
     completions: Mutex<Vec<Completion>>,
     /// Wakes the event loop when a completion posts.
     notify: Arc<Parker>,
@@ -157,37 +168,17 @@ impl ShardPool {
         let workers = workers.max(1);
         stats.shards.store(shards as u64, Ordering::Relaxed);
         stats.workers.store(workers as u64, Ordering::Relaxed);
-        // Partition shards over workers: shard s belongs to worker
-        // s % workers; a worker with no shard of its own doubles up on
-        // shard (worker % shards).
-        let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); workers];
-        for s in 0..shards {
-            assignments[s % workers].push(s);
-        }
-        for (w, owned) in assignments.iter_mut().enumerate() {
-            if owned.is_empty() {
-                owned.push(w % shards);
-            }
-        }
-        let mut watchers: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (w, owned) in assignments.iter().enumerate() {
-            for &s in owned {
-                watchers[s].push(w);
-            }
-        }
         ShardPool {
             shards: (0..shards)
-                .map(|_| ShardQueue {
-                    tasks: Mutex::new(ShardState {
+                .map(|_| {
+                    Mutex::new(ShardState {
                         queue: VecDeque::new(),
                         running: Vec::new(),
                         recent: Box::new([0; RECENT_DIGESTS]),
-                    }),
+                    })
                 })
                 .collect(),
-            parkers: (0..workers).map(|_| Arc::new(Parker::new())).collect(),
-            watchers,
-            assignments,
+            workers: (0..workers).map(|_| WorkerSlot::default()).collect(),
             completions: Mutex::new(Vec::new()),
             notify,
             stop: AtomicBool::new(false),
@@ -199,7 +190,7 @@ impl ShardPool {
 
     /// Worker count (one `worker_loop` call each).
     pub fn workers(&self) -> usize {
-        self.parkers.len()
+        self.workers.len()
     }
 
     /// Dispatched-but-not-completed tasks, fleet-wide.
@@ -207,7 +198,27 @@ impl ShardPool {
         self.inflight.load(Ordering::SeqCst)
     }
 
-    /// Routes a task to its shard queue and wakes the consumer.
+    /// The worker that owns shard `s`.
+    fn owner(&self, s: usize) -> usize {
+        s % self.workers.len()
+    }
+
+    fn shard(&self, s: usize) -> std::sync::MutexGuard<'_, ShardState> {
+        self.shards[s].lock().expect("shard poisoned")
+    }
+
+    /// Wakes worker `w` if it is idle. Returns whether it was.
+    fn wake_if_idle(&self, w: usize) -> bool {
+        let slot = &self.workers[w];
+        let idle = slot.idle.swap(false, Ordering::SeqCst);
+        if idle {
+            slot.parker.wake();
+        }
+        idle
+    }
+
+    /// Routes a task to its shard queue and wakes the owner — and, when
+    /// the owner is busy, one idle worker to take it instead.
     pub fn dispatch(&self, task: Task) {
         let affinity = task.route.affinity;
         let shard = if affinity != 0 {
@@ -217,8 +228,8 @@ impl ShardPool {
         };
         self.inflight.fetch_add(1, Ordering::SeqCst);
         self.stats.dispatched.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut state = self.shards[shard].tasks.lock().expect("shard poisoned");
+        let runnable = {
+            let mut state = self.shard(shard);
             if affinity != 0 {
                 let slot = (affinity as usize) % RECENT_DIGESTS;
                 if state.recent[slot] == affinity {
@@ -228,9 +239,24 @@ impl ShardPool {
                 }
             }
             state.queue.push_back(task);
-        }
-        for &w in &self.watchers[shard] {
-            self.parkers[w].wake();
+            affinity == 0 || !state.running.contains(&affinity)
+        };
+        // The owner always gets a wake, so it alone guarantees the task
+        // runs (a busy owner's next park returns at once). When it is
+        // busy and the task may start now, one idle worker is woken too,
+        // to take it sooner. A task whose digest is running cannot start
+        // before that run ends, and the worker finishing it looks for
+        // work again at once.
+        let owner = self.owner(shard);
+        if !self.wake_if_idle(owner) {
+            self.workers[owner].parker.wake();
+            if runnable {
+                for w in (0..self.workers.len()).filter(|&w| w != owner) {
+                    if self.wake_if_idle(w) {
+                        break;
+                    }
+                }
+            }
         }
     }
 
@@ -239,71 +265,87 @@ impl ShardPool {
         std::mem::take(&mut *self.completions.lock().expect("completions poisoned"))
     }
 
-    /// Latches stop and wakes every worker. Workers exit once their
-    /// queues are empty, so already-dispatched tasks still complete
-    /// (the drain guarantee).
+    /// Latches stop and wakes every worker. Workers exit once nothing
+    /// they could run is left and their own queues are empty, so
+    /// already-dispatched tasks still complete (the drain guarantee).
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        for p in &self.parkers {
-            p.wake();
+        for slot in &self.workers {
+            slot.parker.wake();
         }
+    }
+
+    /// The next task worker `w` may start, and its shard: the first
+    /// runnable task of the shards it owns, else the first runnable task
+    /// of any other shard.
+    fn next_task(&self, w: usize) -> Option<(usize, Task)> {
+        let n = self.shards.len();
+        let others = (0..n).map(|i| (w + i) % n).filter(|&s| self.owner(s) != w);
+        self.owned(w)
+            .chain(others)
+            .find_map(|s| Some((s, self.shard(s).take()?)))
+    }
+
+    /// The shards worker `w` owns (none when workers outnumber shards).
+    fn owned(&self, w: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.shards.len()).filter(move |&s| self.owner(s) == w)
+    }
+
+    /// Runs one taken task from shard `s` on worker `w` and posts its
+    /// completion.
+    fn execute(&self, w: usize, s: usize, task: Task, run: &(dyn Fn(&Task) -> String + Sync)) {
+        let stolen = self.owner(s) != w;
+        if stolen {
+            self.stats.stolen.fetch_add(1, Ordering::Relaxed);
+        }
+        let response = run(&task);
+        if task.route.affinity != 0 {
+            self.shard(s).finish(task.route.affinity);
+        }
+        self.inflight.fetch_sub(1, Ordering::SeqCst);
+        self.completions
+            .lock()
+            .expect("completions poisoned")
+            .push(Completion {
+                conn: task.conn,
+                seq: task.seq,
+                response,
+            });
+        self.notify.wake();
     }
 
     /// The consumer loop for worker `w`: run on a scoped thread. `run`
     /// executes one task and returns the response line.
     pub fn worker_loop(&self, w: usize, run: &(dyn Fn(&Task) -> String + Sync)) {
-        let parker = &self.parkers[w];
-        let owned = &self.assignments[w];
+        let slot = &self.workers[w];
         loop {
-            let mut executed = false;
-            for &s in owned {
-                loop {
-                    let task = self.shards[s].tasks.lock().expect("shard poisoned").take();
-                    let Some(task) = task else { break };
-                    executed = true;
-                    let response = run(&task);
-                    if task.route.affinity != 0 {
-                        self.shards[s]
-                            .tasks
-                            .lock()
-                            .expect("shard poisoned")
-                            .finish(task.route.affinity);
-                    }
-                    self.inflight.fetch_sub(1, Ordering::SeqCst);
-                    self.completions
-                        .lock()
-                        .expect("completions poisoned")
-                        .push(Completion {
-                            conn: task.conn,
-                            seq: task.seq,
-                            response,
-                        });
-                    self.notify.wake();
-                }
-            }
-            if executed {
+            if let Some((s, task)) = self.next_task(w) {
+                self.execute(w, s, task, run);
                 continue;
             }
             if self.stop.load(Ordering::SeqCst) {
-                // Nothing could run on the last pass and stop is latched.
-                // A task dispatched after the stop check would have
-                // latched our parker, so re-check once; a task waiting on
-                // a digest another worker is executing is that worker's
-                // to take, so only exit once our queues are empty.
-                let drained = owned.iter().all(|&s| {
-                    self.shards[s]
-                        .tasks
-                        .lock()
-                        .expect("shard poisoned")
-                        .queue
-                        .is_empty()
-                });
-                if !parker.wait(Some(std::time::Duration::from_millis(1))) && drained {
+                // Nothing could run on the last look and stop is
+                // latched. A task dispatched after the stop check would
+                // have latched our parker, so re-check once; a task
+                // waiting on a digest another worker is executing is
+                // that worker's to take next, so only exit once our own
+                // queues are empty.
+                let drained = self.owned(w).all(|s| self.shard(s).queue.is_empty());
+                if !slot.parker.wait(Some(std::time::Duration::from_millis(1))) && drained {
                     break;
                 }
                 continue;
             }
-            parker.wait(None);
+            // Publish idleness, then look once more: a dispatch this look
+            // misses finds the flag set and wakes us.
+            slot.idle.store(true, Ordering::SeqCst);
+            if let Some((s, task)) = self.next_task(w) {
+                slot.idle.store(false, Ordering::SeqCst);
+                self.execute(w, s, task, run);
+                continue;
+            }
+            slot.parker.wait(None);
+            slot.idle.store(false, Ordering::SeqCst);
         }
     }
 }
@@ -397,52 +439,118 @@ mod tests {
     }
 
     #[test]
-    fn one_digest_runs_on_one_worker_at_a_time_in_dispatch_order() {
-        // Four workers share one queue. Tasks of one digest must never
-        // overlap and must start in dispatch order; the stateless tasks
-        // between them are free to run beside them.
-        use std::sync::atomic::AtomicBool;
-        let busy = AtomicBool::new(false);
-        let order = Mutex::new(Vec::new());
+    fn an_idle_worker_runs_tasks_queued_behind_a_busy_owner() {
+        // Two shards, two workers. The first task blocks until the second
+        // has completed; both route to shard 0, so whichever worker runs
+        // the first, the second can only finish in time if the other
+        // worker takes it from a queue it may not own.
+        let released = AtomicBool::new(false);
+        let started = AtomicBool::new(false);
+        let saw_release = AtomicBool::new(false);
         let notify = Arc::new(Parker::new());
         let stats = Arc::new(FleetStats::default());
-        let pool = ShardPool::new(1, 4, Arc::clone(&notify), stats);
+        let pool = ShardPool::new(2, 2, Arc::clone(&notify), Arc::clone(&stats));
         std::thread::scope(|scope| {
             for w in 0..pool.workers() {
-                let (pool, busy, order) = (&pool, &busy, &order);
+                let (pool, released, started, saw_release) =
+                    (&pool, &released, &started, &saw_release);
                 scope.spawn(move || {
                     pool.worker_loop(w, &|task| {
-                        if task.route.affinity != 0 {
-                            assert!(
-                                !busy.swap(true, Ordering::SeqCst),
-                                "two tasks of one digest overlapped"
-                            );
-                            order.lock().unwrap().push(task.seq);
-                            std::thread::sleep(Duration::from_millis(2));
-                            busy.store(false, Ordering::SeqCst);
+                        if task.line == "block" {
+                            started.store(true, Ordering::SeqCst);
+                            let deadline = Instant::now() + Duration::from_secs(10);
+                            while !released.load(Ordering::SeqCst) && Instant::now() < deadline {
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                            saw_release.store(released.load(Ordering::SeqCst), Ordering::SeqCst);
+                        } else {
+                            released.store(true, Ordering::SeqCst);
                         }
                         String::new()
                     });
                 });
             }
-            for i in 0..24 {
-                pool.dispatch(task(0, i, "q", if i % 3 == 2 { 0 } else { 0xbeef }));
+            pool.dispatch(task(0, 0, "block", 2));
+            while !started.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
             }
+            pool.dispatch(task(1, 0, "free", 4));
             let deadline = Instant::now() + Duration::from_secs(30);
             let mut got = 0;
-            while got < 24 {
+            while got < 2 {
                 notify.wait(Some(Duration::from_millis(20)));
                 got += pool.drain_completions().len();
                 assert!(Instant::now() < deadline, "pool lost a task");
             }
             pool.stop();
         });
-        let order = order.into_inner().unwrap();
-        let want: Vec<u64> = (0..24).filter(|i| i % 3 != 2).collect();
-        assert_eq!(
-            order, want,
-            "one digest's tasks must start in dispatch order"
+        assert!(
+            saw_release.into_inner(),
+            "the task queued behind a busy owner waited for it instead of running on the idle worker"
         );
+        assert_eq!(stats.stolen.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn one_digest_runs_on_one_worker_at_a_time_in_dispatch_order() {
+        // Tasks of one digest must never overlap and must start in
+        // dispatch order, whichever worker runs them; the other digests
+        // and the stateless tasks between them are free to run beside
+        // them, and keep the owner busy so that others take its tasks.
+        for &(shards, workers) in &[(1, 4), (2, 2), (4, 2)] {
+            let busy = AtomicBool::new(false);
+            let order = Mutex::new(Vec::new());
+            let notify = Arc::new(Parker::new());
+            let stats = Arc::new(FleetStats::default());
+            let pool = ShardPool::new(shards, workers, Arc::clone(&notify), Arc::clone(&stats));
+            std::thread::scope(|scope| {
+                for w in 0..pool.workers() {
+                    let (pool, busy, order) = (&pool, &busy, &order);
+                    scope.spawn(move || {
+                        pool.worker_loop(w, &|task| {
+                            if task.route.affinity == 0xbeef {
+                                assert!(
+                                    !busy.swap(true, Ordering::SeqCst),
+                                    "two tasks of one digest overlapped"
+                                );
+                                order.lock().unwrap().push(task.seq);
+                                std::thread::sleep(Duration::from_millis(1));
+                                busy.store(false, Ordering::SeqCst);
+                            } else {
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                            String::new()
+                        });
+                    });
+                }
+                for i in 0..32 {
+                    let affinity = match i % 4 {
+                        1 => 0x1000 + i,
+                        3 => 0,
+                        _ => 0xbeef,
+                    };
+                    pool.dispatch(task(0, i, "q", affinity));
+                }
+                let deadline = Instant::now() + Duration::from_secs(30);
+                let mut got = 0;
+                while got < 32 {
+                    notify.wait(Some(Duration::from_millis(20)));
+                    got += pool.drain_completions().len();
+                    assert!(Instant::now() < deadline, "pool lost a task");
+                }
+                pool.stop();
+            });
+            let order = order.into_inner().unwrap();
+            let want: Vec<u64> = (0..32).filter(|i| i % 2 == 0).collect();
+            assert_eq!(
+                order, want,
+                "one digest's tasks must start in dispatch order at ({shards},{workers})"
+            );
+            assert!(
+                stats.stolen.load(Ordering::Relaxed) > 0,
+                "no task ran off its owner at ({shards},{workers})"
+            );
+        }
     }
 
     #[test]
@@ -469,5 +577,59 @@ mod tests {
                 assert!(Instant::now() < deadline, "stop dropped queued tasks");
             }
         });
+
+        // A busy owner and an idle thief: the owner's task holds it
+        // until the tasks queued behind it are answered, and stop is
+        // latched while they wait. The thief must run them, not exit.
+        let done = AtomicU64::new(0);
+        let started = AtomicBool::new(false);
+        let notify = Arc::new(Parker::new());
+        let stats = Arc::new(FleetStats::default());
+        let pool = ShardPool::new(2, 2, Arc::clone(&notify), stats);
+        let mut got = 0;
+        std::thread::scope(|scope| {
+            for w in 0..pool.workers() {
+                let (pool, done, started) = (&pool, &done, &started);
+                scope.spawn(move || {
+                    pool.worker_loop(w, &|task| {
+                        if task.line == "hold" {
+                            started.store(true, Ordering::SeqCst);
+                            let deadline = Instant::now() + Duration::from_secs(10);
+                            while done.load(Ordering::SeqCst) < 8 && Instant::now() < deadline {
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                        } else {
+                            done.fetch_add(1, Ordering::SeqCst);
+                        }
+                        format!("{}", done.load(Ordering::SeqCst))
+                    });
+                });
+            }
+            pool.dispatch(task(0, 0, "hold", 2));
+            while !started.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            for i in 0..8 {
+                pool.dispatch(task(1, i, "late", 4 + 2 * i));
+            }
+            pool.stop();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let mut hold_saw = String::new();
+            while got < 9 {
+                notify.wait(Some(Duration::from_millis(20)));
+                for c in pool.drain_completions() {
+                    if c.conn == 0 {
+                        hold_saw = c.response;
+                    }
+                    got += 1;
+                }
+                assert!(Instant::now() < deadline, "stop dropped queued tasks");
+            }
+            assert_eq!(
+                hold_saw, "8",
+                "the tasks behind a busy owner must run beside it during the drain"
+            );
+        });
+        assert_eq!(got, 9);
     }
 }

@@ -409,10 +409,25 @@ echo "== server: fleet fault-injection gate =="
 # TCP, queries pipelined behind an inline-source analyze never
 # overtaking it, and the router's agreement with the parsed request on
 # generated and mutated lines) must pass explicitly, not just ride along
-# in the tier-1 run.
+# in the tier-1 run. So must the worker pool's own tests: an idle worker
+# takes the tasks queued behind a busy owner, one digest's tasks never
+# overlap and start in dispatch order at every geometry, and stop drains
+# every queued task. Lost wake-ups and ordering races show only under
+# repetition, so the pool tests run 20 times.
 cargo test -q --offline --test server -- fleet mid_burst half_written \
   overload slow_reader persist_tier idle same_answers_over_stdio_and_tcp \
   never_overtake router
+cargo test -q --offline -p stcfa-server -- \
+  an_idle_worker_runs_tasks_queued_behind_a_busy_owner \
+  one_digest_runs_on_one_worker_at_a_time_in_dispatch_order \
+  stop_drains_queued_tasks_before_workers_exit
+for i in $(seq 1 20); do
+  if ! pool_out="$(cargo test -q --offline -p stcfa-server shard 2>&1)"; then
+    printf '%s\n' "$pool_out" >&2
+    echo "pool tests failed on repetition $i of 20" >&2; exit 1
+  fi
+done
+echo "-- pool tests green 20 times"
 
 echo "== server: TCP soak smoke (64 connections) =="
 # A short bursty run against the release daemon through the fleet
@@ -442,8 +457,8 @@ soak_p99="$(printf '%s\n' "$soak_out" | sed -n 's/.*"p99_ns":\([0-9]*\).*/\1/p')
   || { echo "soak smoke: p99 ${soak_p99:-missing} ns exceeds the 2 s sanity bound" >&2; exit 1; }
 ./target/release/stcfa client --addr "$soak_addr" --request '{"op":"shutdown"}' >/dev/null
 wait "$serve_pid"
-grep -q '^fleet summary:' "$soak_log" \
-  || { echo "soak smoke: --summary line missing from stderr" >&2; exit 1; }
+grep -q '^fleet summary:.* stolen=[0-9]' "$soak_log" \
+  || { echo "soak smoke: --summary line missing from stderr, or without stolen=" >&2; cat "$soak_log" >&2; exit 1; }
 echo "-- soak clean: 64 connections, zero shed, p99 ${soak_p99} ns"
 
 echo "== benches compile (not run) =="

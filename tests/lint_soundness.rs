@@ -14,12 +14,17 @@
 //! `STCFA007` operator really reaches both an effectful and a pure
 //! abstraction under the exact analysis, and every `STCFA008`
 //! application really has the singleton exact target it claims.
+//!
+//! Finally, every finding graded `proven`, at every datatype policy,
+//! must hold under cubic 0-CFA. Under `Forget` a zero suspicion score
+//! certifies nothing (the policy cuts flow), so no finding may be
+//! upgraded from one there.
 
-use stcfa::apps::effects;
+use stcfa::apps::{effects, effects_via_cfa0};
 use stcfa::cfa0::Cfa0;
 use stcfa::core::{Analysis, AnalysisOptions, DatatypePolicy, QueryEngine};
-use stcfa::lambda::{ExprKind, Label, Program};
-use stcfa::lint::{lint, LintOptions, RuleCode};
+use stcfa::lambda::{ExprId, ExprKind, Label, Program};
+use stcfa::lint::{lint, Confidence, Diagnostic, LintOptions, RuleCode};
 use stcfa::workloads::synth::{generate, SynthConfig};
 use stcfa_devkit::prelude::*;
 
@@ -75,6 +80,92 @@ fn assert_flow_dead_confirmed(p: &Program, policy: DatatypePolicy) -> TestCaseRe
     Ok(())
 }
 
+const POLICIES: [DatatypePolicy; 4] = [
+    DatatypePolicy::Congruence1,
+    DatatypePolicy::Congruence2,
+    DatatypePolicy::Exact,
+    DatatypePolicy::Forget,
+];
+
+/// Why one `proven` finding does not hold under cubic 0-CFA, if it does
+/// not.
+fn proven_fails(p: &Program, cfa: &Cfa0, d: &Diagnostic) -> Option<String> {
+    let eff = effects_via_cfa0(p, cfa);
+    let effectful = |l: Label| match p.kind(p.lam_of_label(l)) {
+        ExprKind::Lam { body, .. } => eff.is_effectful(*body),
+        _ => false,
+    };
+    let operator = || operator_labels(p, cfa, d.expr);
+    let callers = |l: Label| {
+        p.app_sites()
+            .into_iter()
+            .filter(|&app| operator_labels(p, cfa, app).contains(&l))
+            .count()
+    };
+    let label = || p.label_of(d.expr).expect("the rule sits at an abstraction");
+    let holds = match d.code {
+        RuleCode::FlowDeadApplication | RuleCode::StuckApplication => operator().is_empty(),
+        RuleCode::NeverInvokedAbstraction => {
+            callers(label()) == 0 && !cfa.labels(p, p.root()).contains(&label())
+        }
+        RuleCode::CalledOnceInline => callers(label()) == 1,
+        RuleCode::UselessParameter => {
+            let ExprKind::Lam { param, .. } = p.kind(d.expr) else {
+                panic!("STCFA004 must sit at an abstraction");
+            };
+            p.exprs().all(|e| *p.kind(e) != ExprKind::Var(*param))
+        }
+        RuleCode::EscapingEffectfulClosure => {
+            effectful(label()) && cfa.labels(p, p.root()).contains(&label())
+        }
+        RuleCode::TaintedEffectfulFlow => {
+            let exact = operator();
+            exact.iter().any(|&l| effectful(l)) && exact.iter().any(|&l| !effectful(l))
+        }
+        RuleCode::DominatedRedundantApplication => operator().len() == 1,
+    };
+    (!holds).then(|| {
+        format!(
+            "{} at {:?} ({}) does not hold under cubic 0-CFA",
+            d.code, d.expr, d.message
+        )
+    })
+}
+
+/// The cubic 0-CFA label set of `app`'s operator.
+fn operator_labels(p: &Program, cfa: &Cfa0, app: ExprId) -> Vec<Label> {
+    let ExprKind::App { func, .. } = p.kind(app) else {
+        panic!("{app:?} is not an application");
+    };
+    cfa.labels(p, *func)
+}
+
+/// Lints `p` under `policy` and checks every `proven` finding against
+/// cubic 0-CFA. Returns how many findings were proven.
+fn assert_proven_hold(name: &str, p: &Program, cfa: &Cfa0, policy: DatatypePolicy) -> usize {
+    let Ok(a) = Analysis::run_with(
+        p,
+        AnalysisOptions {
+            policy,
+            max_nodes: None,
+        },
+    ) else {
+        return 0;
+    };
+    let engine = QueryEngine::freeze(&a);
+    let mut proven = 0;
+    for d in lint(p, &a, &engine, &LintOptions::default()) {
+        if d.confidence != Confidence::Proven {
+            continue;
+        }
+        proven += 1;
+        if let Some(why) = proven_fails(p, cfa, &d) {
+            panic!("{name} (policy {policy:?}): {why}");
+        }
+    }
+    proven
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -84,6 +175,15 @@ proptest! {
         assert_flow_dead_confirmed(&p, DatatypePolicy::Congruence1)?;
         assert_flow_dead_confirmed(&p, DatatypePolicy::Congruence2)?;
         assert_flow_dead_confirmed(&p, DatatypePolicy::Forget)?;
+    }
+
+    #[test]
+    fn proven_findings_hold_under_cubic_cfa(seed in any::<u64>()) {
+        let p = program_for(seed);
+        let cfa = Cfa0::analyze(&p);
+        for policy in POLICIES {
+            assert_proven_hold(&format!("synth seed {seed}"), &p, &cfa, policy);
+        }
     }
 }
 
@@ -176,4 +276,57 @@ fn corpus_new_lints_are_oracle_sound() {
     // gate vacuous.
     assert!(mixed > 0, "STCFA007 never fired on the corpus");
     assert!(redundant > 0, "STCFA008 never fired on the corpus");
+}
+
+#[test]
+fn corpus_proven_findings_hold_under_cubic_cfa() {
+    let mut proven = 0;
+    for (name, p) in corpus() {
+        let cfa = Cfa0::analyze(&p);
+        for policy in POLICIES {
+            proven += assert_proven_hold(&name, &p, &cfa, policy);
+        }
+    }
+    assert!(
+        proven > 0,
+        "no corpus finding was proven: the gate is vacuous"
+    );
+}
+
+/// `f` is called at `f 1` and, through the tuple stored in the
+/// datatype, at `(#1 r) 3`. `Forget` cuts the datatype's flow, so the
+/// engine counts one call site and the operator's cone scores 0; cubic
+/// 0-CFA resolves both sites to `λy`. "Called exactly once" must not be
+/// graded proven there.
+#[test]
+fn forget_never_proves_called_once_from_a_zero_score() {
+    let src = "datatype box = B of ((int -> int) * int);\n\
+               fun f y = y;\n\
+               val a = f 1;\n\
+               case B((f, 1)) of B(r) => (#1 r) 3";
+    let p = Program::parse(src).unwrap();
+    let cfa = Cfa0::analyze(&p);
+    for policy in POLICIES {
+        assert_proven_hold("called-once through a datatype", &p, &cfa, policy);
+    }
+    let a = Analysis::run_with(
+        &p,
+        AnalysisOptions {
+            policy: DatatypePolicy::Forget,
+            max_nodes: None,
+        },
+    )
+    .unwrap();
+    let engine = QueryEngine::freeze(&a);
+    let called_once: Vec<Diagnostic> = lint(&p, &a, &engine, &LintOptions::default())
+        .into_iter()
+        .filter(|d| d.code == RuleCode::CalledOnceInline)
+        .collect();
+    assert!(
+        !called_once.is_empty(),
+        "the case lost its point: Forget no longer undercounts f's call sites"
+    );
+    assert!(called_once
+        .iter()
+        .all(|d| d.confidence == Confidence::Likely));
 }

@@ -14,7 +14,9 @@
 //! - **refined means refined**: a `Refined` grade is strictly smaller
 //!   than Tier 0 and still contains the cubic answer;
 //! - **deterministic**: two independently built scheduler+engine pairs
-//!   produce byte-identical graded transcripts.
+//!   produce byte-identical graded transcripts;
+//! - **`Forget` certifies nothing**: the policy cuts flow, so Tier 0 is
+//!   no upper bound there and no answer is graded `exact`.
 
 use stcfa::cfa0::Cfa0;
 use stcfa::core::{Analysis, AnalysisOptions, DatatypePolicy, QueryEngine};
@@ -128,6 +130,13 @@ fn check_grades(name: &str, p: &Program, policy: DatatypePolicy) -> String {
                 "{name} @ {e:?}: Forget must never escalate"
             );
             assert_eq!(ans, t0, "{name} @ {e:?}: Forget must answer at Tier 0");
+            assert_ne!(
+                info.class,
+                PrecisionClass::Exact,
+                "{name} @ {e:?}: Forget cuts flow, so no grade is exact \
+                 (suspicion {}, cubic {oracle:?})",
+                info.suspicion
+            );
         }
         use std::fmt::Write as _;
         let _ = writeln!(
@@ -176,6 +185,40 @@ fn corpus_grades_hold_under_every_policy() {
             check_grades(&name, &p, policy);
         }
     }
+}
+
+/// `Forget` cuts the flow through the datatype: the operator of
+/// `(#1 r) 3` has an empty Tier-0 set and a cone that scores 0, while
+/// cubic 0-CFA resolves it to `λy`. Neither fact may certify it.
+#[test]
+fn forget_grades_a_cut_flow_approx() {
+    let src = "datatype box = B of ((int -> int) * int);\n\
+               case B((fn y => y, 1)) of B(r) => (#1 r) 3";
+    let p = Program::parse(src).unwrap();
+    check_grades("cut flow", &p, DatatypePolicy::Forget);
+    let a = Analysis::run_with(
+        &p,
+        AnalysisOptions {
+            policy: DatatypePolicy::Forget,
+            max_nodes: None,
+        },
+    )
+    .unwrap();
+    let engine = QueryEngine::freeze(&a);
+    let index = SuspicionIndex::build(&a, &engine);
+    let cfa = Cfa0::analyze(&p);
+    let cut = sites(&p)
+        .into_iter()
+        .find(|&f| engine.labels_of(f).is_empty() && !cfa.labels(&p, f).is_empty())
+        .expect("the case lost its point: no operator's flow is cut under Forget");
+    assert_eq!(index.of_expr(&engine, cut), 0);
+    let sched = PrecisionScheduler::new(
+        index,
+        DatatypePolicy::Forget,
+        PrecisionScheduler::DEFAULT_BUDGET,
+    );
+    let (_, info) = sched.labels_of(&p, &engine, cut);
+    assert_eq!(info.class, PrecisionClass::Approx);
 }
 
 #[test]

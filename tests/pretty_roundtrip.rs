@@ -64,6 +64,41 @@ fn corpus_round_trips() {
     assert!(checked >= 5, "corpus should not shrink silently");
 }
 
+/// Shapes the parser accepts close to its nesting limit whose
+/// defensively parenthesized print nests past it: each must print flat
+/// and round-trip. A debug build needs a big stack at these depths.
+#[test]
+fn deep_shapes_round_trip() {
+    let shapes = [
+        (
+            "990 projections",
+            format!("fun f x = {}x", "#1 ".repeat(990)),
+        ),
+        (
+            "700 cases nested in last arms",
+            format!(
+                "datatype t = C of int;\nfun g z = {}y",
+                "case z of C(y) => ".repeat(700)
+            ),
+        ),
+        (
+            "50 vals over 990 nots",
+            format!("{}{}true", "val x = 1;\n".repeat(50), "not ".repeat(990)),
+        ),
+    ];
+    std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn(move || {
+            for (name, src) in shapes {
+                let p = Program::parse(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_round_trips(name, &p);
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

@@ -1340,11 +1340,34 @@ fn fleet_stats_expose_shards_connections_and_affinity_hits() {
         "10",
         "every digest-addressed query must ride the analyze's shard: {stats}"
     );
+    let dispatched = field(fleet, "dispatched").parse::<u64>().unwrap();
+    assert!(dispatched >= 12, "{stats}");
     assert!(
-        field(fleet, "dispatched").parse::<u64>().unwrap() >= 12,
+        field(fleet, "stolen").parse::<u64>().unwrap() <= dispatched,
         "{stats}"
     );
     assert_eq!(field(fleet, "overloaded_total"), "0", "{stats}");
+    d.shutdown();
+
+    // One shard, two workers: the second worker owns no shard, so every
+    // task it runs is stolen, and a pipelined burst of distinct builds
+    // keeps the owner busy while the rest wait on its queue.
+    let d = TcpDaemon::spawn(&["--shards", "1", "--threads", "2"]);
+    let nested = format!("{}1{}", "f (".repeat(100), ")".repeat(100));
+    let burst: String = (0..16)
+        .map(|i| analyze(&format!("fun f x = x + {i}; {nested}")) + "\n")
+        .collect();
+    let transcript = pipelined_transcript(&d, &burst, Duration::ZERO);
+    assert!(
+        transcript.iter().all(|line| field(line, "ok") == "true"),
+        "{transcript:?}"
+    );
+    let stats = d.roundtrip(r#"{"op":"stats"}"#);
+    let fleet = field(&stats, "fleet");
+    assert!(
+        field(fleet, "stolen").parse::<u64>().unwrap() > 0,
+        "the ownerless worker took nothing from the busy owner's queue: {stats}"
+    );
     d.shutdown();
 }
 
