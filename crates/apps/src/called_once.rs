@@ -7,6 +7,10 @@
 //! direction of the subtransitive graph: seed each operator node with its
 //! application site, saturate at two sites ("many"), and read the answer
 //! off at each abstraction's node.
+//!
+//! [`CalledOnce::run`] performs that propagation as one descending sweep
+//! over a frozen engine's condensation; [`CalledOnce::via_queries`] is
+//! its quadratic reference.
 
 use stcfa_core::{Analysis, NodeId, QueryEngine};
 use stcfa_lambda::{ExprId, ExprKind, Label, Program};
@@ -46,38 +50,36 @@ pub struct CalledOnce {
 }
 
 impl CalledOnce {
-    /// Runs the linear-time propagation.
-    pub fn run(program: &Program, analysis: &Analysis) -> CalledOnce {
-        let n = analysis.node_count();
-        let mut ann: Vec<CallSites> = vec![CallSites::None; n];
-        let mut work: Vec<u32> = Vec::new();
-        let mut queued = vec![false; n];
-        // Seed: each application site marks its operator's node.
+    /// Runs the linear-time propagation over `engine`'s condensation,
+    /// `O(V + E)`. Component ids are reverse-topological (DAG edges go to
+    /// smaller ids), so a descending sweep reaches each component after
+    /// every component that can flow into it: seed each operator's
+    /// component with its site, push each component's site set to its
+    /// DAG successors, then read every label off the components of the
+    /// nodes that carry it.
+    pub fn run(program: &Program, engine: &QueryEngine) -> CalledOnce {
+        let cond = engine.condensation();
+        let mut ann = vec![CallSites::None; cond.comp_count()];
         for e in program.exprs() {
             if let ExprKind::App { func, .. } = program.kind(e) {
-                let f = analysis.node_of_expr(*func);
-                if ann[f.index()].merge(CallSites::One(e)) && !queued[f.index()] {
-                    queued[f.index()] = true;
-                    work.push(f.index() as u32);
-                }
+                ann[cond.comp_of(engine.node_of_expr(*func).index())].merge(CallSites::One(e));
             }
         }
-        // Propagate towards value sources (forward along edges): if node n
-        // may be called from sites S, everything n evaluates to may be too.
-        while let Some(i) = work.pop() {
-            queued[i as usize] = false;
-            let current = ann[i as usize];
-            for &s in analysis.succs(NodeId::from_index(i as usize)) {
-                if ann[s as usize].merge(current) && !queued[s as usize] {
-                    queued[s as usize] = true;
-                    work.push(s);
-                }
+        for c in (0..cond.comp_count()).rev() {
+            let here = ann[c];
+            if here == CallSites::None {
+                continue;
+            }
+            for &s in cond.dag().succs(c) {
+                ann[s as usize].merge(here);
             }
         }
-        let per_label = program
-            .all_labels()
-            .map(|l| ann[analysis.node_of_label(l).index()])
-            .collect();
+        let mut per_label = vec![CallSites::None; program.label_count()];
+        for node in 0..engine.node_count() {
+            if let Some(l) = engine.own_label(NodeId::from_index(node)) {
+                per_label[l.index()].merge(ann[cond.comp_of(node)]);
+            }
+        }
         CalledOnce { per_label }
     }
 
@@ -88,21 +90,6 @@ impl CalledOnce {
         for e in program.exprs() {
             if let ExprKind::App { func, .. } = program.kind(e) {
                 for l in analysis.labels_of(*func) {
-                    per_label[l.index()].merge(CallSites::One(e));
-                }
-            }
-        }
-        CalledOnce { per_label }
-    }
-
-    /// [`CalledOnce::via_queries`] through a frozen [`QueryEngine`]: same
-    /// per-site target sets, one summary sweep instead of a BFS per site.
-    pub fn via_engine(program: &Program, engine: &QueryEngine) -> CalledOnce {
-        engine.prepare();
-        let mut per_label = vec![CallSites::None; program.label_count()];
-        for e in program.exprs() {
-            if let ExprKind::App { func, .. } = program.kind(e) {
-                for l in engine.labels_of(*func) {
                     per_label[l.index()].merge(CallSites::One(e));
                 }
             }
@@ -147,7 +134,7 @@ mod tests {
     fn run(src: &str) -> (Program, Analysis, CalledOnce) {
         let p = Program::parse(src).unwrap();
         let a = Analysis::run(&p).unwrap();
-        let c = CalledOnce::run(&p, &a);
+        let c = CalledOnce::run(&p, &QueryEngine::freeze(&a));
         (p, a, c)
     }
 
@@ -198,12 +185,10 @@ mod tests {
         for src in corpus {
             let p = Program::parse(src).unwrap();
             let a = Analysis::run(&p).unwrap();
-            let fast = CalledOnce::run(&p, &a);
+            let fast = CalledOnce::run(&p, &QueryEngine::freeze(&a));
             let slow = CalledOnce::via_queries(&p, &a);
-            let engine = CalledOnce::via_engine(&p, &stcfa_core::QueryEngine::freeze(&a));
             for l in p.all_labels() {
                 assert_eq!(fast.of(l), slow.of(l), "label {l:?} in {src:?}");
-                assert_eq!(engine.of(l), slow.of(l), "engine path at {l:?} in {src:?}");
             }
         }
     }

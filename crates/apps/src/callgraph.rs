@@ -11,7 +11,7 @@
 //! that genuinely need it (inliner heuristics, recursion detection,
 //! reachability).
 
-use stcfa_core::{Analysis, QueryEngine};
+use stcfa_core::QueryEngine;
 use stcfa_graph::bitset::ones;
 use stcfa_graph::DiGraph;
 use stcfa_lambda::{ExprId, ExprKind, Label, Program};
@@ -28,16 +28,9 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Builds the call graph from subtransitive per-site call targets.
-    ///
-    /// Freezes a [`QueryEngine`] internally so the per-site target sets
-    /// come out of one bit-parallel sweep instead of one BFS per site; use
-    /// [`CallGraph::build_with_engine`] to share an already-frozen engine.
-    pub fn build(program: &Program, analysis: &Analysis) -> CallGraph {
-        Self::build_with_engine(program, &QueryEngine::freeze(analysis))
-    }
-
-    /// Builds the call graph through an existing frozen [`QueryEngine`].
+    /// Builds the call graph from subtransitive per-site call targets,
+    /// read off a frozen [`QueryEngine`]'s label rows (one bit-parallel
+    /// sweep instead of one BFS per site).
     pub fn build_with_engine(program: &Program, engine: &QueryEngine) -> CallGraph {
         let labels = program.label_count();
         let mut graph = DiGraph::with_nodes(labels + 1);
@@ -137,12 +130,13 @@ impl CallGraph {
 mod tests {
     use super::*;
     use stcfa_cfa0::LiveCfa0;
+    use stcfa_core::Analysis;
     use stcfa_lambda::Program;
 
     fn build(src: &str) -> (Program, CallGraph) {
         let p = Program::parse(src).unwrap();
         let a = Analysis::run(&p).unwrap();
-        let cg = CallGraph::build(&p, &a);
+        let cg = CallGraph::build_with_engine(&p, &QueryEngine::freeze(&a));
         (p, cg)
     }
 
@@ -207,7 +201,7 @@ mod tests {
         for src in srcs {
             let p = Program::parse(src).unwrap();
             let a = Analysis::run(&p).unwrap();
-            let cg = CallGraph::build(&p, &a);
+            let cg = CallGraph::build_with_engine(&p, &QueryEngine::freeze(&a));
             let mut want = DiGraph::with_nodes(p.label_count() + 1);
             for app in p.app_sites() {
                 let ExprKind::App { func, .. } = p.kind(app) else {
@@ -249,7 +243,7 @@ mod tests {
         for src in srcs {
             let p = Program::parse(src).unwrap();
             let a = Analysis::run(&p).unwrap();
-            let cg = CallGraph::build(&p, &a);
+            let cg = CallGraph::build_with_engine(&p, &QueryEngine::freeze(&a));
             let live = LiveCfa0::analyze(&p);
             let reachable = cg.reachable_from_root();
             for l in p.all_labels() {

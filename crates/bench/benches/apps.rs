@@ -3,7 +3,7 @@
 
 use stcfa_apps::{effects, effects_via_cfa0, CalledOnce, KLimited};
 use stcfa_cfa0::Cfa0;
-use stcfa_core::Analysis;
+use stcfa_core::{Analysis, QueryEngine};
 use stcfa_devkit::bench::{BenchmarkId, Criterion};
 use stcfa_devkit::{criterion_group, criterion_main};
 use stcfa_workloads::{cubic, join_point, synth};
@@ -59,7 +59,7 @@ fn bench_called_once(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("propagation", n),
             &(&p, &a),
-            |b, (p, a)| b.iter(|| black_box(CalledOnce::run(p, a))),
+            |b, (p, a)| b.iter(|| black_box(CalledOnce::run(p, &QueryEngine::freeze(a)))),
         );
         group.bench_with_input(
             BenchmarkId::new("query_per_site_reference", n),

@@ -2,10 +2,10 @@
 //! standard algorithm vs subtransitive graph, at two program sizes (the
 //! scaling *ratio* is the result; absolute numbers depend on the host) —
 //! plus the frozen [`QueryEngine`] variants: the same queries off the
-//! SCC-condensed bit-parallel summary, and one positional batch.
+//! SCC-condensed bit-parallel summary.
 
 use stcfa_cfa0::Cfa0;
-use stcfa_core::{Analysis, Query, QueryEngine};
+use stcfa_core::{Analysis, QueryEngine};
 use stcfa_devkit::bench::{BenchmarkId, Criterion};
 use stcfa_devkit::{criterion_group, criterion_main};
 use stcfa_workloads::cubic;
@@ -69,14 +69,6 @@ fn bench_queries(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("engine_all_label_sets", n), &q, |b, q| {
             b.iter(|| black_box(q.all_label_sets()))
         });
-
-        // The same per-expression query list, as one batch.
-        let queries: Vec<Query> = p.exprs().map(Query::LabelsOf).collect();
-        group.bench_with_input(
-            BenchmarkId::new("engine_batch", n),
-            &(&q, &queries),
-            |b, (q, queries)| b.iter(|| black_box(q.batch(queries))),
-        );
     }
     group.finish();
 }

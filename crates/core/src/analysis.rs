@@ -99,11 +99,11 @@ pub struct AnalysisStats {
     /// Queries answered by a frozen [`QueryEngine`](crate::QueryEngine)
     /// over this analysis (zero until one is frozen and consulted).
     pub queries_answered: u64,
-    /// Query-engine cache hits: answers served from the completed summary
-    /// sweep or from a memoized demand-mode component.
+    /// Query-engine cache hits: answers read off the summary rows (or
+    /// off the inverse index once it is built).
     pub query_cache_hits: u64,
-    /// Query-engine cache misses: demand-mode components computed plus
-    /// full summary sweeps performed.
+    /// Query-engine cache misses: summary sweeps performed (0 or 1 per
+    /// engine).
     pub query_cache_misses: u64,
 }
 

@@ -61,4 +61,4 @@ pub use analysis::{Analysis, AnalysisError, AnalysisOptions, AnalysisStats};
 pub use incremental::{SessionSnapshot, StaleSnapshot};
 pub use node::{DatatypePolicy, NodeId, NodeKind, NodeTable};
 pub use polyvariance::{PolyAnalysis, PolyOptions};
-pub use queryeng::{Answer, EngineParts, EnginePartsRef, Query, QueryEngine, QueryStats};
+pub use queryeng::{EngineParts, EnginePartsRef, QueryEngine, QueryStats};

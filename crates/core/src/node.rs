@@ -24,6 +24,7 @@ impl NodeId {
 
     /// Creates a node id from a dense index (as returned in adjacency
     /// lists by [`crate::Analysis::succs`]/[`crate::Analysis::preds`]).
+    #[inline]
     pub fn from_index(i: usize) -> Self {
         NodeId(u32::try_from(i).expect("node count overflow"))
     }

@@ -1,4 +1,4 @@
-//! The frozen batch query engine over a finished subtransitive graph.
+//! The frozen query engine over a finished subtransitive graph.
 //!
 //! After the build and close phases every CFA question is *graph
 //! reachability* (paper, Section 2) — but [`Analysis`] answers each query
@@ -7,7 +7,7 @@
 //! possible constants. [`QueryEngine`] freezes the analysis into an
 //! immutable snapshot tuned for answering *many* queries:
 //!
-//! 1. the graph is packed into a [`Csr`] (plus its cheap transpose);
+//! 1. the graph is packed into a [`Csr`];
 //! 2. strongly connected components are condensed
 //!    ([`Condensation`]) — every node in an SCC has the same label set;
 //! 3. one **reverse-topological bit-parallel sweep** computes every
@@ -15,14 +15,9 @@
 //!    `label_reaches`, `exprs_with_label`, `call_targets` and
 //!    `all_label_sets` are table lookups.
 //!
-//! Before (or instead of) the full sweep, demand-mode queries resolve
-//! through a **memoized per-component cache**: only the components
-//! reachable from the queried node are summarized, and never twice.
-//!
-//! [`QueryEngine::batch`] completes the sweep (and, if needed, the
-//! inverse index) and then answers a query list in input order on the
-//! calling thread: every answer is a table read by then, cheaper than a
-//! thread spawn (docs/QUERYENG.md, "Batches and threading").
+//! Every query has one read path: it runs the sweep if nothing has yet
+//! (or [`QueryEngine::prepare`] runs it up front) and reads its
+//! component's row in place.
 //!
 //! The engine is a *snapshot*: it does not follow later growth of an
 //! incremental session. Snapshots taken through
@@ -31,7 +26,7 @@
 //! [`crate::incremental::SessionSnapshot`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use stcfa_graph::{Condensation, Csr};
 use stcfa_lambda::{ExprId, ExprKind, Label, Program, VarId};
@@ -39,82 +34,32 @@ use stcfa_lambda::{ExprId, ExprKind, Label, Program, VarId};
 use crate::analysis::{Analysis, AnalysisStats};
 use crate::node::NodeId;
 
-/// One question for [`QueryEngine::batch`] (single-shot methods exist for
-/// all of them too).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Query {
-    /// `L(e)` for an expression occurrence.
-    LabelsOf(ExprId),
-    /// `L(x)` for a binder.
-    LabelsOfBinder(VarId),
-    /// `l ∈ L(e)`?
-    Member(ExprId, Label),
-    /// `{e : l ∈ L(e)}`.
-    ExprsWithLabel(Label),
-}
-
-impl Query {
-    /// The call-targets question for application site `app` (`L(e₁)` for
-    /// `app = (e₁ e₂)`), or `None` if `app` is not an application.
-    pub fn call_targets(program: &Program, app: ExprId) -> Option<Query> {
-        match program.kind(app) {
-            ExprKind::App { func, .. } => Some(Query::LabelsOf(*func)),
-            _ => None,
-        }
-    }
-}
-
-/// One answer, in the same position as its [`Query`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Answer {
-    /// For [`Query::LabelsOf`]/[`Query::LabelsOfBinder`]: the sorted label
-    /// set.
-    Labels(Vec<Label>),
-    /// For [`Query::Member`].
-    Member(bool),
-    /// For [`Query::ExprsWithLabel`]: the sorted occurrence list.
-    Exprs(Vec<ExprId>),
-}
-
 /// Work and cache-hit counters of one engine (monotone; read them with
 /// [`QueryEngine::query_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Queries answered (single-shot and batched).
+    /// Queries answered.
     pub queries: u64,
-    /// Answers served from the completed full sweep.
+    /// Answers read off the summary rows (or off the inverse index,
+    /// once built).
     pub summary_hits: u64,
-    /// Demand-mode answers served from an already-memoized component.
-    pub demand_hits: u64,
-    /// Components summarized on demand (the demand cache's misses).
-    pub demand_misses: u64,
     /// Full bit-parallel sweeps performed (0 or 1).
     pub sweeps: u64,
-    /// `batch` invocations.
-    pub batches: u64,
 }
 
 #[derive(Default)]
 struct Counters {
     queries: AtomicU64,
     summary_hits: AtomicU64,
-    demand_hits: AtomicU64,
-    demand_misses: AtomicU64,
     sweeps: AtomicU64,
-    batches: AtomicU64,
-}
-
-/// Demand-mode state: per-component label rows computed so far.
-struct DemandMemo {
-    rows: Vec<Option<Box<[u64]>>>,
 }
 
 /// A borrowed view of an engine's frozen arrays, for serialization
 /// (see [`QueryEngine::to_parts`]). Only the forward CSR and the
-/// node → component assignment are exported: the reverse CSR, the DAG,
-/// the member lists, the summary rows and the inverse index are all
-/// rederivable in `O(V + E)` (the rows in `O(E·L/64)`) and are rebuilt
-/// on decode rather than trusted off disk.
+/// node → component assignment are exported: the DAG, the member lists,
+/// the summary rows and the inverse index are all rederivable in
+/// `O(V + E)` (the rows in `O(E·L/64)`) and are rebuilt on decode rather
+/// than trusted off disk.
 #[derive(Clone, Copy, Debug)]
 pub struct EnginePartsRef<'a> {
     /// Forward CSR (offsets + targets via its accessors).
@@ -172,8 +117,6 @@ pub struct EngineParts {
 pub struct QueryEngine {
     /// Forward CSR (towards value sources, like [`Analysis::succs`]).
     csr: Csr,
-    /// Transposed CSR (towards consumers), for demand-mode inverse queries.
-    rev: Csr,
     cond: Condensation,
     /// Node → label index (`u32::MAX` = none).
     node_label: Vec<u32>,
@@ -181,8 +124,7 @@ pub struct QueryEngine {
     expr_nodes: Vec<u32>,
     /// Binder → node.
     binder_nodes: Vec<u32>,
-    /// Binder → variable occurrences (flattened), for demand-mode inverse
-    /// queries.
+    /// Binder → variable occurrences (flattened).
     occ_offsets: Vec<u32>,
     occ_exprs: Vec<u32>,
     label_count: usize,
@@ -192,7 +134,6 @@ pub struct QueryEngine {
     summaries: OnceLock<Vec<u64>>,
     /// Label → occurrences, derived from the sweep (the inverse index).
     inverse: OnceLock<Vec<Vec<ExprId>>>,
-    demand: Mutex<DemandMemo>,
     counters: Counters,
     base_stats: AnalysisStats,
     generation: Option<u64>,
@@ -230,10 +171,9 @@ impl QueryEngine {
     pub(crate) fn freeze_tagged(analysis: &Analysis, generation: Option<u64>) -> QueryEngine {
         let n = analysis.node_count();
         let csr = Csr::from_succs(n, |u| analysis.graph.succs(NodeId::from_index(u)));
-        let rev = csr.reverse();
         let cond = Condensation::build(&csr);
         // Debug-mode foundation audit: the snapshot consumers (lint rules,
-        // batch queries) assume the graph is rule-saturated, the CSR arrays
+        // queries) assume the graph is rule-saturated, the CSR arrays
         // are well-formed, and condensation ids are reverse-topological.
         // Verify all three before handing out the frozen view.
         #[cfg(debug_assertions)]
@@ -244,9 +184,6 @@ impl QueryEngine {
             if let Err(e) = csr.audit() {
                 panic!("freeze audit: forward CSR malformed: {e}");
             }
-            if let Err(e) = rev.audit() {
-                panic!("freeze audit: reverse CSR malformed: {e}");
-            }
             if let Err(e) = cond.check_order() {
                 panic!("freeze audit: condensation order violated: {e}");
             }
@@ -255,7 +192,6 @@ impl QueryEngine {
         let words = label_count.div_ceil(64).max(1);
         QueryEngine {
             csr,
-            rev,
             cond,
             node_label: analysis.node_label.clone(),
             expr_nodes: analysis
@@ -274,7 +210,6 @@ impl QueryEngine {
             words,
             summaries: OnceLock::new(),
             inverse: OnceLock::new(),
-            demand: Mutex::new(DemandMemo { rows: Vec::new() }),
             counters: Counters::default(),
             base_stats: analysis.stats(),
             generation,
@@ -306,9 +241,9 @@ impl QueryEngine {
     /// decode path). The input is *untrusted* — it may come off disk — so
     /// every structural invariant the query paths rely on is re-verified:
     /// a malformed shape is a structured error, never a panic and never a
-    /// wrong answer. The reverse CSR is rederived here; the summary rows
-    /// and inverse index start empty and are derived on first use (or by
-    /// [`QueryEngine::prepare`]), exactly as on a freshly frozen engine.
+    /// wrong answer. The summary rows and inverse index start empty and
+    /// are derived on first use (or by [`QueryEngine::prepare`]), exactly
+    /// as on a freshly frozen engine.
     pub fn from_parts(parts: EngineParts) -> Result<QueryEngine, String> {
         let csr = Csr::from_raw_parts(parts.csr_offsets, parts.csr_targets)?;
         let cond = Condensation::from_comp_of(&csr, parts.comp_of)?;
@@ -368,10 +303,8 @@ impl QueryEngine {
             ));
         }
         let words = parts.label_count.div_ceil(64).max(1);
-        let rev = csr.reverse();
         Ok(QueryEngine {
             csr,
-            rev,
             cond,
             node_label: parts.node_label,
             expr_nodes: parts.expr_nodes,
@@ -382,7 +315,6 @@ impl QueryEngine {
             words,
             summaries: OnceLock::new(),
             inverse: OnceLock::new(),
-            demand: Mutex::new(DemandMemo { rows: Vec::new() }),
             counters: Counters::default(),
             base_stats: parts.base_stats,
             generation: parts.generation,
@@ -392,6 +324,7 @@ impl QueryEngine {
     // --- snapshot shape -----------------------------------------------------
 
     /// Number of graph nodes frozen into the snapshot.
+    #[inline]
     pub fn node_count(&self) -> usize {
         self.csr.node_count()
     }
@@ -418,15 +351,15 @@ impl QueryEngine {
     }
 
     /// An estimate of this snapshot's resident heap weight, in bytes:
-    /// both CSR directions, the condensation, the node/expression index
-    /// arrays, and — when materialized — the summary rows and inverse
-    /// index. Cache layers use it for byte-accounted capacity decisions;
-    /// it deliberately over-counts slightly rather than under-counting.
+    /// the CSR, the condensation, the node/expression index arrays, and —
+    /// when materialized — the summary rows and inverse index. Cache layers
+    /// use it for byte-accounted capacity decisions; it deliberately
+    /// over-counts slightly rather than under-counting.
     pub fn approx_bytes(&self) -> usize {
         let nodes = self.csr.node_count();
         let edges = self.csr.edge_count();
-        // Forward + reverse CSR: offsets (nodes+1 each) and targets.
-        let csr = 2 * (4 * (nodes + 1) + 4 * edges);
+        // CSR: offsets (nodes+1) and targets.
+        let csr = 4 * (nodes + 1) + 4 * edges;
         // Condensation: comp-of array, member lists, DAG edges (bounded
         // by the graph's edges).
         let cond = 4 * nodes + 4 * nodes + 8 * (self.cond.comp_count() + 1) + 4 * edges;
@@ -451,12 +384,8 @@ impl QueryEngine {
         &self.csr
     }
 
-    /// The frozen reverse CSR.
-    pub fn rev_csr(&self) -> &Csr {
-        &self.rev
-    }
-
     /// The SCC condensation.
+    #[inline]
     pub fn condensation(&self) -> &Condensation {
         &self.cond
     }
@@ -490,11 +419,13 @@ impl QueryEngine {
     }
 
     /// The graph node carrying expression occurrence `e`.
+    #[inline]
     pub fn node_of_expr(&self, e: ExprId) -> NodeId {
         NodeId::from_index(self.expr_nodes[e.index()] as usize)
     }
 
     /// The graph node carrying binder `v`.
+    #[inline]
     pub fn node_of_binder(&self, v: VarId) -> NodeId {
         NodeId::from_index(self.binder_nodes[v.index()] as usize)
     }
@@ -502,6 +433,7 @@ impl QueryEngine {
     /// The abstraction label introduced *at* `node` (its own bit in the
     /// sweep), if any. Several nodes may carry the same label under
     /// polyvariant instantiation.
+    #[inline]
     pub fn own_label(&self, node: NodeId) -> Option<Label> {
         match self.node_label[node.index()] {
             u32::MAX => None,
@@ -548,71 +480,18 @@ impl QueryEngine {
         })
     }
 
-    /// Forces the full summary sweep now (it otherwise runs lazily on the
-    /// first whole-graph query or batch). Call before a long run of
-    /// single-shot queries to skip demand mode entirely.
+    /// Runs the summary sweep now (it otherwise runs on the first query),
+    /// so a caller can account for it where it chooses.
     pub fn prepare(&self) {
         self.summaries();
     }
 
-    /// The label row of `node`'s component, preferring the completed sweep
-    /// and falling back to the memoized demand cache.
-    fn row_of_node(&self, node: usize) -> Box<[u64]> {
-        let c = self.cond.comp_of(node);
-        if let Some(rows) = self.summaries.get() {
-            self.counters.summary_hits.fetch_add(1, Ordering::Relaxed);
-            return rows[c * self.words..(c + 1) * self.words].into();
-        }
-        self.demand_row(c)
-    }
-
-    /// Demand mode: summarize only the components reachable from `c`,
-    /// memoizing every row computed along the way.
-    fn demand_row(&self, c: usize) -> Box<[u64]> {
-        let w = self.words;
-        let mut memo = self.demand.lock().expect("demand cache poisoned");
-        if memo.rows.is_empty() {
-            memo.rows = (0..self.cond.comp_count()).map(|_| None).collect();
-        }
-        if let Some(row) = &memo.rows[c] {
-            self.counters.demand_hits.fetch_add(1, Ordering::Relaxed);
-            return row.clone();
-        }
-        // Collect the unmemoized components reachable from `c`. Their ids
-        // are all ≤ c (reverse-topological numbering), so computing them in
-        // increasing id order sees every dependency finished.
-        let mut todo: Vec<usize> = Vec::new();
-        let mut stack = vec![c];
-        let mut seen = vec![false; self.cond.comp_count()];
-        seen[c] = true;
-        while let Some(x) = stack.pop() {
-            if memo.rows[x].is_some() {
-                continue;
-            }
-            todo.push(x);
-            for &s in self.cond.dag().succs(x) {
-                if !seen[s as usize] {
-                    seen[s as usize] = true;
-                    stack.push(s as usize);
-                }
-            }
-        }
-        todo.sort_unstable();
-        self.counters
-            .demand_misses
-            .fetch_add(todo.len() as u64, Ordering::Relaxed);
-        for &x in &todo {
-            let mut row = vec![0u64; w].into_boxed_slice();
-            for &s in self.cond.dag().succs(x) {
-                let src = memo.rows[s as usize].as_ref().expect("dependency computed");
-                for (a, b) in row.iter_mut().zip(src.iter()) {
-                    *a |= b;
-                }
-            }
-            self.own_bits(x, &mut row);
-            memo.rows[x] = Some(row);
-        }
-        memo.rows[c].as_ref().expect("just computed").clone()
+    /// The label row of `node`'s component, read in place (the one read
+    /// path: the sweep runs first if it has not yet).
+    fn row_of_node(&self, node: usize) -> &[u64] {
+        let row = self.summary_row(self.cond.comp_of(node));
+        self.counters.summary_hits.fetch_add(1, Ordering::Relaxed);
+        row
     }
 
     fn row_to_labels(&self, row: &[u64]) -> Vec<Label> {
@@ -643,8 +522,7 @@ impl QueryEngine {
     /// Labels reachable from an arbitrary graph node.
     pub fn labels_from_node(&self, start: NodeId) -> Vec<Label> {
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        let row = self.row_of_node(start.index());
-        self.row_to_labels(&row)
+        self.row_to_labels(self.row_of_node(start.index()))
     }
 
     /// Is `l ∈ L(e)`? — identical to [`Analysis::label_reaches`].
@@ -690,45 +568,6 @@ impl QueryEngine {
         self.inverse_index()[l.index()].clone()
     }
 
-    /// Demand-mode inverse query: reverse reachability over the transposed
-    /// CSR from every carrier of `l`, without building the full index.
-    /// Identical answers to [`QueryEngine::exprs_with_label`]; linear in
-    /// the graph per call. Exposed for consumers that ask about one or two
-    /// labels and then throw the snapshot away.
-    pub fn exprs_with_label_demand(&self, l: Label) -> Vec<ExprId> {
-        self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        let n = self.csr.node_count();
-        let mut seen = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new();
-        // Every carrier of `l` (the abstraction, plus instance roots under
-        // polyvariance) seeds the reverse traversal.
-        for (node, &lab) in self.node_label.iter().enumerate() {
-            if lab as usize == l.index() && !seen[node] {
-                seen[node] = true;
-                stack.push(node as u32);
-            }
-        }
-        let mut out: Vec<ExprId> = Vec::new();
-        let mut hit = vec![false; self.expr_nodes.len().max(1)];
-        while let Some(u) = stack.pop() {
-            for &p in self.rev.succs(u as usize) {
-                if !seen[p as usize] {
-                    seen[p as usize] = true;
-                    stack.push(p);
-                }
-            }
-        }
-        // One pass over the occurrences: an expression is in the answer iff
-        // its node was reached.
-        for (i, &node) in self.expr_nodes.iter().enumerate() {
-            if seen[node as usize] && !hit[i] {
-                hit[i] = true;
-                out.push(ExprId::from_index(i));
-            }
-        }
-        out
-    }
-
     /// All label sets — one row lookup per occurrence after a single
     /// `O(E·L/64)` sweep, against `n` BFS traversals on the unfrozen
     /// analysis.
@@ -764,18 +603,13 @@ impl QueryEngine {
 
     /// Known-call evidence for the optimizer backend: every application
     /// site whose engine target set is a *singleton*, with that sole
-    /// target, in site order (answered as one positional batch).
+    /// target, in site order.
     pub fn singleton_call_targets(&self, program: &Program) -> Vec<(ExprId, Label)> {
-        let apps = program.app_sites();
-        let queries: Vec<Query> = apps
-            .iter()
-            .filter_map(|&a| Query::call_targets(program, a))
-            .collect();
-        let answers = self.batch(&queries);
-        apps.iter()
-            .zip(&answers)
-            .filter_map(|(&app, answer)| match answer {
-                Answer::Labels(labels) if labels.len() == 1 => Some((app, labels[0])),
+        program
+            .app_sites()
+            .into_iter()
+            .filter_map(|app| match self.call_targets(program, app)?.as_slice() {
+                [only] => Some((app, *only)),
                 _ => None,
             })
             .collect()
@@ -797,32 +631,6 @@ impl QueryEngine {
             .map(|&e| ExprId::from_index(e as usize))
     }
 
-    // --- batch --------------------------------------------------------------
-
-    fn answer(&self, q: &Query) -> Answer {
-        match *q {
-            Query::LabelsOf(e) => Answer::Labels(self.labels_of(e)),
-            Query::LabelsOfBinder(v) => Answer::Labels(self.labels_of_binder(v)),
-            Query::Member(e, l) => Answer::Member(self.label_reaches(e, l)),
-            Query::ExprsWithLabel(l) => Answer::Exprs(self.exprs_with_label(l)),
-        }
-    }
-
-    /// Answers `queries` in input order. The full sweep (and, if needed,
-    /// the inverse index) is completed up front, after which every answer
-    /// is a pure read of the frozen tables.
-    pub fn batch(&self, queries: &[Query]) -> Vec<Answer> {
-        self.counters.batches.fetch_add(1, Ordering::Relaxed);
-        self.summaries();
-        if queries
-            .iter()
-            .any(|q| matches!(q, Query::ExprsWithLabel(_)))
-        {
-            self.inverse_index();
-        }
-        queries.iter().map(|q| self.answer(q)).collect()
-    }
-
     // --- counters -----------------------------------------------------------
 
     /// A snapshot of the work/cache counters.
@@ -830,10 +638,7 @@ impl QueryEngine {
         QueryStats {
             queries: self.counters.queries.load(Ordering::Relaxed),
             summary_hits: self.counters.summary_hits.load(Ordering::Relaxed),
-            demand_hits: self.counters.demand_hits.load(Ordering::Relaxed),
-            demand_misses: self.counters.demand_misses.load(Ordering::Relaxed),
             sweeps: self.counters.sweeps.load(Ordering::Relaxed),
-            batches: self.counters.batches.load(Ordering::Relaxed),
         }
     }
 
@@ -843,8 +648,8 @@ impl QueryEngine {
         let q = self.query_stats();
         AnalysisStats {
             queries_answered: q.queries,
-            query_cache_hits: q.summary_hits + q.demand_hits,
-            query_cache_misses: q.demand_misses + q.sweeps,
+            query_cache_hits: q.summary_hits,
+            query_cache_misses: q.sweeps,
             ..self.base_stats
         }
     }
@@ -884,7 +689,6 @@ mod tests {
             let (p, a, q) = engine_for(src);
             for l in p.all_labels() {
                 assert_eq!(q.exprs_with_label(l), a.exprs_with_label(l), "{l:?}");
-                assert_eq!(q.exprs_with_label_demand(l), a.exprs_with_label(l));
                 for e in p.exprs() {
                     assert_eq!(q.label_reaches(e, l), a.label_reaches(e, l));
                 }
@@ -907,38 +711,23 @@ mod tests {
     }
 
     #[test]
-    fn demand_mode_memoizes() {
+    fn first_query_runs_the_one_sweep() {
         let (p, _, q) = engine_for(JOIN);
+        assert_eq!(q.query_stats().sweeps, 0, "freezing does not sweep");
         let e = p.root();
         let first = q.labels_of(e);
         let s1 = q.query_stats();
-        assert!(s1.demand_misses > 0, "first query computes components");
-        assert_eq!(s1.sweeps, 0, "no full sweep in demand mode");
-        let second = q.labels_of(e);
+        assert_eq!(s1.sweeps, 1, "the first query runs the sweep");
+        assert_eq!(s1.summary_hits, 1, "and reads its row off it");
+        assert_eq!(q.labels_of(e), first);
+        let l = p.all_labels().next().expect("JOIN has abstractions");
+        let _ = q.label_reaches(e, l);
+        let _ = q.exprs_with_label(l);
+        let _ = q.all_label_sets();
+        q.prepare();
         let s2 = q.query_stats();
-        assert_eq!(first, second);
-        assert_eq!(
-            s2.demand_misses, s1.demand_misses,
-            "second query is a cache hit"
-        );
-        assert_eq!(s2.demand_hits, s1.demand_hits + 1);
-    }
-
-    #[test]
-    fn batch_is_input_ordered_and_thread_invariant() {
-        let (p, _, q) = engine_for(JOIN);
-        let mut queries: Vec<Query> = p.exprs().map(Query::LabelsOf).collect();
-        queries.extend(p.all_labels().map(Query::ExprsWithLabel));
-        queries.extend(
-            p.exprs()
-                .flat_map(|e| p.all_labels().map(move |l| Query::Member(e, l))),
-        );
-        let answers = q.batch(&queries);
-        assert_eq!(answers.len(), queries.len());
-        for (query, answer) in queries.iter().zip(&answers) {
-            assert_eq!(answer, &q.answer(query), "{query:?}");
-        }
-        assert_eq!(q.query_stats().batches, 1);
+        assert_eq!(s2.sweeps, 1, "no later query sweeps again");
+        assert_eq!(s2.summary_hits, 3 + p.size() as u64);
     }
 
     fn owned_parts(q: &QueryEngine) -> EngineParts {
@@ -985,10 +774,8 @@ mod tests {
             assert_eq!(q.all_label_sets(), r.all_label_sets());
             assert_eq!(q.base_stats, r.base_stats);
             assert_eq!(q.generation(), r.generation());
-            // Prepared, it answers from its own sweep: no demand-mode
-            // misses, no second sweep.
+            // Prepared, it answers from its own sweep: no second sweep.
             assert_eq!(r.query_stats().sweeps, 1);
-            assert_eq!(r.query_stats().demand_misses, 0);
         }
     }
 
@@ -1058,6 +845,7 @@ mod tests {
         let s = q.stats();
         assert_eq!(s.build_nodes, a.stats().build_nodes);
         assert_eq!(s.queries_answered, 1);
-        assert!(s.query_cache_misses > 0);
+        assert_eq!(s.query_cache_hits, 1);
+        assert_eq!(s.query_cache_misses, 1, "the one sweep");
     }
 }

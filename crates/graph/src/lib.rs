@@ -8,7 +8,7 @@
 //! Cooper–Harvey–Kennedy [`DomTree`] (built by [`DiGraph::dominator_tree`]),
 //! the [`Worklist`] shared by all fixed-point solvers in the workspace, and —
 //! for finished graphs — a frozen [`Csr`] snapshot with its SCC
-//! [`Condensation`], the substrate of the batch query engine in
+//! [`Condensation`], the substrate of the frozen query engine in
 //! `stcfa-core`.
 //!
 //! ```

@@ -14,7 +14,7 @@
 
 use stcfa_apps::called_once::{CallSites, CalledOnce};
 use stcfa_cfa0::Cfa0;
-use stcfa_core::{Answer, Query, QueryEngine};
+use stcfa_core::QueryEngine;
 use stcfa_lambda::{ExprId, ExprKind, Label, Program, VarId};
 
 /// A candidate application whose operator the engine proves flow-dead,
@@ -39,26 +39,17 @@ pub struct AppEvidence {
     pub flow_dead: Vec<FlowDeadCandidate>,
 }
 
-/// Classifies every application site by its engine `call_targets` answer,
-/// in site order (one positional batch).
+/// Classifies every application site by its engine `labels_of` answer
+/// at the operator, in site order.
 pub fn app_evidence(program: &Program, engine: &QueryEngine) -> AppEvidence {
-    let apps = program.app_sites();
-    let queries: Vec<Query> = apps
-        .iter()
-        .map(|&a| Query::call_targets(program, a).expect("app site"))
-        .collect();
-    let answers = engine.batch(&queries);
     let mut out = AppEvidence::default();
-    for (&app, answer) in apps.iter().zip(&answers) {
-        let Answer::Labels(labels) = answer else {
-            unreachable!("LabelsOf answers Labels")
-        };
-        if !labels.is_empty() {
-            continue;
-        }
+    for app in program.app_sites() {
         let ExprKind::App { func, .. } = program.kind(app) else {
             unreachable!("app site")
         };
+        if !engine.labels_of(*func).is_empty() {
+            continue;
+        }
         match program.kind(*func) {
             ExprKind::Lit(_) | ExprKind::Record(_) | ExprKind::Con { .. } => out.stuck.push(app),
             _ => out.flow_dead.push(FlowDeadCandidate { app, func: *func }),
@@ -95,9 +86,9 @@ pub fn is_machinery(program: &Program, lam: ExprId) -> bool {
 }
 
 /// The `STCFA003` evidence: every non-machinery abstraction that
-/// `sites` (the engine-backed [`CalledOnce::via_engine`] count) proves
-/// invoked from exactly one call site, with that site. Sorted by label
-/// index (the program's label order).
+/// `sites` (the engine sweep [`CalledOnce::run`]) proves invoked from
+/// exactly one call site, with that site. Sorted by label index (the
+/// program's label order).
 pub fn called_once_evidence(program: &Program, sites: &CalledOnce) -> Vec<(Label, ExprId)> {
     let mut out = Vec::new();
     for l in program.all_labels() {
@@ -163,7 +154,7 @@ mod tests {
     #[test]
     fn called_once_and_useless_params() {
         let (p, engine) = setup("fun konst a b = a; konst 1 2");
-        let sites = CalledOnce::via_engine(&p, &engine);
+        let sites = CalledOnce::run(&p, &engine);
         assert!(!called_once_evidence(&p, &sites).is_empty());
         let useless = useless_param_evidence(&p, &engine);
         assert_eq!(useless.len(), 1);

@@ -23,11 +23,11 @@ use crate::evidence;
 /// Knobs for one lint run. It has none today.
 #[derive(Clone, Debug, Default)]
 pub struct LintOptions {
-    /// Unread: engine batches run on the calling thread. Kept only
+    /// Unread: engine queries run on the calling thread. Kept only
     /// because the repository benchmark (`benchmark/`) builds this
     /// struct literally; it goes with the next change to the benchmark
     /// (ROADMAP item 7).
-    #[deprecated(note = "unread: engine batches run on the calling thread")]
+    #[deprecated(note = "unread: engine queries run on the calling thread")]
     pub threads: usize,
 }
 
@@ -75,8 +75,7 @@ pub fn lint_with_suspicion(
     let mut out: Vec<Diagnostic> = Vec::new();
 
     // --- STCFA001 / STCFA006: applications whose operator has an empty
-    // label set, split by the shared evidence module (one positional
-    // batch, so order is stable).
+    // label set, split by the shared evidence module (in site order).
     let apps = evidence::app_evidence(program, engine);
     for app in apps.stuck {
         out.push(Diagnostic::at(
@@ -109,12 +108,13 @@ pub fn lint_with_suspicion(
     let scores_certify = analysis.policy() != DatatypePolicy::Forget;
 
     // --- STCFA002 / STCFA003: call-site counts per abstraction, via the
-    // engine-backed called-once analysis. Labels that flow to the program
-    // result escape to the consumer, so "never invoked" does not apply.
+    // called-once sweep over the engine's condensation. Labels that flow
+    // to the program result escape to the consumer, so "never invoked"
+    // does not apply.
     // STCFA002 is proven when the whole snapshot is suspicion-free: the
     // engine then equals the exact analysis, so absence of call sites is
     // exact absence.
-    let sites = CalledOnce::via_engine(program, engine);
+    let sites = CalledOnce::run(program, engine);
     let escaping = engine.labels_of(program.root());
     for l in program.all_labels() {
         // Lambdas introduced by desugaring (`$…` parameters) are not the

@@ -55,10 +55,10 @@ pub struct OptOptions {
     /// Per-pass, per-round rewrite budget. Candidates past the budget
     /// are skipped (and typically picked up next round).
     pub budget: usize,
-    /// Unread: engine batches run on the calling thread. Kept only
+    /// Unread: engine queries run on the calling thread. Kept only
     /// because the repository benchmark (`benchmark/`) sets it; it goes
     /// with the next change to the benchmark (ROADMAP item 7).
-    #[deprecated(note = "unread: engine batches run on the calling thread")]
+    #[deprecated(note = "unread: engine queries run on the calling thread")]
     pub threads: usize,
 }
 

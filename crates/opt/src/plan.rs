@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use stcfa_apps::called_once::CalledOnce;
 use stcfa_cfa0::{Cfa0, LiveCfa0};
-use stcfa_core::{Answer, Query, QueryEngine};
+use stcfa_core::QueryEngine;
 use stcfa_lambda::{ExprId, ExprKind, Label, Literal, Program};
 use stcfa_lint::evidence;
 
@@ -100,7 +100,7 @@ pub fn inline_once<'o>(
     budget: usize,
 ) -> PassPlan {
     let mut out = PassPlan::default();
-    let ev = evidence::called_once_evidence(program, &CalledOnce::via_engine(program, engine));
+    let ev = evidence::called_once_evidence(program, &CalledOnce::run(program, engine));
     if ev.is_empty() {
         return out;
     }
@@ -183,22 +183,14 @@ pub fn prune_params<'o>(
         let lam = program.lam_of_label(*l);
         useless.iter().any(|&(e, _)| e == lam)
     };
-    let apps = program.app_sites();
-    let queries: Vec<Query> = apps
-        .iter()
-        .map(|&a| Query::call_targets(program, a).expect("app site"))
-        .collect();
-    let answers = engine.batch(&queries);
-    for (&app, answer) in apps.iter().zip(&answers) {
-        let Answer::Labels(targets) = answer else {
-            unreachable!("LabelsOf answers Labels")
+    for app in program.app_sites() {
+        let ExprKind::App { func, arg } = program.kind(app) else {
+            unreachable!("app site")
         };
+        let targets = engine.labels_of(*func);
         if targets.is_empty() || !targets.iter().all(useless_label) {
             continue; // not evidenced at this site; dead sites are the elision pass's business
         }
-        let ExprKind::App { arg, .. } = program.kind(app) else {
-            unreachable!("app site")
-        };
         match program.kind(*arg) {
             ExprKind::Lit(Literal::Unit) => out.skip(app, SkipReason::ArgAlreadyUnit),
             ExprKind::Var(_) | ExprKind::Lit(_) | ExprKind::Lam { .. } => {

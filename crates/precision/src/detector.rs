@@ -34,7 +34,7 @@
 //! over `0..comp_count` sees every successor finished — `O(N + E)`.
 
 use stcfa_core::{Analysis, NodeId, NodeKind, QueryEngine};
-use stcfa_lambda::{ExprId, VarId};
+use stcfa_lambda::ExprId;
 
 /// Weight of one congruence/merge node in a cone (dominant term; any
 /// non-zero suspicion that matters for soundness comes from these).
@@ -68,9 +68,13 @@ impl SuspicionIndex {
              from (node tables differ); disk-warmed linked engines must \
              rehydrate persisted scores via `from_raw` instead",
         );
+        let mut in_degrees = vec![0u32; n];
+        for &t in engine.csr().targets() {
+            in_degrees[t as usize] += 1;
+        }
         let mut own = vec![0u32; cc];
         let mut labelled = vec![0u32; cc];
-        for i in 0..n {
+        for (i, &in_degree) in in_degrees.iter().enumerate() {
             let id = NodeId::from_index(i);
             let c = cond.comp_of(i);
             let w = match nodes.kind(id) {
@@ -78,7 +82,7 @@ impl SuspicionIndex {
                 | NodeKind::Slot(..)
                 | NodeKind::DeConClass { .. }
                 | NodeKind::TopFun => MERGE_WEIGHT,
-                NodeKind::Dom(_) | NodeKind::Ran(_) if engine.rev_csr().degree(i) > 1 => FAN_WEIGHT,
+                NodeKind::Dom(_) | NodeKind::Ran(_) if in_degree > 1 => FAN_WEIGHT,
                 _ => 0,
             };
             own[c] = own[c].saturating_add(w);
@@ -130,11 +134,6 @@ impl SuspicionIndex {
     /// The suspicion of expression `e`'s answer.
     pub fn of_expr(&self, engine: &QueryEngine, e: ExprId) -> u32 {
         self.of_node(engine, engine.node_of_expr(e))
-    }
-
-    /// The suspicion of binder `v`'s answer.
-    pub fn of_binder(&self, engine: &QueryEngine, v: VarId) -> u32 {
-        self.of_node(engine, engine.node_of_binder(v))
     }
 
     /// Whether every component scores 0 — the whole snapshot's answers

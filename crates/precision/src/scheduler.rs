@@ -32,8 +32,7 @@
 //! to Tier 0 with an honest `approx` grade.
 //!
 //! **Single-CPU discipline:** the scheduler never spawns threads. All
-//! tiers run on the caller's thread; batch parallelism stays where it
-//! already lives, inside `QueryEngine::batch`'s worker budget.
+//! tiers run on the caller's thread, as every `QueryEngine` query does.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

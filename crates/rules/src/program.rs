@@ -301,11 +301,6 @@ impl RuleProgram {
         RelId(self.rels.len() as u32 - 1)
     }
 
-    /// The declared name of a relation handle.
-    pub fn rel_name(&self, rel: RelId) -> &'static str {
-        self.rels[rel.0 as usize].name
-    }
-
     /// Registers one rule, running every static check. On error the
     /// program is left exactly as it was.
     pub fn rule(&mut self, head: Head, body: Vec<Lit>) -> Result<(), RuleError> {

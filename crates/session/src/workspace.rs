@@ -516,13 +516,6 @@ impl LinkedSnapshot {
         Ok(&self.engine)
     }
 
-    /// The frozen engine without a staleness check — for consumers that
-    /// keep snapshot and workspace paired by construction (the server
-    /// registry) or hold no workspace at all.
-    pub fn engine_unchecked(&self) -> &QueryEngine {
-        &self.engine
-    }
-
     /// Decomposes the snapshot into its parts (for cache storage).
     pub fn into_parts(self) -> (Program, Analysis, QueryEngine, LinkReport) {
         (self.program, self.analysis, self.engine, self.report)

@@ -27,7 +27,11 @@ echo "== tier-1: clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== tier-1: query-engine properties =="
-cargo test -q --offline --test query_engine
+# Every query reads its component's row off the one summary sweep; the
+# differential properties check that read path against the BFS
+# reference, the cubic CFA and a transitive-closure oracle, at a raised
+# case count.
+STCFA_PROP_CASES=300 cargo test -q --offline --test query_engine
 
 echo "== front end: pins, limits, round trip and properties =="
 # The parse pin (every token, span, name, label and error message the
@@ -72,29 +76,37 @@ cargo test -q --offline --test lint_soundness
 # linked 32-module workspaces.
 cargo test -q --offline --test dominators_oracle
 
-echo "== rules: rule evaluation stays off production paths =="
-# The evaluator is the oracle for the shipped rule analyses, as the
-# cubic references are for the engine: no production source may name
-# `Evaluator`. Allowed: its own module, the crate's re-export, tests,
-# benches, comments, and each file's top-level `#[cfg(test)] mod` (test
-# modules close their files).
-evaluator_users="$(for f in $(find src crates/*/src -name '*.rs' | sort); do
-  [ "$f" = crates/rules/src/eval.rs ] && continue
+echo "== reference implementations stay off production paths =="
+# Each reference implementation is the oracle for one production
+# implementation, as the cubic references are for the engine: the rule
+# `Evaluator` for the shipped rule analyses, `CalledOnce::via_queries`
+# for the called-once sweep and `effects_via_cfa0` for the effects
+# colouring. No production source may name one. Allowed: each defining
+# module, the crates' `lib.rs` re-exports, the bench crate's sources
+# (which time the references against the production paths), tests,
+# comments, and each file's top-level `#[cfg(test)] mod` (test modules
+# close their files).
+reference_users="$(for f in $(find src crates/*/src -name '*.rs' | sort); do
+  case "$f" in
+    crates/rules/src/eval.rs | crates/apps/src/called_once.rs | crates/apps/src/effects.rs \
+      | crates/bench/src/*) continue ;;
+  esac
   awk -v f="$f" '
     /^#\[cfg\(test\)\]$/ { in_cfg = 1; next }
     in_cfg && /^mod [A-Za-z_]+ \{/ { exit }
     { in_cfg = 0 }
     /^[[:space:]]*\/\// { next }
     f == "crates/rules/src/lib.rs" && /^pub use eval::/ { next }
-    /(^|[^A-Za-z0-9_])Evaluator([^A-Za-z0-9_]|$)/ { print f ":" FNR ": " $0 }
+    f == "crates/apps/src/lib.rs" && /^pub use effects::/ { next }
+    /(^|[^A-Za-z0-9_])(Evaluator|via_queries|effects_via_cfa0)([^A-Za-z0-9_]|$)/ { print f ":" FNR ": " $0 }
   ' "$f"
 done)"
-if [ -n "$evaluator_users" ]; then
-  echo "rule evaluation reached a production source:" >&2
-  printf '%s\n' "$evaluator_users" >&2
+if [ -n "$reference_users" ]; then
+  echo "a reference implementation reached a production source:" >&2
+  printf '%s\n' "$reference_users" >&2
   exit 1
 fi
-echo "-- no production source names Evaluator"
+echo "-- no production source names Evaluator, via_queries or effects_via_cfa0"
 
 echo "== rules: corpus STCFA007/008 findings are pinned =="
 # The new rule-backed lints, extracted from the corpus-wide JSON report

@@ -1251,12 +1251,11 @@ fn run() -> Result<(), CliError> {
                     let qs = q.query_stats();
                     println!(
                         "queries: {} sccs over {} nodes; {} answered \
-                         ({} cache hits, {} misses, {} sweep(s))",
+                         ({} row reads, {} sweep(s))",
                         q.comp_count(),
                         q.node_count(),
                         qs.queries,
-                        qs.summary_hits + qs.demand_hits,
-                        qs.demand_misses,
+                        qs.summary_hits,
                         qs.sweeps
                     );
                 }
@@ -1332,7 +1331,7 @@ fn run() -> Result<(), CliError> {
             }
             Command::CalledOnce => {
                 let a = graph.as_ref().expect("graph built");
-                let co = CalledOnce::run(&program, a);
+                let co = CalledOnce::run(&program, &QueryEngine::freeze(a));
                 for l in program.all_labels() {
                     let verdict = match co.of(l) {
                         CallSites::None => "never called".to_owned(),

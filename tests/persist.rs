@@ -4,7 +4,7 @@
 //! it was built from — across the whole corpus, under every datatype
 //! policy.
 
-use stcfa::core::{Analysis, AnalysisOptions, DatatypePolicy, Query, QueryEngine};
+use stcfa::core::{Analysis, AnalysisOptions, DatatypePolicy, QueryEngine};
 use stcfa::lambda::Program;
 use stcfa::persist::{decode, encode, SnapshotImage};
 use stcfa::server::{SnapshotKey, SnapshotStore};
@@ -25,28 +25,41 @@ fn corpus() -> Vec<(String, String)> {
     out
 }
 
-/// Every query kind the batch API carries, over the whole program.
-fn all_queries(p: &Program) -> Vec<Query> {
-    let mut queries: Vec<Query> = p.exprs().map(Query::LabelsOf).collect();
-    queries.extend(p.vars().map(Query::LabelsOfBinder));
-    queries.extend(p.all_labels().map(Query::ExprsWithLabel));
-    queries.extend(
-        p.exprs()
-            .step_by(3)
-            .flat_map(|e| p.all_labels().map(move |l| Query::Member(e, l))),
-    );
-    queries
-}
-
-/// Cold and warm engines must agree on the full batch, and on the point
-/// queries that bypass the batch API.
+/// Cold and warm engines must agree on every query kind over the whole
+/// program: every expression's and binder's label set, every label's
+/// occurrences, membership at every third expression, every site's call
+/// targets and the all-sets listing.
 fn assert_identical(name: &str, p: &Program, cold: &QueryEngine, warm: &QueryEngine) {
-    let queries = all_queries(p);
-    assert_eq!(
-        warm.batch(&queries),
-        cold.batch(&queries),
-        "{name}: warm batch diverged"
-    );
+    for e in p.exprs() {
+        assert_eq!(
+            warm.labels_of(e),
+            cold.labels_of(e),
+            "{name}: labels diverged at {e:?}"
+        );
+    }
+    for v in p.vars() {
+        assert_eq!(
+            warm.labels_of_binder(v),
+            cold.labels_of_binder(v),
+            "{name}: binder labels diverged at {v:?}"
+        );
+    }
+    for l in p.all_labels() {
+        assert_eq!(
+            warm.exprs_with_label(l),
+            cold.exprs_with_label(l),
+            "{name}: occurrences diverged at {l:?}"
+        );
+    }
+    for e in p.exprs().step_by(3) {
+        for l in p.all_labels() {
+            assert_eq!(
+                warm.label_reaches(e, l),
+                cold.label_reaches(e, l),
+                "{name}: membership diverged at {e:?}, {l:?}"
+            );
+        }
+    }
     for app in p.app_sites() {
         assert_eq!(
             warm.call_targets(p, app),
@@ -72,7 +85,7 @@ fn policies() -> [(DatatypePolicy, u64); 4] {
 
 /// Direct format round trip: encode the frozen engine, decode it, and
 /// compare answers — every corpus file, every policy, from a swept and
-/// from a demand-only engine (the image holds no summary rows either
+/// from a never-swept engine (the image holds no summary rows either
 /// way).
 #[test]
 fn decoded_corpus_snapshots_answer_identically() {

@@ -3,9 +3,9 @@
 //! the concatenation — same arena size, same subtransitive node count,
 //! same label set at every expression and binder. The tests quantify
 //! over seeded synthetic module sets, arbitrary top-level splits of the
-//! corpus programs, and query-engine worker counts 1/2/8.
+//! corpus programs, and the frozen engine against the linked analysis.
 
-use stcfa::core::{AnalysisOptions, Answer, Query};
+use stcfa::core::AnalysisOptions;
 use stcfa::session::{split, Workspace};
 use stcfa::workloads::modules::{concatenated, module_sources, ModulesConfig};
 use stcfa_devkit::prelude::*;
@@ -103,33 +103,33 @@ proptest! {
         assert_node_for_node(&split_ws, &whole_ws, &format!("seed {seed}"));
     }
 
-    /// Frozen-engine batches over the session-linked program answer, in
-    /// input order, what the point queries answer.
+    /// The frozen engine over the session-linked program answers every
+    /// expression and binder query as the linked analysis's BFS
+    /// reference does.
     #[test]
-    fn session_engine_batches_are_thread_count_independent(seed in any::<u64>()) {
+    fn session_engine_answers_match_the_linked_analysis(seed in any::<u64>()) {
         let sources = sources_for(seed);
         let ws = linked(&sources);
         let snap = ws.freeze().unwrap();
         let engine = snap.engine(&ws).unwrap();
-        let mut queries: Vec<Query> =
-            snap.program().exprs().map(Query::LabelsOf).collect();
-        queries.extend(snap.program().vars().map(Query::LabelsOfBinder));
-        let reference: Vec<Answer> = snap
-            .program()
-            .exprs()
-            .map(|e| Answer::Labels(engine.labels_of(e)))
-            .chain(
-                snap.program()
-                    .vars()
-                    .map(|v| Answer::Labels(engine.labels_of_binder(v))),
-            )
-            .collect();
-        prop_assert_eq!(
-            &engine.batch(&queries),
-            &reference,
-            "batch diverged from the point queries (seed {})",
-            seed
-        );
+        for e in snap.program().exprs() {
+            prop_assert_eq!(
+                engine.labels_of(e),
+                snap.analysis().labels_of(e),
+                "labels diverged at {:?} (seed {})",
+                e,
+                seed
+            );
+        }
+        for v in snap.program().vars() {
+            prop_assert_eq!(
+                engine.labels_of_binder(v),
+                snap.analysis().labels_of_binder(v),
+                "binder labels diverged at {:?} (seed {})",
+                v,
+                seed
+            );
+        }
     }
 }
 

@@ -12,7 +12,7 @@
 
 use stcfa::apps::effects;
 use stcfa::cfa0::Cfa0;
-use stcfa::core::{Analysis, PolyAnalysis};
+use stcfa::core::{Analysis, AnalysisOptions, DatatypePolicy, PolyAnalysis, QueryEngine};
 use stcfa::lambda::eval::{eval, EvalOptions};
 use stcfa::unify::UnifyCfa;
 use stcfa::workloads::synth::{generate, SynthConfig};
@@ -135,13 +135,36 @@ fn check_klimited_matches_truncation(seed: u64) -> TestCaseResult {
     Ok(())
 }
 
+/// The called-once sweep over the frozen condensation against the
+/// query-per-site reference, under every datatype policy. A program whose
+/// closure passes the default node budget under a policy is skipped there.
 fn check_called_once_matches_reference(seed: u64) -> TestCaseResult {
     let p = program_for(seed);
-    let sub = Analysis::run(&p).expect("bounded");
-    let fast = stcfa::apps::CalledOnce::run(&p, &sub);
-    let slow = stcfa::apps::CalledOnce::via_queries(&p, &sub);
-    for l in p.all_labels() {
-        prop_assert_eq!(fast.of(l), slow.of(l), "label {:?} (seed {})", l, seed);
+    for policy in [
+        DatatypePolicy::Congruence1,
+        DatatypePolicy::Congruence2,
+        DatatypePolicy::Exact,
+        DatatypePolicy::Forget,
+    ] {
+        let options = AnalysisOptions {
+            policy,
+            max_nodes: None,
+        };
+        let Ok(sub) = Analysis::run_with(&p, options) else {
+            continue;
+        };
+        let fast = stcfa::apps::CalledOnce::run(&p, &QueryEngine::freeze(&sub));
+        let slow = stcfa::apps::CalledOnce::via_queries(&p, &sub);
+        for l in p.all_labels() {
+            prop_assert_eq!(
+                fast.of(l),
+                slow.of(l),
+                "label {:?} under {:?} (seed {})",
+                l,
+                policy,
+                seed
+            );
+        }
     }
     Ok(())
 }
@@ -197,8 +220,8 @@ fn check_effects_colouring_matches_reference(seed: u64) -> TestCaseResult {
     // covered by `every_dynamic_effect_is_predicted`.)
     let sub = Analysis::run_with(
         &p,
-        stcfa::core::AnalysisOptions {
-            policy: stcfa::core::DatatypePolicy::Exact,
+        AnalysisOptions {
+            policy: DatatypePolicy::Exact,
             max_nodes: None,
         },
     )
